@@ -88,6 +88,13 @@ def _uint64(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be nonnegative, got {text}")
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(token) for token in text.split(",") if token != ""]
@@ -120,18 +127,15 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_invariance_scan(args) -> int:
-    if args.alphas is not None:
-        try:
+    try:
+        if args.alphas is not None:
             alphas = _parse_floats(args.alphas)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    else:
-        alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
-    if not alphas:
-        print("error: alpha grid is empty", file=sys.stderr)
+        else:
+            alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
+        reports = invariance_scan(alphas, args.n_states, args.n_maps, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    reports = invariance_scan(alphas, args.n_states, args.n_maps, args.seed)
     lines = ["alpha,max_deviation,argmax_state_id,argmax_map_id"]
     for rep in reports:
         lines.append(
@@ -352,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=float, default=3.0)
     p.add_argument("--alpha-steps", type=int, default=6)
     p.add_argument("--alphas", default=None, help="explicit comma-separated grid")
-    p.add_argument("--n-states", type=int, default=1000)
-    p.add_argument("--n-maps", type=int, default=200)
+    p.add_argument("--n-states", type=_nonnegative_int, default=1000)
+    p.add_argument("--n-maps", type=_nonnegative_int, default=200)
     p.add_argument("--seed", type=_uint64, default=0)
     p.add_argument("--out-csv", required=True, help="CSV output path")
     p.add_argument("--out", default=None)

@@ -45,8 +45,8 @@ def normalized_measure(alpha: float) -> EntropyMeasure:
     when alpha != 1; its alpha -> 1 limit is the base-2 Shannon entropy with
     k = 1, which is what alpha == 1 returns.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1.0:
         return SHANNON
     return EntropyMeasure(alpha=alpha, k=(alpha - 1.0) / (1.0 - 2.0 ** (1.0 - alpha)))

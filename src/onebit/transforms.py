@@ -73,33 +73,42 @@ class PreserverCandidate:
     start_kind: str
 
 
-def induced_from_rotation(rotation, tol: float = ORTHO_TOL) -> InducedMap:
-    """The 6x6 map acting on probability vectors as the given orthogonal
-    matrix acts on mean-value vectors.
+def induced_from_rotations(rotations, tol: float = ORTHO_TOL) -> np.ndarray:
+    """The 6x6 maps, shape (n, 6, 6), acting on probability vectors as the
+    given (n, 3, 3) orthogonal matrices act on mean-value vectors.
 
     Each output entry is (1 +- (r m)_u) / 2; the constant 1/2 is realized
     linearly through the unit sector sums, weighted by the squared entries
-    of ``rotation`` (rows of an orthogonal matrix have unit norm), so signed
+    of the rotation (rows of an orthogonal matrix have unit norm), so signed
     permutations come out as exact permutation matrices and the identity
-    maps to the identity.
+    maps to the identity.  Raises ValueError unless every matrix is
+    orthogonal within ``tol``.
+    """
+    r = np.asarray(rotations, dtype=float)
+    if r.ndim != 3 or r.shape[1:] != (3, 3):
+        raise ValueError(f"rotations must have shape (n, 3, 3), got {r.shape}")
+    gap = float(np.max(np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)), initial=0.0))
+    if gap > tol:
+        raise ValueError(f"matrix is not orthogonal (r^T r gap {gap:.3g})")
+    s = r * r
+    plus = 0.5 * (s + r)
+    minus = 0.5 * (s - r)
+    a = np.empty((r.shape[0], 3, 2, 3, 2))
+    a[:, :, 0, :, 0] = plus
+    a[:, :, 0, :, 1] = minus
+    a[:, :, 1, :, 0] = minus
+    a[:, :, 1, :, 1] = plus
+    return a.reshape(r.shape[0], 6, 6)
+
+
+def induced_from_rotation(rotation, tol: float = ORTHO_TOL) -> InducedMap:
+    """The 6x6 map acting on probability vectors as the given orthogonal
+    matrix acts on mean-value vectors; see :func:`induced_from_rotations`.
     """
     r = np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    gap = float(np.max(np.abs(r.T @ r - np.eye(3))))
-    if gap > tol:
-        raise ValueError(f"matrix is not orthogonal (r^T r gap {gap:.3g})")
-    s = r * r
-    a = np.zeros((6, 6))
-    for u in range(3):
-        for v in range(3):
-            plus = 0.5 * (s[u, v] + r[u, v])
-            minus = 0.5 * (s[u, v] - r[u, v])
-            a[2 * u, 2 * v] = plus
-            a[2 * u, 2 * v + 1] = minus
-            a[2 * u + 1, 2 * v] = minus
-            a[2 * u + 1, 2 * v + 1] = plus
-    return InducedMap(a)
+    return InducedMap(induced_from_rotations(r[None], tol)[0])
 
 
 _QUARTER_TURN = np.array(
@@ -179,15 +188,40 @@ def alpha_norm_deviation(induced: InducedMap, state: QubitState, alpha: float) -
     return abs(alpha_norm(induced.matrix @ p, alpha) - alpha_norm(p, alpha))
 
 
+def random_rotations(rng: np.random.Generator, n: int, reflections: bool = False) -> np.ndarray:
+    """``n`` Haar-uniform rotation matrices, shape (n, 3, 3), from one
+    stacked QR with the sign fix of Mezzadri (2007); with ``reflections``
+    the determinant may be -1 (Haar on the full orthogonal group).
+
+    Draws the same normals, in the same order, as ``n`` calls of
+    :func:`random_rotation`, and returns the same matrices.
+    """
+    z = rng.normal(size=(n, 3, 3))
+    q, r = np.linalg.qr(z)
+    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)[:, None, :]
+    if not reflections:
+        flip = np.linalg.det(q) < 0.0
+        q[flip, :, 0] = -q[flip, :, 0]
+    return q
+
+
 def random_rotation(rng: np.random.Generator, reflections: bool = False) -> np.ndarray:
     """Haar-uniform rotation matrix; with ``reflections`` the determinant
     may be -1 (Haar on the full orthogonal group)."""
-    z = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(z)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    if not reflections and np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
+    return random_rotations(rng, 1, reflections)[0]
+
+
+def _total_uncertainty(p: np.ndarray, alpha: float, k: float, axis: int) -> np.ndarray:
+    """:func:`total_uncertainty_p6` of entries already clipped to [0, 1],
+    with the six entries of each probability vector along ``axis``.
+
+    numpy adds the six terms in entry order along any axis, so the scan's
+    sector-major layout and the last-axis layout give identical bits.
+    """
+    if alpha == 1.0:
+        safe = np.where(p > 0.0, p, 1.0)
+        return -k * np.sum(p * np.log2(safe), axis=axis)
+    return k * (3.0 - np.sum(p**alpha, axis=axis)) / (alpha - 1.0)
 
 
 def total_uncertainty_p6(p6: np.ndarray, alpha: float, k: float) -> np.ndarray:
@@ -197,37 +231,52 @@ def total_uncertainty_p6(p6: np.ndarray, alpha: float, k: float) -> np.ndarray:
     clipped at [0, 1] to guard sub-ulp excursions before fractional powers.
     """
     p = np.clip(np.asarray(p6, dtype=float), 0.0, 1.0)
-    if alpha == 1.0:
-        safe = np.where(p > 0.0, p, 1.0)
-        return -k * np.sum(p * np.log2(safe), axis=-1)
-    return k * (3.0 - np.sum(p**alpha, axis=-1)) / (alpha - 1.0)
+    return _total_uncertainty(p, alpha, k, axis=-1)
+
+
+#: Maps applied per scan block; caps the images held at once at
+#: 64 x 6 x S floats for S states.
+_SCAN_BLOCK = 64
 
 
 def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[float, int, int]]:
     """Per alpha: (max |H_total(A p) - H_total(p)|, state index, map index).
 
-    ``states`` has shape (S, 6) and ``maps`` (M, 6, 6).  Maps are processed
-    in fixed-size blocks so the reduction order, and hence ties, are
-    deterministic.
+    ``states`` has shape (S, 6) and ``maps`` (M, 6, 6).  Maps are applied
+    in blocks of 64: each block's images are built once, as
+    ``block @ states.T`` in the sector-major layout (maps, 6, states), and
+    clipped once, and every alpha is then reduced from them over the
+    six-entry axis.  Ties go to the earliest map, then the earliest state:
+    the argmax inside a block runs over (map, state) in row-major order,
+    and a later block replaces the best only when strictly larger.
+    Raises ValueError when a deviation is not finite.
     """
     states = np.asarray(states, dtype=float)
     maps = np.asarray(maps, dtype=float)
     if states.shape[0] == 0 or maps.shape[0] == 0:
         raise ValueError("scan needs at least one state and one map")
-    out = []
-    for alpha in alphas:
-        measure = normalized_measure(alpha)
-        base = total_uncertainty_p6(states, measure.alpha, measure.k)
-        best = (-1.0, 0, 0)
-        for start in range(0, maps.shape[0], 64):
-            block = maps[start : start + 64]
-            images = np.einsum("mij,sj->msi", block, states)
-            dev = np.abs(total_uncertainty_p6(images, measure.alpha, measure.k) - base)
+    measures = [normalized_measure(alpha) for alpha in alphas]
+    columns = np.ascontiguousarray(states.T)
+    clipped = np.clip(columns, 0.0, 1.0)
+    bases = [_total_uncertainty(clipped, m.alpha, m.k, axis=0) for m in measures]
+    best = [(-1.0, 0, 0)] * len(measures)
+    for start in range(0, maps.shape[0], _SCAN_BLOCK):
+        block = maps[start : start + _SCAN_BLOCK]
+        images = (block.reshape(-1, 6) @ columns).reshape(block.shape[0], 6, -1)
+        np.clip(images, 0.0, 1.0, out=images)
+        for j, (measure, base) in enumerate(zip(measures, bases)):
+            dev = _total_uncertainty(images, measure.alpha, measure.k, axis=1)
+            dev -= base
+            np.abs(dev, out=dev)
             m_idx, s_idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            if dev[m_idx, s_idx] > best[0]:
-                best = (float(dev[m_idx, s_idx]), int(s_idx), start + int(m_idx))
-        out.append(best)
-    return out
+            value = float(dev[m_idx, s_idx])
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"total-uncertainty deviation is not finite at alpha={measure.alpha}"
+                )
+            if value > best[j][0]:
+                best[j] = (value, int(s_idx), start + int(m_idx))
+    return best
 
 
 def _mean_vector_to_p6(m: np.ndarray) -> np.ndarray:
@@ -285,6 +334,11 @@ def invariance_scan(
     are exercised at any sample size.  Deterministic for a given seed;
     improper orthogonal maps join the ensemble only when
     ``include_reflections`` is set.
+
+    The sampled rotations are drawn in one batch (:func:`random_rotations`)
+    and embedded in one call, probes first.  :func:`scan_deviations` then
+    applies each 64-map block once for every alpha; ties report the
+    earliest map, then the earliest state, in that order.
     """
     alphas = list(alphas)
     if not alphas:
@@ -314,20 +368,18 @@ def invariance_scan(
         raise ValueError("scan needs at least one state (samples or probes)")
     states = _mean_vector_to_p6(np.array(means))
 
-    map_ids: list[str] = []
-    matrices: list[np.ndarray] = []
-    if include_probes:
-        for name, r in _PROBE_MAPS:
-            map_ids.append(name)
-            matrices.append(induced_from_rotation(r).matrix)
-    for idx in range(n_maps):
-        map_ids.append(f"rot[{idx}]")
-        matrices.append(
-            induced_from_rotation(random_rotation(map_rng, include_reflections)).matrix
-        )
-    if not matrices:
+    probe_maps = _PROBE_MAPS if include_probes else ()
+    map_ids = [name for name, _ in probe_maps]
+    map_ids.extend(f"rot[{idx}]" for idx in range(n_maps))
+    if not map_ids:
         raise ValueError("scan needs at least one map (samples or probes)")
-    maps = np.array(matrices)
+    rotations = np.concatenate(
+        [
+            np.reshape([r for _, r in probe_maps], (-1, 3, 3)),
+            random_rotations(map_rng, n_maps, include_reflections),
+        ]
+    )
+    maps = induced_from_rotations(rotations)
 
     reports = []
     for alpha, (dev, s_idx, m_idx) in zip(alphas, scan_deviations(states, maps, alphas)):

@@ -107,6 +107,33 @@ class TestInvarianceScanCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("alphas", ["nan", "0", "-1", "inf", "1,nan"])
+    def test_bad_alpha_rejected(self, tmp_path, alphas):
+        csv_path = tmp_path / "scan.csv"
+        code, out, err = run_cli(
+            [
+                "invariance-scan",
+                "--alphas", alphas,
+                "--n-states", "5",
+                "--n-maps", "2",
+                "--out-csv", str(csv_path),
+            ]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: alpha must be positive and finite")
+        assert err.count("\n") == 1
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-states", "--n-maps"])
+    def test_negative_count_rejected(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["invariance-scan", flag, "-1", "--out-csv", str(tmp_path / "scan.csv")])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f"{flag}: count must be nonnegative, got -1")
+
 
 class TestPositivityCommand:
     def test_maximally_mixed_positive(self, tmp_path):

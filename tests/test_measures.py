@@ -66,6 +66,11 @@ class TestNormalizedMeasure:
         with pytest.raises(ValueError):
             normalized_measure(-1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            normalized_measure(alpha)
+
     def test_measure_invariants(self):
         with pytest.raises(ValueError):
             EntropyMeasure(alpha=2.0, k=0.0)

@@ -1,11 +1,18 @@
 """Tests for induced maps, invariance scans, and the norm-preserver search."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from onebit.qubit import QubitState, probabilities_from_mean, random_state
+from onebit.measures import normalized_measure
+from onebit.qubit import (
+    QubitState,
+    probabilities_from_mean,
+    random_state,
+    total_uncertainty_state,
+)
 from onebit.transforms import (
     InducedMap,
     alpha_norm,
@@ -13,11 +20,13 @@ from onebit.transforms import (
     apply,
     example_permutation_map,
     induced_from_rotation,
+    induced_from_rotations,
     invariance_scan,
     is_permutation_type,
     is_sector_stochastic,
     permutation_distance,
     random_rotation,
+    random_rotations,
     scan_deviations,
     search_norm_preservers,
     sector_permutation_maps,
@@ -38,6 +47,34 @@ QUARTER_TURN_MATRIX = np.array(
 
 # mean-value map m -> (m_y, -m_x, m_z): the rotation behind the quarter turn
 QUARTER_TURN_ROTATION = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1.0]])
+
+
+SCAN_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def loop_rotation(rng, reflections):
+    """Per-matrix Haar sampler: QR of one 3x3 normal draw, sign fix, and a
+    column flip for determinant -1 when reflections are excluded."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    if not reflections and np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def loop_embedding(rot):
+    """Entry-by-entry 6x6 embedding of a 3x3 orthogonal matrix."""
+    s = rot * rot
+    a = np.zeros((6, 6))
+    for u in range(3):
+        for v in range(3):
+            plus = 0.5 * (s[u, v] + rot[u, v])
+            minus = 0.5 * (s[u, v] - rot[u, v])
+            a[2 * u, 2 * v] = plus
+            a[2 * u, 2 * v + 1] = minus
+            a[2 * u + 1, 2 * v] = minus
+            a[2 * u + 1, 2 * v + 1] = plus
+    return a
 
 
 def random_states_array(rng, count):
@@ -125,6 +162,49 @@ class TestInducedFromRotation:
             lhs = apply(a12, state).as_array
             rhs = apply(a1, apply(a2, state)).as_array
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+class TestBatchedConstruction:
+    @pytest.mark.parametrize("reflections", [False, True])
+    def test_batch_matches_sequential_draws(self, reflections):
+        batch = random_rotations(np.random.default_rng(9), 256, reflections)
+        loop_rng = np.random.default_rng(9)
+        loop = np.array([loop_rotation(loop_rng, reflections) for _ in range(256)])
+        call_rng = np.random.default_rng(9)
+        calls = np.array([random_rotation(call_rng, reflections) for _ in range(256)])
+        assert np.array_equal(batch, loop)
+        assert np.array_equal(batch, calls)
+        dets = np.linalg.det(batch)
+        if reflections:
+            assert np.any(dets < 0.0)
+        else:
+            assert np.all(dets > 0.0)
+
+    def test_batched_embedding_matches_per_map(self):
+        rots = random_rotations(np.random.default_rng(9), 64, reflections=True)
+        batch = induced_from_rotations(rots)
+        assert batch.shape == (64, 6, 6)
+        for rot, a in zip(rots, batch):
+            assert np.array_equal(a, loop_embedding(rot))
+            assert np.array_equal(a, induced_from_rotation(rot).matrix)
+
+    def test_signed_permutations_embed_exactly(self):
+        perms = np.array(
+            [
+                np.eye(3)[list(order)] * np.array(signs)[:, None]
+                for order in itertools.permutations(range(3))
+                for signs in itertools.product((1.0, -1.0), repeat=3)
+            ]
+        )
+        family = {m.matrix.tobytes() for m in sector_permutation_maps()}
+        batch = induced_from_rotations(perms)
+        assert {a.tobytes() for a in batch} == family
+
+    def test_one_non_orthogonal_entry_rejects_the_batch(self):
+        rots = random_rotations(np.random.default_rng(9), 5)
+        rots[3] = np.full((3, 3), 0.5)
+        with pytest.raises(ValueError, match="orthogonal"):
+            induced_from_rotations(rots)
 
 
 class TestApply:
@@ -244,6 +324,48 @@ class TestInvarianceScan:
         for alpha in (0.5, 1.0, 1.5, 2.0, 3.0):
             dev, _, _ = scan_deviations(states, maps, [alpha])[0]
             assert dev == 0.0
+
+    def test_matches_cellwise_oracle(self):
+        # 130 maps: two full 64-map blocks and a partial third
+        rng = np.random.default_rng(5)
+        states = random_states_array(rng, 10)
+        maps = induced_from_rotations(random_rotations(rng, 130))
+        got = scan_deviations(states, maps, SCAN_ALPHAS)
+        for alpha, (dev, s_idx, m_idx) in zip(SCAN_ALPHAS, got):
+            measure = normalized_measure(alpha)
+            table = np.array(
+                [
+                    [
+                        abs(
+                            total_uncertainty_state(QubitState(tuple(a @ p)), measure)
+                            - total_uncertainty_state(QubitState(tuple(p)), measure)
+                        )
+                        for p in states
+                    ]
+                    for a in maps
+                ]
+            )
+            assert dev == pytest.approx(table.max(), abs=1e-12)
+            assert dev == pytest.approx(table[m_idx, s_idx], abs=1e-12)
+            if alpha not in (2.0, 3.0):  # elsewhere every cell is rounding noise
+                assert (m_idx, s_idx) == np.unravel_index(table.argmax(), table.shape)
+
+    def test_ties_go_to_the_earliest_map_and_state(self):
+        # the depolarizing map sends every state to the maximally mixed one;
+        # all entries are dyadic, so every copy of a cell has the same bits
+        depolarize = np.kron(np.eye(3), np.full((2, 2), 0.5))
+        pure_x = [1.0, 0.0, 0.5, 0.5, 0.5, 0.5]
+        states = np.array([[0.5] * 6, pure_x, pure_x])
+        maps = np.repeat(np.eye(6)[None], 130, axis=0)
+        maps[[5, 129]] = depolarize  # block 0 and block 2
+        for dev, s_idx, m_idx in scan_deviations(states, maps, SCAN_ALPHAS):
+            assert dev == pytest.approx(1.0, abs=1e-12)
+            assert (s_idx, m_idx) == (1, 5)
+
+    def test_non_finite_deviation_raises(self):
+        states = np.array([[0.5] * 6, [math.nan] * 6])
+        with pytest.raises(ValueError, match="not finite"):
+            scan_deviations(states, np.eye(6)[None], [2.0])
 
     def test_deterministic_given_seed(self):
         a = invariance_scan([1.0, 2.0], 50, 10, seed=11)
