@@ -13,6 +13,7 @@ from .measures import (
     SHANNON,
     EntropyMeasure,
     entropy,
+    entropy_sum,
     normalized_measure,
     pair_entropy,
     total_uncertainty,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,7 +61,17 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(command: str, parameters: dict, seed: int, results, out_path: str | None) -> int:
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _emit(command: str, parameters: dict, seed: int, results, out_path: str | None) -> None:
+    """Write the run report as strict JSON: a non-finite value raises
+    ValueError before anything is written."""
     report = {
         "command": command,
         "parameters": parameters,
@@ -68,17 +79,11 @@ def _emit(command: str, parameters: dict, seed: int, results, out_path: str | No
         "results": results,
         "version": __version__,
     }
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_jsonify(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write report to {out_path}: {exc}", file=sys.stderr)
-            return EXIT_BAD_OUTPUT
+        _write(out_path, text, "report")
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _uint64(text: str) -> int:
@@ -95,60 +100,47 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(token) for token in text.split(",") if token != ""]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {text!r} as comma-separated reals") from exc
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
 
 
-def _parse_ints(text: str) -> list[int]:
+def _parse_list(text: str, kind: type) -> list:
     try:
-        return [int(token) for token in text.split(",") if token != ""]
+        return [kind(token) for token in text.split(",") if token != ""]
     except ValueError as exc:
-        raise ValueError(f"cannot parse {text!r} as comma-separated integers") from exc
+        raise ValueError(f"cannot parse {text!r} as comma-separated {kind.__name__}s") from exc
 
 
 def _cmd_entropy(args) -> int:
-    try:
-        dist = _parse_floats(args.dist)
-        value = entropy(dist, normalized_measure(args.alpha))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    dist = _parse_list(args.dist, float)
+    value = entropy(dist, normalized_measure(args.alpha))
     print(f"entropy = {_fmt(value)}", file=sys.stderr)
-    return _emit(
+    _emit(
         "entropy",
         {"dist": dist, "alpha": args.alpha},
         seed=0,
         results={"entropy": value},
         out_path=args.out,
     )
+    return EXIT_OK
 
 
 def _cmd_invariance_scan(args) -> int:
-    try:
-        if args.alphas is not None:
-            alphas = _parse_floats(args.alphas)
-        else:
-            alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
-        reports = invariance_scan(alphas, args.n_states, args.n_maps, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.alphas is not None:
+        alphas = _parse_list(args.alphas, float)
+    else:
+        alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
+    reports = invariance_scan(alphas, args.n_states, args.n_maps, args.seed)
     lines = ["alpha,max_deviation,argmax_state_id,argmax_map_id"]
     for rep in reports:
         lines.append(
             f"{_fmt(rep.alpha)},{_fmt(rep.max_deviation)},"
             f"{rep.argmax_state_id},{rep.argmax_map_id}"
         )
-    csv_text = "\n".join(lines) + "\n"
-    try:
-        with open(args.out_csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(csv_text)
-    except OSError as exc:
-        print(f"error: cannot write CSV to {args.out_csv}: {exc}", file=sys.stderr)
-        return EXIT_BAD_OUTPUT
+    _write(args.out_csv, "\n".join(lines) + "\n", "CSV")
     worst = max(reports, key=lambda rep: rep.max_deviation)
     print(
         f"scanned {len(reports)} alphas; worst deviation {worst.max_deviation:.3g} "
@@ -164,7 +156,7 @@ def _cmd_invariance_scan(args) -> int:
         }
         for rep in reports
     ]
-    return _emit(
+    _emit(
         "invariance-scan",
         {
             "alphas": [float(a) for a in alphas],
@@ -176,11 +168,19 @@ def _cmd_invariance_scan(args) -> int:
         results={"rows": rows},
         out_path=args.out,
     )
+    return EXIT_OK
 
 
 def _load_hermitian(path: str) -> HermitianOperator:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    """Read a {n, re, im} operator file; every read, parse or shape failure
+    is a ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict) or "n" not in payload or "re" not in payload:
+        raise ValueError(f"{path} must hold a JSON object with keys n, re and optionally im")
     n = payload["n"]
     re = np.asarray(payload["re"], dtype=float)
     im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=float)
@@ -206,11 +206,7 @@ def _witness_payload(witness) -> dict | None:
 
 
 def _cmd_positivity(args) -> int:
-    try:
-        rho = _load_hermitian(args.input)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    rho = _load_hermitian(args.input)
     verdict = info_positivity_check(
         rho, strategy=args.strategy, n_bases=args.n_bases, seed=args.seed, tol=args.tol
     )
@@ -227,7 +223,7 @@ def _cmd_positivity(args) -> int:
             f"minor {verdict.witness.minor:.6g}",
             file=sys.stderr,
         )
-    status = _emit(
+    _emit(
         "positivity",
         {
             "input": args.input,
@@ -249,20 +245,13 @@ def _cmd_positivity(args) -> int:
         },
         out_path=args.out,
     )
-    if status != EXIT_OK:
-        return status
     return EXIT_OK if verdict.positive else EXIT_NOT_POSITIVE
 
 
 def _cmd_counting(args) -> int:
-    try:
-        m_values = _parse_ints(args.m_list)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    m_values = _parse_list(args.m_list, int)
     if args.n_max < 3:
-        print("error: --n-max must be at least 3", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("--n-max must be at least 3")
     r_values = list(range(1, args.r_max + 1))
     table = [
         {"n": n, "m": m, "k": degrees_of_freedom(n, m)}
@@ -275,13 +264,14 @@ def _cmd_counting(args) -> int:
         + (", ".join(f"({m}, {r})" for m, r in matches) or "none"),
         file=sys.stderr,
     )
-    return _emit(
+    _emit(
         "counting",
         {"n_max": args.n_max, "m_list": m_values, "r_max": args.r_max},
         seed=0,
         results={"table": table, "matches": [list(pair) for pair in matches]},
         out_path=args.out,
     )
+    return EXIT_OK
 
 
 def _cmd_search_preservers(args) -> int:
@@ -303,7 +293,7 @@ def _cmd_search_preservers(args) -> int:
         f"all_candidates_permutation_like={all_permutation_like}",
         file=sys.stderr,
     )
-    return _emit(
+    _emit(
         "search-preservers",
         {"alpha": args.alpha, "budget": args.budget, "tol": args.tol},
         seed=args.seed,
@@ -313,6 +303,7 @@ def _cmd_search_preservers(args) -> int:
         },
         out_path=args.out,
     )
+    return EXIT_OK
 
 
 def _cmd_malus(args) -> int:
@@ -324,7 +315,7 @@ def _cmd_malus(args) -> int:
     sys.stdout.write(csv_text)
     print(f"{args.n_points} points over [0, {args.theta_max:g}]", file=sys.stderr)
     if args.out:
-        return _emit(
+        _emit(
             "malus",
             {"n_points": args.n_points, "theta_max": args.theta_max},
             seed=0,
@@ -354,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha-min", type=float, default=0.5)
     p.add_argument("--alpha-max", type=float, default=3.0)
-    p.add_argument("--alpha-steps", type=int, default=6)
+    p.add_argument("--alpha-steps", type=_nonnegative_int, default=6)
     p.add_argument("--alphas", default=None, help="explicit comma-separated grid")
     p.add_argument("--n-states", type=_nonnegative_int, default=1000)
     p.add_argument("--n-maps", type=_nonnegative_int, default=200)
@@ -366,31 +357,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("positivity", help="one-bit positivity criterion vs oracle")
     p.add_argument("--input", required=True, help="JSON file: {n, re, im}")
     p.add_argument("--strategy", choices=STRATEGIES, default="eigen-directed")
-    p.add_argument("--n-bases", type=int, default=8)
+    p.add_argument("--n-bases", type=_nonnegative_int, default=8)
     p.add_argument("--seed", type=_uint64, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_positivity)
 
     p = sub.add_parser("counting", help="degree-of-freedom table and scaling matches")
     p.add_argument("--n-max", type=int, default=50)
     p.add_argument("--m-list", default="2,3,4,5,6,7,8,9")
-    p.add_argument("--r-max", type=int, default=4)
+    p.add_argument("--r-max", type=_nonnegative_int, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_counting)
 
     p = sub.add_parser(
         "search-preservers", help="randomized search for alpha-norm preservers"
     )
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--alpha", type=_positive_float, required=True)
+    p.add_argument("--budget", type=_nonnegative_int, default=10000)
     p.add_argument("--seed", type=_uint64, default=0)
-    p.add_argument("--tol", type=float, default=PERMUTATION_TOL)
+    p.add_argument("--tol", type=_positive_float, default=PERMUTATION_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_search_preservers)
 
     p = sub.add_parser("malus", help="cos^2(theta/2) curve as CSV")
-    p.add_argument("--n-points", type=int, default=361)
+    p.add_argument("--n-points", type=_nonnegative_int, default=361)
     p.add_argument("--theta-max", type=float, default=2.0 * np.pi)
     p.add_argument("--out", default=None, help="also write a JSON report here")
     p.set_defaults(func=_cmd_malus)
@@ -399,8 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The only error boundary: invalid input
+    (ValueError) exits 2 and an unwritable output path (OSError) exits 3,
+    each with one ``error:`` line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT if isinstance(exc, ValueError) else EXIT_BAD_OUTPUT
 
 
 def run() -> None:

@@ -5,7 +5,6 @@ criterion for Hermitian unit-trace operators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,8 @@ def hierarchy_k(n: int, r: int) -> int:
         raise ValueError(f"dimension must be >= 2, got {n}")
     if r < 1:
         raise ValueError(f"hierarchy level must be >= 1, got {r}")
-    if r * math.log2(n) > 64.0:
+    # n >= 2**(bits - 1), so past this bound n**r >= 2**64 without computing it
+    if r * (int(n).bit_length() - 1) >= 64:
         raise OverflowError(f"{n}**{r} - 1 exceeds the 64-bit integer range")
     value = n**r - 1
     if value > _INT64_MAX:
@@ -77,9 +77,9 @@ def counting_consistency(n_max: int, m_values, r_values) -> list[tuple[int, int]
 class HermitianOperator:
     """N x N Hermitian matrix with unit trace.
 
-    Hermiticity and trace are enforced at construction; positivity is
-    deliberately not, since deciding it is what the information criterion
-    and the eigenvalue oracle are for.
+    Finite entries, hermiticity and trace are enforced at construction;
+    positivity is deliberately not, since deciding it is what the
+    information criterion and the eigenvalue oracle are for.
     """
 
     matrix: np.ndarray
@@ -88,6 +88,8 @@ class HermitianOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("operator entries must be finite")
         gap = float(np.max(np.abs(m - m.conj().T)))
         if gap > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian (gap {gap:.3g})")

@@ -64,6 +64,8 @@ def validate_distribution(probs, tol: float = DIST_TOL) -> np.ndarray:
         raise ValueError(
             f"distribution must be a flat sequence of length >= 2, got shape {p.shape}"
         )
+    if not np.isfinite(p).all():
+        raise ValueError(f"distribution entries must be finite: {p.tolist()}")
     if np.any(p < -tol) or np.any(p > 1.0 + tol):
         raise ValueError(f"distribution entries outside [0, 1]: {p.tolist()}")
     total = float(p.sum())
@@ -75,24 +77,37 @@ def validate_distribution(probs, tol: float = DIST_TOL) -> np.ndarray:
     return p / p.sum()
 
 
+def entropy_sum(p, measure: EntropyMeasure, count, axis: int = -1):
+    """The one entropy kernel: the summed degree-alpha entropy of ``count``
+    distributions whose entries lie along ``axis`` of ``p``.
+
+    Returns k (count - sum_i p_i**alpha) / (alpha - 1) for alpha != 1 and
+    the Shannon limit -k sum_i p_i log2 p_i at alpha = 1, where nonpositive
+    entries contribute 0.  Entries are neither validated nor clipped, so
+    diagnostic callers can score unphysical vectors; the one exception is
+    a negative entry under a fractional degree, which has no real power
+    and raises ValueError instead of producing NaN.
+    """
+    p = np.asarray(p, dtype=float)
+    if measure.alpha == 1.0:
+        safe = np.where(p > 0.0, p, 1.0)
+        return -measure.k * np.add.reduce(p * np.log2(safe), axis=axis)
+    if measure.alpha % 1.0 and (p < 0.0).any():
+        raise ValueError(
+            f"negative entry {p.min()!r} has no real power {measure.alpha!r}"
+        )
+    powers = np.add.reduce(p**measure.alpha, axis=axis)
+    return measure.k * (count - powers) / (measure.alpha - 1.0)
+
+
 def pair_entropy(p: float, measure: EntropyMeasure) -> float:
     """Entropy of the binary pair (p, 1 - p).
 
     Evaluates the defining formula directly with no range validation, so
-    diagnostic callers can score pairs that fall outside [0, 1] (meaningful
-    for integer alpha; the Shannon branch treats nonpositive arguments as
-    contributing zero).
+    diagnostic callers can score pairs that fall outside [0, 1]; see
+    :func:`entropy_sum`.
     """
-    q = 1.0 - p
-    if measure.alpha == 1.0:
-        acc = 0.0
-        for t in (p, q):
-            if t > 0.0:
-                acc -= t * math.log2(t)
-        return measure.k * acc
-    powers = math.pow(p, measure.alpha) if p != 0.0 else 0.0
-    powers += math.pow(q, measure.alpha) if q != 0.0 else 0.0
-    return measure.k * (1.0 - powers) / (measure.alpha - 1.0)
+    return float(entropy_sum(np.array([p, 1.0 - p]), measure, 1))
 
 
 def entropy(probs, measure: EntropyMeasure, tol: float = DIST_TOL) -> float:
@@ -105,13 +120,7 @@ def entropy(probs, measure: EntropyMeasure, tol: float = DIST_TOL) -> float:
 
     Raises ValueError for inputs that fail :func:`validate_distribution`.
     """
-    p = validate_distribution(probs, tol)
-    if measure.alpha == 1.0:
-        mask = p > 0.0
-        return float(-measure.k * np.sum(p[mask] * np.log2(p[mask])))
-    return float(
-        measure.k * (1.0 - np.sum(p**measure.alpha)) / (measure.alpha - 1.0)
-    )
+    return float(entropy_sum(validate_distribution(probs, tol), measure, 1))
 
 
 def total_uncertainty(pairs, measure: EntropyMeasure, tol: float = DIST_TOL) -> float:
@@ -120,10 +129,8 @@ def total_uncertainty(pairs, measure: EntropyMeasure, tol: float = DIST_TOL) -> 
     ``pairs`` is an iterable of (p, 1 - p) distributions, one per
     measurement in the complete set; an empty iterable totals 0.
     """
-    total = 0.0
-    for pair in pairs:
-        p = validate_distribution(pair, tol)
+    validated = [validate_distribution(pair, tol) for pair in pairs]
+    for p in validated:
         if p.size != 2:
             raise ValueError(f"expected binary pairs, got length {p.size}")
-        total += pair_entropy(float(p[0]), measure)
-    return total
+    return float(entropy_sum(np.array(validated).reshape(-1), measure, len(validated)))

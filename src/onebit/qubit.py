@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import QUADRATIC, EntropyMeasure, pair_entropy
+from .measures import QUADRATIC, EntropyMeasure, entropy_sum
 
 #: Tolerance on sector sums and entry ranges.
 SECTOR_TOL = 1e-9
@@ -129,8 +129,17 @@ def probabilities_from_mean(
         raise ValueError(
             f"mean-value vector has norm {norm!r} > 1: not a physical state"
         )
-    p = np.clip((1.0 + frame.axes @ m) / 2.0, 0.0, 1.0)
-    return QubitState((p[0], 1.0 - p[0], p[1], 1.0 - p[1], p[2], 1.0 - p[2]))
+    return QubitState(tuple(np.clip(p6_from_means(frame.axes @ m), 0.0, 1.0)))
+
+
+def p6_from_means(m) -> np.ndarray:
+    """Probability 6-vectors (p_u, 1 - p_u) with p_u = (1 + m_u) / 2 of
+    mean-value vectors stacked along the last axis, unclipped."""
+    p = (1.0 + np.asarray(m, dtype=float)) / 2.0
+    out = np.empty(p.shape[:-1] + (6,))
+    out[..., 0::2] = p
+    out[..., 1::2] = 1.0 - p
+    return out
 
 
 def mean_from_probabilities(state: QubitState) -> np.ndarray:
@@ -147,8 +156,7 @@ def total_uncertainty_state(
     Agrees with :func:`onebit.measures.total_uncertainty` on valid states
     and extends it to diagnostic states whose entries fall outside [0, 1].
     """
-    p = state.probs
-    return sum(pair_entropy(p[2 * u], measure) for u in range(3))
+    return float(entropy_sum(np.array(state.probs), measure, 3))
 
 
 def is_pure(state: QubitState, tol: float = PHYSICAL_TOL) -> bool:

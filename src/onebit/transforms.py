@@ -10,8 +10,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .measures import normalized_measure
-from .qubit import SECTOR_TOL, QubitState
+from .measures import EntropyMeasure, entropy_sum, normalized_measure
+from .qubit import SECTOR_TOL, QubitState, p6_from_means, random_mean_vector
 
 #: Tolerance for orthogonality of rotation inputs.
 ORTHO_TOL = 1e-9
@@ -73,6 +73,22 @@ class PreserverCandidate:
     start_kind: str
 
 
+def _embed(s: np.ndarray, off, m: np.ndarray) -> np.ndarray:
+    """The one 6x6 sector-block layout: entry (u, v) of the 3x3 inputs
+    becomes the 2x2 block [[s+off+m, s+off-m], [s-off-m, s-off+m]] / 2 at
+    rows 2u, 2u+1 and columns 2v, 2v+1.  Vectorized over leading axes;
+    ``off`` broadcasts against ``s``."""
+    hi = s + off
+    lo = s - off
+    a = np.empty(hi.shape[:-2] + (3, 2, 3, 2))
+    a[..., 0, :, 0] = hi + m
+    a[..., 0, :, 1] = hi - m
+    a[..., 1, :, 0] = lo - m
+    a[..., 1, :, 1] = lo + m
+    a *= 0.5
+    return a.reshape(a.shape[:-4] + (6, 6))
+
+
 def induced_from_rotations(rotations, tol: float = ORTHO_TOL) -> np.ndarray:
     """The 6x6 maps, shape (n, 6, 6), acting on probability vectors as the
     given (n, 3, 3) orthogonal matrices act on mean-value vectors.
@@ -90,15 +106,7 @@ def induced_from_rotations(rotations, tol: float = ORTHO_TOL) -> np.ndarray:
     gap = float(np.max(np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)), initial=0.0))
     if gap > tol:
         raise ValueError(f"matrix is not orthogonal (r^T r gap {gap:.3g})")
-    s = r * r
-    plus = 0.5 * (s + r)
-    minus = 0.5 * (s - r)
-    a = np.empty((r.shape[0], 3, 2, 3, 2))
-    a[:, :, 0, :, 0] = plus
-    a[:, :, 0, :, 1] = minus
-    a[:, :, 1, :, 0] = minus
-    a[:, :, 1, :, 1] = plus
-    return a.reshape(r.shape[0], 6, 6)
+    return _embed(r * r, 0.0, r)
 
 
 def induced_from_rotation(rotation, tol: float = ORTHO_TOL) -> InducedMap:
@@ -176,10 +184,14 @@ def is_sector_stochastic(induced: InducedMap, tol: float = SECTOR_TOL) -> Stocha
     return StochasticityReport(ok, column_gap, sector_sum_gap, range_gap)
 
 
+def _alpha_norms(v: np.ndarray, alpha: float) -> np.ndarray:
+    """(sum_i |v_i|**alpha)**(1/alpha) over the last axis."""
+    return np.add.reduce(np.abs(v) ** alpha, axis=-1) ** (1.0 / alpha)
+
+
 def alpha_norm(vec, alpha: float) -> float:
     """(sum_i |v_i|**alpha)**(1/alpha)."""
-    v = np.abs(np.asarray(vec, dtype=float))
-    return float(np.sum(v**alpha) ** (1.0 / alpha))
+    return float(_alpha_norms(np.asarray(vec, dtype=float), alpha))
 
 
 def alpha_norm_deviation(induced: InducedMap, state: QubitState, alpha: float) -> float:
@@ -211,19 +223,6 @@ def random_rotation(rng: np.random.Generator, reflections: bool = False) -> np.n
     return random_rotations(rng, 1, reflections)[0]
 
 
-def _total_uncertainty(p: np.ndarray, alpha: float, k: float, axis: int) -> np.ndarray:
-    """:func:`total_uncertainty_p6` of entries already clipped to [0, 1],
-    with the six entries of each probability vector along ``axis``.
-
-    numpy adds the six terms in entry order along any axis, so the scan's
-    sector-major layout and the last-axis layout give identical bits.
-    """
-    if alpha == 1.0:
-        safe = np.where(p > 0.0, p, 1.0)
-        return -k * np.sum(p * np.log2(safe), axis=axis)
-    return k * (3.0 - np.sum(p**alpha, axis=axis)) / (alpha - 1.0)
-
-
 def total_uncertainty_p6(p6: np.ndarray, alpha: float, k: float) -> np.ndarray:
     """Vectorized total uncertainty over the last axis (six entries).
 
@@ -231,7 +230,7 @@ def total_uncertainty_p6(p6: np.ndarray, alpha: float, k: float) -> np.ndarray:
     clipped at [0, 1] to guard sub-ulp excursions before fractional powers.
     """
     p = np.clip(np.asarray(p6, dtype=float), 0.0, 1.0)
-    return _total_uncertainty(p, alpha, k, axis=-1)
+    return entropy_sum(p, EntropyMeasure(alpha, k), 3)
 
 
 #: Maps applied per scan block; caps the images held at once at
@@ -246,9 +245,11 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     in blocks of 64: each block's images are built once, as
     ``block @ states.T`` in the sector-major layout (maps, 6, states), and
     clipped once, and every alpha is then reduced from them over the
-    six-entry axis.  Ties go to the earliest map, then the earliest state:
-    the argmax inside a block runs over (map, state) in row-major order,
-    and a later block replaces the best only when strictly larger.
+    six-entry axis (numpy adds the six terms in entry order along any
+    axis, so this layout gives the bits of the last-axis one).  Ties go to
+    the earliest map, then the earliest state: the argmax inside a block
+    runs over (map, state) in row-major order, and a later block replaces
+    the best only when strictly larger.
     Raises ValueError when a deviation is not finite.
     """
     states = np.asarray(states, dtype=float)
@@ -258,14 +259,14 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     measures = [normalized_measure(alpha) for alpha in alphas]
     columns = np.ascontiguousarray(states.T)
     clipped = np.clip(columns, 0.0, 1.0)
-    bases = [_total_uncertainty(clipped, m.alpha, m.k, axis=0) for m in measures]
+    bases = [entropy_sum(clipped, m, 3, axis=0) for m in measures]
     best = [(-1.0, 0, 0)] * len(measures)
     for start in range(0, maps.shape[0], _SCAN_BLOCK):
         block = maps[start : start + _SCAN_BLOCK]
         images = (block.reshape(-1, 6) @ columns).reshape(block.shape[0], 6, -1)
         np.clip(images, 0.0, 1.0, out=images)
         for j, (measure, base) in enumerate(zip(measures, bases)):
-            dev = _total_uncertainty(images, measure.alpha, measure.k, axis=1)
+            dev = entropy_sum(images, measure, 3, axis=1)
             dev -= base
             np.abs(dev, out=dev)
             m_idx, s_idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
@@ -277,14 +278,6 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
             if value > best[j][0]:
                 best[j] = (value, int(s_idx), start + int(m_idx))
     return best
-
-
-def _mean_vector_to_p6(m: np.ndarray) -> np.ndarray:
-    p = (1.0 + np.asarray(m, dtype=float)) / 2.0
-    out = np.empty(m.shape[:-1] + (6,))
-    out[..., 0::2] = p
-    out[..., 1::2] = 1.0 - p
-    return out
 
 
 def _rotation_about(axis: int, angle: float) -> np.ndarray:
@@ -359,14 +352,10 @@ def invariance_scan(
     for idx in range(n_states):
         kind = "pure" if idx < n_pure else "mixed"
         state_ids.append(f"{kind}[{idx}]")
-        v = state_rng.normal(size=3)
-        v = v / np.linalg.norm(v)
-        if kind == "mixed":
-            v = v * state_rng.uniform() ** (1.0 / 3.0)
-        means.append(v)
+        means.append(random_mean_vector(state_rng, kind))
     if not means:
         raise ValueError("scan needs at least one state (samples or probes)")
-    states = _mean_vector_to_p6(np.array(means))
+    states = p6_from_means(np.array(means))
 
     probe_maps = _PROBE_MAPS if include_probes else ()
     map_ids = [name for name, _ in probe_maps]
@@ -396,32 +385,30 @@ def invariance_scan(
     return reports
 
 
+#: The 48 signed permutations of mean values: row u carries the sign of
+#: sector u's outcome swap at the column of the sector it moves to.
+_SIGNED_PERMUTATIONS = np.array(
+    [
+        np.eye(3, dtype=int)[list(order)] * np.array(signs)[:, None]
+        for order in permutations(range(3))
+        for signs in product((1, -1), repeat=3)
+    ],
+    dtype=float,
+)
+_SECTOR_PERMUTATION_MATRICES = induced_from_rotations(_SIGNED_PERMUTATIONS)
+
+
 def sector_permutation_maps() -> list[InducedMap]:
     """All 48 sector-respecting permutation maps: a permutation of the
-    three sectors composed with optional within-sector outcome swaps."""
-    maps = []
-    for perm in permutations(range(3)):
-        for flips in product((False, True), repeat=3):
-            a = np.zeros((6, 6))
-            for u in range(3):
-                v = perm[u]
-                if flips[u]:
-                    a[2 * u, 2 * v + 1] = 1.0
-                    a[2 * u + 1, 2 * v] = 1.0
-                else:
-                    a[2 * u, 2 * v] = 1.0
-                    a[2 * u + 1, 2 * v + 1] = 1.0
-            maps.append(InducedMap(a))
-    return maps
-
-
-_SECTOR_PERMUTATION_MATRICES = tuple(m.matrix for m in sector_permutation_maps())
+    three sectors composed with optional within-sector outcome swaps,
+    embedded exactly from the signed permutations of mean values."""
+    return [InducedMap(a) for a in _SECTOR_PERMUTATION_MATRICES]
 
 
 def permutation_distance(induced: InducedMap) -> float:
     """Chebyshev distance from the nearest sector-respecting permutation."""
-    a = induced.matrix
-    return min(float(np.max(np.abs(a - p))) for p in _SECTOR_PERMUTATION_MATRICES)
+    gaps = np.abs(induced.matrix - _SECTOR_PERMUTATION_MATRICES)
+    return float(np.min(np.max(gaps, axis=(1, 2))))
 
 
 def is_permutation_type(induced: InducedMap, tol: float = PERMUTATION_TOL) -> bool:
@@ -451,18 +438,11 @@ _FIXED_PROBE_SEED = 20260810
 
 
 def _map_from_params(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """6x6 map of offsets ``c`` (..., 3) and matrices ``m`` (..., 3, 3);
+    the squared entries are corrected so each row sums to 1."""
     s = m * m
-    s = s + (1.0 - s.sum(axis=1, keepdims=True)) / 3.0
-    a = np.zeros((6, 6))
-    for u in range(3):
-        for v in range(3):
-            base = s[u, v]
-            off = c[u] / 3.0
-            a[2 * u, 2 * v] = 0.5 * (base + off + m[u, v])
-            a[2 * u, 2 * v + 1] = 0.5 * (base + off - m[u, v])
-            a[2 * u + 1, 2 * v] = 0.5 * (base - off - m[u, v])
-            a[2 * u + 1, 2 * v + 1] = 0.5 * (base - off + m[u, v])
-    return a
+    s = s + (1.0 - s.sum(axis=-1, keepdims=True)) / 3.0
+    return _embed(s, (c / 3.0)[..., None], m)
 
 
 def _project_params(theta: np.ndarray) -> np.ndarray:
@@ -485,7 +465,7 @@ def _probe_vectors(rng: np.random.Generator) -> np.ndarray:
     n_fill = _N_FIXED_PROBES - len(corners) - len(axes) - 1
     fill = fixed_rng.uniform(-1.0, 1.0, size=(n_fill, 3))
     sampled = rng.uniform(-1.0, 1.0, size=(_N_SAMPLED_PROBES, 3))
-    return _mean_vector_to_p6(np.concatenate([corners, axes, center, fill, sampled]))
+    return p6_from_means(np.concatenate([corners, axes, center, fill, sampled]))
 
 
 def _coordinate_descent(theta0, objective, max_evals):
@@ -537,24 +517,24 @@ def search_norm_preservers(
     ``tol`` is returned with its distance to the nearest sector-respecting
     permutation.  ``budget`` counts objective evaluations across all
     starts; an exhausted budget with no hits returns an empty list.  The
-    output is evidence, not proof.
+    output is evidence, not proof.  Raises ValueError unless ``alpha``
+    is positive and finite.
     """
+    if not (alpha > 0 and np.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if budget < 1:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     probes = _probe_vectors(rng)
-    base_norms = np.sum(np.abs(probes) ** alpha, axis=1) ** (1.0 / alpha)
-    permutation_params = [
-        (np.zeros(3), perm.matrix[0::2, 0::2] - perm.matrix[0::2, 1::2])
-        for perm in sector_permutation_maps()
-    ]
+    base_norms = _alpha_norms(probes, alpha)
+
+    def residual(a: np.ndarray) -> float:
+        return float(np.mean(np.abs(_alpha_norms(probes @ a.T, alpha) - base_norms)))
 
     def objective(theta: np.ndarray) -> float:
         c = theta[:3]
         m = theta[3:].reshape(3, 3)
-        a = _map_from_params(c, m)
-        norms = np.sum(np.abs(probes @ a.T) ** alpha, axis=1) ** (1.0 / alpha)
-        deviation = float(np.mean(np.abs(norms - base_norms)))
+        deviation = residual(_map_from_params(c, m))
         penalty = 0.0
         for u in range(3):
             excess = abs(c[u]) + float(np.linalg.norm(m[u])) - 1.0
@@ -572,8 +552,8 @@ def search_norm_preservers(
             m0 = random_rotation(rng)
             theta0 = np.concatenate([np.zeros(3), m0.ravel()])
         elif kind == "permutation":
-            c0, m0 = permutation_params[rng.integers(len(permutation_params))]
-            theta0 = np.concatenate([c0, m0.ravel()])
+            m0 = _SIGNED_PERMUTATIONS[rng.integers(len(_SIGNED_PERMUTATIONS))]
+            theta0 = np.concatenate([np.zeros(3), m0.ravel()])
         else:
             rows = rng.normal(size=(3, 3))
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -590,9 +570,8 @@ def search_norm_preservers(
             continue
         theta = _project_params(theta)
         final = _map_from_params(theta[:3], theta[3:].reshape(3, 3))
-        norms = np.sum(np.abs(probes @ final.T) ** alpha, axis=1) ** (1.0 / alpha)
-        residual = float(np.mean(np.abs(norms - base_norms)))
-        if residual >= tol:
+        final_residual = residual(final)
+        if final_residual >= tol:
             continue
         induced = InducedMap(final)
         if not is_sector_stochastic(induced).ok:
@@ -600,7 +579,7 @@ def search_norm_preservers(
         candidates.append(
             PreserverCandidate(
                 map=induced,
-                residual=residual,
+                residual=final_residual,
                 permutation_distance=permutation_distance(induced),
                 start_kind=kind,
             )

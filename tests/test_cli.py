@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onebit.cli import main
 
@@ -20,6 +22,17 @@ def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_exit(argv):
+    """run_cli that also returns the exit code of an argparse error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -296,3 +309,105 @@ class TestMalusCommand:
         _, out_a, _ = run_cli(args)
         _, out_b, _ = run_cli(args)
         assert out_a == out_b
+
+
+SCAN = ["invariance-scan", "--alphas", "2", "--n-states", "3", "--n-maps", "1"]
+
+#: Each case: argv (``{tmp}`` is the test's directory) and the expected exit code.
+BAD_INPUTS = {
+    "entropy-nan-dist": (["entropy", "--dist", "nan,0.5"], 2),
+    "entropy-inf-alpha": (["entropy", "--dist", "0.5,0.5", "--alpha", "inf"], 2),
+    "positivity-nan-matrix": (["positivity", "--input", "{tmp}/nan.json"], 2),
+    "positivity-list-payload": (["positivity", "--input", "{tmp}/list.json"], 2),
+    "positivity-missing-key": (["positivity", "--input", "{tmp}/no-re.json"], 2),
+    "positivity-missing-file": (["positivity", "--input", "{tmp}/absent.json"], 2),
+    "positivity-nan-tol": (["positivity", "--input", "{tmp}/mixed.json", "--tol", "nan"], 2),
+    "positivity-negative-bases": (
+        ["positivity", "--input", "{tmp}/mixed.json", "--n-bases", "-1"],
+        2,
+    ),
+    "search-nan-alpha": (["search-preservers", "--alpha", "nan"], 2),
+    "search-zero-alpha": (["search-preservers", "--alpha", "0"], 2),
+    "search-negative-budget": (["search-preservers", "--alpha", "2", "--budget", "-1"], 2),
+    "search-nan-tol": (["search-preservers", "--alpha", "2", "--tol", "nan"], 2),
+    "malus-negative-points": (["malus", "--n-points", "-1"], 2),
+    "counting-negative-r-max": (["counting", "--r-max", "-1"], 2),
+    "counting-small-n-max": (["counting", "--n-max", "2"], 2),
+    "scan-negative-alpha-steps": (
+        ["invariance-scan", "--alpha-steps", "-1", "--out-csv", "{tmp}/scan.csv"],
+        2,
+    ),
+    "entropy-unwritable-report": (
+        ["entropy", "--dist", "0.5,0.5", "--out", "{tmp}/missing/report.json"],
+        3,
+    ),
+    "scan-unwritable-csv": (SCAN + ["--out-csv", "{tmp}/missing/scan.csv"], 3),
+}
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv, expected", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+    def test_bad_input_exits_with_one_error_line(self, tmp_path, argv, expected):
+        (tmp_path / "nan.json").write_text('{"n": 2, "re": [[NaN, 0], [0, NaN]]}')
+        (tmp_path / "list.json").write_text("[[0.5, 0], [0, 0.5]]")
+        (tmp_path / "no-re.json").write_text('{"n": 2}')
+        write_matrix(tmp_path / "mixed.json", np.eye(2) / 2)
+        code, out, err = run_cli_exit([arg.format(tmp=tmp_path) for arg in argv])
+        assert code == expected
+        assert out == ""
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") or last.startswith(f"onebit {argv[0]}: error: ")
+        if expected == 3:
+            assert "cannot write" in last
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def draw_matrix(data, n):
+    entries = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+    return np.array(entries).reshape(n, n)
+
+
+def reject_constant(name):
+    raise AssertionError(f"stdout is not strict JSON: contains {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matrix_file_fuzz(data, tmp_path_factory):
+    n = data.draw(st.integers(2, 4), label="n")
+    re, im = draw_matrix(data, n), draw_matrix(data, n)
+    kind = data.draw(st.sampled_from(["raw", "hermitian", "shifted-gram"]), label="kind")
+    if kind == "hermitian":
+        re = (re + re.T) / 2.0
+        im = (im - im.T) / 2.0
+        re[-1, -1] = 1.0 - np.trace(re[:-1, :-1])
+    elif kind == "shifted-gram":
+        # G G^dagger + t I: positive for t >= 0, possibly indefinite below
+        g = re + 1j * im
+        m = g @ g.conj().T + data.draw(st.floats(-0.3, 1.0), label="t") * np.eye(n)
+        trace = np.trace(m).real
+        if abs(trace) > 1e-3:
+            m = m / trace
+        re, im = m.real.copy(), m.imag.copy()
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), NON_FINITE)
+    poison = data.draw(st.lists(entry, max_size=2), label="poison")
+    for i, j, bad in poison:
+        re[i, j] = bad
+    path = tmp_path_factory.mktemp("fuzz") / "rho.json"
+    path.write_text(json.dumps({"n": n, "re": re.tolist(), "im": im.tolist()}))
+    code, out, err = run_cli(["positivity", "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if poison:
+        assert code == 2
+    if out:
+        report = json.loads(out, parse_constant=reject_constant)
+    else:
+        assert code == 2
+    if code in (0, 1):
+        results = report["results"]
+        assert results["verdict"]["positive"] == results["oracle"]["positive"]
+        assert code == (0 if results["verdict"]["positive"] else 1)

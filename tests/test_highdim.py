@@ -86,6 +86,12 @@ class TestHermitianOperator:
         with pytest.raises(ValueError, match="trace"):
             HermitianOperator(np.diag([0.5, 0.4]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN compares False against every tolerance, so it must be caught first
+        with pytest.raises(ValueError, match="finite"):
+            HermitianOperator(np.array([[bad, 0.0], [0.0, bad]]))
+
 
 class TestGptFromDensity:
     def test_maximally_mixed(self):

@@ -17,6 +17,8 @@ from onebit.measures import (
     total_uncertainty,
     validate_distribution,
 )
+from onebit.qubit import QubitState, random_state, total_uncertainty_state
+from onebit.transforms import total_uncertainty_p6
 
 
 class TestEntropyValues:
@@ -198,3 +200,35 @@ class TestPairEntropyDiagnostics:
         p = 0.8535533905932737
         expected = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
         assert pair_entropy(p, SHANNON) == pytest.approx(expected, abs=1e-15)
+
+
+class TestOneKernel:
+    def test_fractional_power_of_negative_entry_raises(self):
+        with pytest.raises(ValueError, match="no real power"):
+            pair_entropy(1.1, normalized_measure(2.5))
+
+    def test_out_of_range_state_raises_at_fractional_alpha(self):
+        state = QubitState((1.1, -0.1, 0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="no real power"):
+            total_uncertainty_state(state, normalized_measure(2.5))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    def test_every_caller_agrees_on_valid_states(self, alpha):
+        measure = normalized_measure(alpha)
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            state = random_state(rng, "mixed" if rng.uniform() < 0.5 else "pure")
+            p = state.probs
+            pairs = [p[0:2], p[2:4], p[4:6]]
+            by_entropy = sum(entropy(pair, measure) for pair in pairs)
+            by_total = total_uncertainty(pairs, measure)
+            by_state = total_uncertainty_state(state, measure)
+            by_p6 = float(total_uncertainty_p6(state.as_array, measure.alpha, measure.k))
+            for value in (by_total, by_state, by_p6):
+                assert value == pytest.approx(by_entropy, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_distribution_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        validate_distribution([bad, 0.5])

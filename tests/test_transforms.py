@@ -15,6 +15,7 @@ from onebit.qubit import (
 )
 from onebit.transforms import (
     InducedMap,
+    _map_from_params,
     alpha_norm,
     alpha_norm_deviation,
     apply,
@@ -205,6 +206,36 @@ class TestBatchedConstruction:
         rots[3] = np.full((3, 3), 0.5)
         with pytest.raises(ValueError, match="orthogonal"):
             induced_from_rotations(rots)
+
+
+def loop_map_from_params(c, m):
+    """Entry-by-entry 6x6 embedding of offsets c and matrix m, with the
+    squared entries corrected so each row sums to 1."""
+    s = m * m
+    s = s + (1.0 - s.sum(axis=1, keepdims=True)) / 3.0
+    a = np.zeros((6, 6))
+    for u in range(3):
+        for v in range(3):
+            base = s[u, v]
+            off = c[u] / 3.0
+            a[2 * u, 2 * v] = 0.5 * (base + off + m[u, v])
+            a[2 * u, 2 * v + 1] = 0.5 * (base + off - m[u, v])
+            a[2 * u + 1, 2 * v] = 0.5 * (base - off - m[u, v])
+            a[2 * u + 1, 2 * v + 1] = 0.5 * (base - off + m[u, v])
+    return a
+
+
+class TestMapFromParams:
+    def test_single_and_batched_match_the_loop_bitwise(self):
+        rng = np.random.default_rng(23)
+        offsets = rng.uniform(-1.0, 1.0, size=(500, 3))
+        matrices = rng.normal(size=(500, 3, 3))
+        batch = _map_from_params(offsets, matrices)
+        assert batch.shape == (500, 6, 6)
+        for c, m, a in zip(offsets, matrices, batch):
+            expected = loop_map_from_params(c, m)
+            assert np.array_equal(_map_from_params(c, m), expected)
+            assert np.array_equal(a, expected)
 
 
 class TestApply:
@@ -420,6 +451,11 @@ class TestPermutationFamily:
 class TestSearchNormPreservers:
     def test_zero_budget_returns_empty(self):
         assert search_norm_preservers(3.0, 0, seed=0) == []
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_alpha_that_is_not_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="positive and finite"):
+            search_norm_preservers(alpha, 10, seed=0)
 
     def test_alpha_two_finds_non_permutation_preservers(self):
         candidates = search_norm_preservers(2.0, 2000, seed=7)
