@@ -31,6 +31,10 @@ from .transforms import PERMUTATION_TOL, invariance_scan, search_norm_preservers
 
 #: CLI cap on operator dimension; dense eigendecompositions stay sub-second.
 MAX_DIMENSION = 64
+#: CLI caps on ``counting``'s dimension and hierarchy level; the table holds
+#: one row per (N, m), so an uncapped --n-max exhausts memory.
+MAX_COUNTING_N = 10_000
+MAX_COUNTING_R = 64
 
 EXIT_OK = 0
 EXIT_NOT_POSITIVE = 1
@@ -250,8 +254,10 @@ def _cmd_positivity(args) -> int:
 
 def _cmd_counting(args) -> int:
     m_values = _parse_list(args.m_list, int)
-    if args.n_max < 3:
-        raise ValueError("--n-max must be at least 3")
+    if not 3 <= args.n_max <= MAX_COUNTING_N:
+        raise ValueError(f"--n-max must be between 3 and {MAX_COUNTING_N}, got {args.n_max}")
+    if args.r_max > MAX_COUNTING_R:
+        raise ValueError(f"--r-max must be at most {MAX_COUNTING_R}, got {args.r_max}")
     r_values = list(range(1, args.r_max + 1))
     table = [
         {"n": n, "m": m, "k": degrees_of_freedom(n, m)}
@@ -307,6 +313,8 @@ def _cmd_search_preservers(args) -> int:
 
 
 def _cmd_malus(args) -> int:
+    if not math.isfinite(args.theta_max):
+        raise ValueError(f"--theta-max must be finite, got {args.theta_max}")
     thetas = np.linspace(0.0, args.theta_max, args.n_points)
     rows = [(float(t), malus_probability(float(t))) for t in thetas]
     lines = ["theta,probability"]

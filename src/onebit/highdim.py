@@ -146,26 +146,29 @@ def gpt_invariant_violations(state: GptStateN, tol: float = HERMITIAN_TOL) -> li
     return msgs
 
 
-def _check_basis(basis, n: int, tol: float) -> np.ndarray:
+def _check_basis(basis, n: int) -> np.ndarray:
     b = np.asarray(basis, dtype=complex)
     if b.shape != (n, n):
         raise ValueError(f"basis must be {n}x{n}, got shape {b.shape}")
     gap = float(np.max(np.abs(b.conj().T @ b - np.eye(n))))
-    if gap > tol:
+    if gap > HERMITIAN_TOL:
         raise ValueError(f"basis columns are not orthonormal (gap {gap:.3g})")
     return b
+
+
+def _conjugate(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """b^dagger m b: ``m`` in the basis of the columns of ``b``, batched
+    over leading axes of ``b``."""
+    return np.swapaxes(b.conj(), -1, -2) @ m @ b
 
 
 def conjugate_into_basis(rho: HermitianOperator, basis) -> HermitianOperator:
     """The same operator expressed in the given orthonormal basis
     (columns are the basis vectors)."""
-    b = _check_basis(basis, rho.n, HERMITIAN_TOL)
-    return HermitianOperator(b.conj().T @ rho.matrix @ b)
+    return HermitianOperator(_conjugate(_check_basis(basis, rho.n), rho.matrix))
 
 
-def gpt_from_density(
-    rho: HermitianOperator, basis=None, tol: float = HERMITIAN_TOL
-) -> GptStateN:
+def gpt_from_density(rho: HermitianOperator, basis=None) -> GptStateN:
     """Read off the Z / X_ij / Y_ij outcome probabilities of an operator
     in an orthonormal basis (default computational).
 
@@ -177,8 +180,7 @@ def gpt_from_density(
     """
     m = rho.matrix
     if basis is not None:
-        b = _check_basis(basis, rho.n, tol)
-        m = b.conj().T @ m @ b
+        m = _conjugate(_check_basis(basis, rho.n), m)
     n = rho.n
     z = np.real(np.diag(m)).copy()
     pairs = {}
@@ -189,14 +191,15 @@ def gpt_from_density(
     return GptStateN(n=n, z_probs=z, pair_probs=pairs)
 
 
-def postselect(state: GptStateN, i: int, j: int, eps: float = POSTSELECT_EPS) -> QubitState:
+def postselect(state: GptStateN, i: int, j: int) -> QubitState:
     """Pair qubit prepared by conditioning on outcomes i or j.
 
     The surviving probabilities renormalize by s = p_i + p_j and are
     otherwise unchanged; sectors come out as (p_x/s, 1 - p_x/s),
-    (p_y/s, 1 - p_y/s), (p_i/s, p_j/s).  Branches with s <= eps are
-    untestable and rejected.  The result is built without physicality
-    checks: detecting unphysical pair qubits is the criterion's job.
+    (p_y/s, 1 - p_y/s), (p_i/s, p_j/s).  Branches with
+    s <= POSTSELECT_EPS are untestable and rejected.  The result is built
+    without physicality checks: detecting unphysical pair qubits is the
+    criterion's job.
     """
     if i == j:
         raise ValueError("post-selection needs two distinct outcomes")
@@ -205,7 +208,7 @@ def postselect(state: GptStateN, i: int, j: int, eps: float = POSTSELECT_EPS) ->
     p_i = float(state.z_probs[i])
     p_j = float(state.z_probs[j])
     s = p_i + p_j
-    if s <= eps:
+    if s <= POSTSELECT_EPS:
         raise ValueError(
             f"post-selection on outcomes ({i}, {j}) has probability {s:.3g}; "
             "branch untestable"
@@ -228,7 +231,17 @@ def minor_condition(rho: HermitianOperator, i: int, j: int) -> float:
     """rho_ii rho_jj - |rho_ij|**2.  Nonnegative for every pair in every
     basis exactly when the operator is positive."""
     m = rho.matrix
-    return float(m[i, i].real * m[j, j].real - abs(m[i, j]) ** 2)
+    re, im = m[i, j].real, m[i, j].imag
+    return float(m[i, i].real * m[j, j].real - (re * re + im * im))
+
+
+def _pair_minors(m: np.ndarray) -> np.ndarray:
+    """Entry (..., i, j) is m_ii m_jj - |m_ij|**2, for matrices stacked
+    along leading axes; the products of :func:`minor_condition`, so the
+    two agree bit for bit."""
+    d = np.real(np.diagonal(m, axis1=-2, axis2=-1))
+    re, im = m.real, m.imag
+    return d[..., :, None] * d[..., None, :] - (re * re + im * im)
 
 
 @dataclass(frozen=True)
@@ -253,22 +266,36 @@ class PositivityVerdict:
     strategy: str
 
 
+def _random_bases(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` Haar-random orthonormal bases (columns), shape
+    (count, n, n), via one stacked QR of complex Gaussian matrices with the
+    phase fix.  Draws the same normals, in the same order, as ``count``
+    calls of :func:`random_basis`, and returns the same matrices."""
+    z = rng.normal(size=(count, 2, n, n))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d)).conj()[..., None, :]
+
+
 def random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-random orthonormal basis (columns), via QR of a complex
     Gaussian matrix with the phase fix."""
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d)).conj()
+    return _random_bases(rng, 1, n)[0]
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix; a
+    failed decomposition raises RuntimeError."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
 
 
 def eigen_positivity_oracle(rho: HermitianOperator, tol: float = 1e-9) -> PositivityVerdict:
     """Ground truth for positivity: smallest eigenvalue of the operator,
     accepted down to -tol relative to the largest diagonal entry."""
-    try:
-        values, vectors = np.linalg.eigh(rho.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    values, vectors = _eigh(rho.matrix)
     threshold = tol * float(np.max(np.real(np.diag(rho.matrix))))
     smallest = float(values[0])
     if smallest >= -threshold:
@@ -302,40 +329,36 @@ def info_positivity_check(
     input times the largest diagonal entry seen across the checked bases:
     the exact minor-scale image of the oracle's eigenvalue tolerance, so
     criterion and oracle are calibrated against each other.
+
+    The views are one (V, n, n) stack: computational, sampled[0..n_bases-1],
+    eigenbasis.  The witness is the smallest minor over every view and pair
+    i < j; ties go to the earliest view, then the first pair in row-major order.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     n = rho.n
-    views: list[tuple[str, np.ndarray | None, np.ndarray]] = [
-        ("computational", None, rho.matrix)
-    ]
-    if strategy in ("sampled", "eigen-directed"):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        for idx in range(n_bases):
-            basis = random_basis(rng, n)
-            views.append((f"sampled[{idx}]", basis, basis.conj().T @ rho.matrix @ basis))
+    n_sampled = 0 if strategy == "fixed-basis" else n_bases
+    bases = _random_bases(np.random.default_rng(np.random.SeedSequence(seed)), n_sampled, n)
     if strategy == "eigen-directed":
-        try:
-            _, vectors = np.linalg.eigh(rho.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
-        views.append(("eigenbasis", vectors, vectors.conj().T @ rho.matrix @ vectors))
+        bases = np.concatenate([bases, _eigh(rho.matrix)[1][None]])
+    views = np.concatenate([rho.matrix[None], _conjugate(bases, rho.matrix)])
 
-    scale = max(float(np.max(np.real(np.diag(m)))) for _, _, m in views)
-    threshold = tol * float(np.max(np.real(np.diag(rho.matrix)))) * scale
+    diag = np.real(np.diagonal(views, axis1=1, axis2=2))
+    threshold = tol * float(np.max(diag[0])) * float(np.max(diag))
 
-    worst: tuple[float, str, np.ndarray | None, tuple[int, int]] | None = None
-    for label, basis, m in views:
-        diag = np.real(np.diag(m))
-        for i in range(n):
-            for j in range(i + 1, n):
-                minor = float(diag[i] * diag[j] - abs(m[i, j]) ** 2)
-                if minor < -threshold and (worst is None or minor < worst[0]):
-                    worst = (minor, label, basis, (i, j))
-    if worst is None:
+    minors = _pair_minors(views)
+    lower_i, lower_j = np.tril_indices(n)
+    minors[:, lower_i, lower_j] = np.inf
+    # np.argmin takes the first minimum in (view, i, j) order: the tie rule
+    v, i, j = (int(k) for k in np.unravel_index(int(np.argmin(minors)), minors.shape))
+    minor = float(minors[v, i, j])
+    if not minor < -threshold:
         return PositivityVerdict(True, None, strategy)
 
-    minor, label, basis, (i, j) = worst
+    basis = None if v == 0 else bases[v - 1]
+    label = (
+        "computational" if v == 0 else "eigenbasis" if v > n_sampled else f"sampled[{v - 1}]"
+    )
     gpt = gpt_from_density(rho, basis)
     try:
         pair_total = pair_uncertainty(gpt, i, j)

@@ -41,7 +41,7 @@ class ComplementaryFrame:
             raise ValueError(f"frame needs three 3-vectors, got shape {a.shape}")
         gram = a @ a.T
         gap = float(np.max(np.abs(gram - np.eye(3))))
-        if gap > SECTOR_TOL:
+        if not gap <= SECTOR_TOL:  # a NaN gap fails too
             raise ValueError(f"frame axes are not orthonormal (gap {gap:.3g})")
         a.setflags(write=False)
         object.__setattr__(self, "axes", a)
@@ -74,7 +74,7 @@ class QubitState:
         object.__setattr__(self, "probs", probs)
         for u in range(3):
             gap = abs(probs[2 * u] + probs[2 * u + 1] - 1.0)
-            if gap > SECTOR_TOL:
+            if not gap <= SECTOR_TOL:  # a NaN gap fails too
                 raise ValueError(
                     f"sector {_SECTOR_NAMES[u]} sums to "
                     f"{probs[2 * u] + probs[2 * u + 1]!r}, not 1"

@@ -21,6 +21,8 @@ PERMUTATION_TOL = 1e-6
 
 _STEP_FLOOR = 1e-10
 _CONVERGED_OBJECTIVE = 1e-14
+#: Objective evaluations granted to one search start.
+_EVALS_PER_START = 2000
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def induced_from_rotations(rotations, tol: float = ORTHO_TOL) -> np.ndarray:
     if r.ndim != 3 or r.shape[1:] != (3, 3):
         raise ValueError(f"rotations must have shape (n, 3, 3), got {r.shape}")
     gap = float(np.max(np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)), initial=0.0))
-    if gap > tol:
+    if not gap <= tol:  # a NaN gap fails too
         raise ValueError(f"matrix is not orthogonal (r^T r gap {gap:.3g})")
     return _embed(r * r, 0.0, r)
 
@@ -119,24 +121,11 @@ def induced_from_rotation(rotation, tol: float = ORTHO_TOL) -> InducedMap:
     return InducedMap(induced_from_rotations(r[None], tol)[0])
 
 
-_QUARTER_TURN = np.array(
-    [
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 1],
-    ],
-    dtype=float,
-)
-
-
 def example_permutation_map() -> InducedMap:
     """The sector permutation sending p_x -> p_y, p_y -> 1-p_x, p_z -> p_z:
     a quarter turn about the z axis in mean-value space.  Its fourth power
     is the identity."""
-    return InducedMap(_QUARTER_TURN)
+    return induced_from_rotation([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
 
 
 def apply(induced: InducedMap, state: QubitState, tol: float = SECTOR_TOL) -> QubitState:
@@ -308,15 +297,7 @@ _PROBE_MAPS = (
 )
 
 
-def invariance_scan(
-    alphas,
-    n_states: int,
-    n_maps: int,
-    seed: int,
-    *,
-    include_probes: bool = True,
-    include_reflections: bool = False,
-) -> list[InvarianceReport]:
+def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[InvarianceReport]:
     """Worst |H_total(A p) - H_total(p)| per entropy degree over sampled
     states and rotation-induced maps.
 
@@ -325,8 +306,7 @@ def invariance_scan(
     quarter-turn rotations) is scanned alongside the samples so the known
     worst cases, such as a 45-degree rotation of a pure-x state at alpha = 1,
     are exercised at any sample size.  Deterministic for a given seed;
-    improper orthogonal maps join the ensemble only when
-    ``include_reflections`` is set.
+    the sampled maps are proper rotations.
 
     The sampled rotations are drawn in one batch (:func:`random_rotations`)
     and embedded in one call, probes first.  :func:`scan_deviations` then
@@ -342,31 +322,19 @@ def invariance_scan(
     state_rng = np.random.default_rng(state_seed)
     map_rng = np.random.default_rng(map_seed)
 
-    state_ids: list[str] = []
-    means: list[np.ndarray] = []
-    if include_probes:
-        for name, m in _PROBE_STATES:
-            state_ids.append(name)
-            means.append(m)
+    state_ids = [name for name, _ in _PROBE_STATES]
+    means = [m for _, m in _PROBE_STATES]
     n_pure = n_states - n_states // 2
     for idx in range(n_states):
         kind = "pure" if idx < n_pure else "mixed"
         state_ids.append(f"{kind}[{idx}]")
         means.append(random_mean_vector(state_rng, kind))
-    if not means:
-        raise ValueError("scan needs at least one state (samples or probes)")
     states = p6_from_means(np.array(means))
 
-    probe_maps = _PROBE_MAPS if include_probes else ()
-    map_ids = [name for name, _ in probe_maps]
+    map_ids = [name for name, _ in _PROBE_MAPS]
     map_ids.extend(f"rot[{idx}]" for idx in range(n_maps))
-    if not map_ids:
-        raise ValueError("scan needs at least one map (samples or probes)")
     rotations = np.concatenate(
-        [
-            np.reshape([r for _, r in probe_maps], (-1, 3, 3)),
-            random_rotations(map_rng, n_maps, include_reflections),
-        ]
+        [np.array([r for _, r in _PROBE_MAPS]), random_rotations(map_rng, n_maps)]
     )
     maps = induced_from_rotations(rotations)
 
@@ -504,8 +472,6 @@ def search_norm_preservers(
     budget: int,
     seed: int,
     tol: float = PERMUTATION_TOL,
-    *,
-    evals_per_start: int = 2000,
 ) -> list[PreserverCandidate]:
     """Randomized search for sector-stochastic maps preserving the
     alpha-norm of probability vectors.
@@ -516,9 +482,9 @@ def search_norm_preservers(
     over the probe set.  Every converged map whose residual falls below
     ``tol`` is returned with its distance to the nearest sector-respecting
     permutation.  ``budget`` counts objective evaluations across all
-    starts; an exhausted budget with no hits returns an empty list.  The
-    output is evidence, not proof.  Raises ValueError unless ``alpha``
-    is positive and finite.
+    starts, at most 2000 per start; an exhausted budget with no hits
+    returns an empty list.  The output is evidence, not proof.  Raises
+    ValueError unless ``alpha`` is positive and finite.
     """
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -562,7 +528,7 @@ def search_norm_preservers(
             c0 = rng.uniform(-1.0, 1.0, size=3) * (1.0 - radii) * 0.9
             theta0 = np.concatenate([c0, m0.ravel()])
         theta, _, used, converged = _coordinate_descent(
-            theta0, objective, min(evals_per_start, remaining)
+            theta0, objective, min(_EVALS_PER_START, remaining)
         )
         remaining -= used
         attempt += 1

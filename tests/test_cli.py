@@ -331,8 +331,12 @@ BAD_INPUTS = {
     "search-negative-budget": (["search-preservers", "--alpha", "2", "--budget", "-1"], 2),
     "search-nan-tol": (["search-preservers", "--alpha", "2", "--tol", "nan"], 2),
     "malus-negative-points": (["malus", "--n-points", "-1"], 2),
+    "malus-nan-theta-max": (["malus", "--n-points", "3", "--theta-max", "nan"], 2),
+    "malus-inf-theta-max": (["malus", "--n-points", "3", "--theta-max", "inf"], 2),
     "counting-negative-r-max": (["counting", "--r-max", "-1"], 2),
     "counting-small-n-max": (["counting", "--n-max", "2"], 2),
+    "counting-n-max-over-cap": (["counting", "--n-max", "10001"], 2),
+    "counting-r-max-over-cap": (["counting", "--r-max", "65"], 2),
     "scan-negative-alpha-steps": (
         ["invariance-scan", "--alpha-steps", "-1", "--out-csv", "{tmp}/scan.csv"],
         2,

@@ -8,6 +8,8 @@ import pytest
 from onebit.highdim import (
     GptStateN,
     HermitianOperator,
+    _pair_minors,
+    _random_bases,
     conjugate_into_basis,
     counting_consistency,
     degrees_of_freedom,
@@ -338,6 +340,33 @@ class TestInfoPositivityCheck:
         with pytest.raises(ValueError, match="strategy"):
             info_positivity_check(rho, "exhaustive")
 
+    def test_tied_pairs_report_the_first_in_row_major_order(self):
+        # minors (0, 2) and (1, 2) are both 0.7 * -0.4
+        rho = HermitianOperator(np.diag([0.7, 0.7, -0.4]))
+        verdict = info_positivity_check(rho, "fixed-basis")
+        assert (verdict.witness.basis, verdict.witness.pair) == ("computational", (0, 2))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tied_views_report_the_earliest(self, seed):
+        # the eigenbasis view ties with the computational one, and no basis
+        # can go below lambda_min * lambda_max = 0.7 * -0.4
+        rho = HermitianOperator(np.diag([0.7, 0.7, -0.4]))
+        verdict = info_positivity_check(rho, "eigen-directed", seed=seed)
+        assert (verdict.witness.basis, verdict.witness.pair) == ("computational", (0, 2))
+
+
+class TestPairMinors:
+    def test_matches_minor_condition_bitwise(self):
+        rng = np.random.default_rng(42)
+        for n in range(2, 9):
+            for smallest in (-0.3, -1e-8, 0.0):
+                rho = random_with_min_eigenvalue(rng, n, smallest)
+                rho = conjugate_into_basis(rho, random_basis(rng, n))
+                minors = _pair_minors(rho.matrix)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        assert minors[i, j] == minor_condition(rho, i, j)
+
 
 class TestGenerators:
     def test_min_eigenvalue_placement(self):
@@ -347,6 +376,18 @@ class TestGenerators:
                 rho = random_with_min_eigenvalue(rng, n, target)
                 smallest = float(np.linalg.eigvalsh(rho.matrix)[0])
                 assert smallest == pytest.approx(target, abs=1e-12)
+
+    def test_batched_bases_match_sequential_draws_bitwise(self):
+        def loop_basis(rng, n):
+            z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            d = np.diag(r)
+            return q * (d / np.abs(d)).conj()
+
+        for n in (1, 2, 3, 6, 17):
+            batch = _random_bases(np.random.default_rng(n), 5, n)
+            rng = np.random.default_rng(n)
+            assert np.array_equal(batch, [loop_basis(rng, n) for _ in range(5)])
 
     def test_random_basis_is_unitary(self):
         rng = np.random.default_rng(42)

@@ -33,6 +33,11 @@ class TestFrames:
         with pytest.raises(ValueError, match="orthonormal"):
             ComplementaryFrame(np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1.0]]))
 
+    def test_rejects_nan_axes(self):
+        # a NaN gap compares False against the tolerance, so it must not pass
+        with pytest.raises(ValueError, match="orthonormal"):
+            ComplementaryFrame(np.full((3, 3), math.nan))
+
 
 class TestProbabilityMeanConversion:
     def test_certainty_along_z(self):
@@ -107,6 +112,10 @@ class TestQubitStateValidation:
     def test_rejects_bad_sector_sum(self):
         with pytest.raises(ValueError, match="sector"):
             QubitState((0.5, 0.6, 0.5, 0.5, 0.5, 0.5))
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError, match="sector"):
+            QubitState((math.nan,) * 6)
 
     def test_from_probabilities_rejects_unphysical(self):
         # sectors are fine but |m| = sqrt(3) > 1

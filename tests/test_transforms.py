@@ -207,6 +207,12 @@ class TestBatchedConstruction:
         with pytest.raises(ValueError, match="orthogonal"):
             induced_from_rotations(rots)
 
+    def test_nan_rotation_rejects_the_batch(self):
+        rots = random_rotations(np.random.default_rng(9), 5)
+        rots[2] = np.full((3, 3), np.nan)
+        with pytest.raises(ValueError, match="orthogonal"):
+            induced_from_rotations(rots)
+
 
 def loop_map_from_params(c, m):
     """Entry-by-entry 6x6 embedding of offsets c and matrix m, with the
