@@ -173,9 +173,9 @@ def is_sector_stochastic(induced: InducedMap, tol: float = SECTOR_TOL) -> Stocha
     return StochasticityReport(ok, column_gap, sector_sum_gap, range_gap)
 
 
-def _alpha_norms(v: np.ndarray, alpha: float) -> np.ndarray:
-    """(sum_i |v_i|**alpha)**(1/alpha) over the last axis."""
-    return np.add.reduce(np.abs(v) ** alpha, axis=-1) ** (1.0 / alpha)
+def _alpha_norms(v: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
+    """(sum_i |v_i|**alpha)**(1/alpha) over ``axis``."""
+    return np.add.reduce(np.abs(v) ** alpha, axis=axis) ** (1.0 / alpha)
 
 
 def alpha_norm(vec, alpha: float) -> float:
@@ -392,6 +392,9 @@ def is_permutation_type(induced: InducedMap, tol: float = PERMUTATION_TOL) -> bo
 # matrices spreads constants through the unit sector sums so orthogonal M
 # with c = 0 reproduces induced_from_rotation and signed permutations come
 # out exact.  Validity on the physical ball is |c_u| + ||M_u|| <= 1 per row.
+# Since the sector sums of every probe are 1, the 6x6 map of (c, M) sends
+# p6(m) to p6(c + M m), so the descent scores parameters in mean-value
+# space and builds the 6x6 map only for the checks on converged starts.
 #
 # Norm deviations are scored on sector-consistent probe vectors spanning the
 # full mean-value cube, not only the physical ball: the preservation claim
@@ -413,19 +416,25 @@ def _map_from_params(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _embed(s, (c / 3.0)[..., None], m)
 
 
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``m`` (..., 3, 3), each with the bits
+    of ``np.linalg.norm`` on that row (the root of its dot product)."""
+    return np.sqrt((m[..., None, :] @ m[..., :, None])[..., 0, 0])
+
+
 def _project_params(theta: np.ndarray) -> np.ndarray:
-    theta = theta.copy()
-    for u in range(3):
-        c_u = theta[u]
-        row = theta[3 + 3 * u : 6 + 3 * u]
-        total = abs(c_u) + float(np.linalg.norm(row))
-        if total > 1.0:
-            theta[u] = c_u / total
-            theta[3 + 3 * u : 6 + 3 * u] = row / total
-    return theta
+    """Scale every row (c_u, M_u) with |c_u| + ||M_u|| > 1 onto the
+    boundary of the validity region; other rows are kept as they are."""
+    c = theta[:3]
+    m = theta[3:].reshape(3, 3)
+    total = np.abs(c) + _row_norms(m)
+    scale = np.where(total > 1.0, total, 1.0)
+    return np.concatenate([c / scale, (m / scale[:, None]).ravel()])
 
 
-def _probe_vectors(rng: np.random.Generator) -> np.ndarray:
+def _probe_means(rng: np.random.Generator) -> np.ndarray:
+    """The 96 probe mean-value vectors, shape (96, 3): cube corners, axis
+    points and the center, a fixed uniform fill, then 32 draws from ``rng``."""
     corners = np.array(list(product((-1.0, 1.0), repeat=3)))
     axes = np.concatenate([np.eye(3), -np.eye(3)])
     center = np.zeros((1, 3))
@@ -433,34 +442,82 @@ def _probe_vectors(rng: np.random.Generator) -> np.ndarray:
     n_fill = _N_FIXED_PROBES - len(corners) - len(axes) - 1
     fill = fixed_rng.uniform(-1.0, 1.0, size=(n_fill, 3))
     sampled = rng.uniform(-1.0, 1.0, size=(_N_SAMPLED_PROBES, 3))
-    return p6_from_means(np.concatenate([corners, axes, center, fill, sampled]))
+    return np.concatenate([corners, axes, center, fill, sampled])
+
+
+def _probe_vectors(rng: np.random.Generator) -> np.ndarray:
+    """The probe probability 6-vectors, shape (96, 6)."""
+    return p6_from_means(_probe_means(rng))
+
+
+def _norm_objective(means: np.ndarray, base_norms: np.ndarray, alpha: float):
+    """The search objective over a (k, 12) stack of parameter vectors.
+
+    Row t scores theta_t = (c, M) as the mean over the probes of
+    | ||p6(c + M m)||_alpha - base_norms |, plus 10 * excess**2 for every
+    row u with excess |c_u| + ||M_u|| - 1 > 0.  It runs in mean-value
+    space: the 6x6 map of the parameters sends p6(m) to p6(c + M m), so
+    every probe image comes from one GEMM of the stacked M with the probe
+    means, and the alpha-norms reduce over the six-entry axis of the
+    sector-major layout (k, 6, probes).
+    """
+    columns = np.ascontiguousarray(means.T)
+
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        c = thetas[:, :3]
+        m = thetas[:, 3:].reshape(-1, 3, 3)
+        images = (m.reshape(-1, 3) @ columns).reshape(-1, 3, columns.shape[1])
+        images += c[:, :, None]
+        norms = _alpha_norms(p6_from_means(images, axis=1), alpha, axis=1)
+        deviation = np.mean(np.abs(norms - base_norms), axis=-1)
+        excess = np.abs(c) + _row_norms(m) - 1.0
+        penalty = np.where(excess > 0.0, 10.0 * excess * excess, 0.0)
+        return deviation + np.add.reduce(penalty, axis=-1)
+
+    return objective
 
 
 def _coordinate_descent(theta0, objective, max_evals):
     """Derivative-free coordinate descent with a shrinking step.
+
+    A sweep tries theta_i + step, then theta_i - step, for i = 0..11, and
+    accepts the first trial that beats the best value, moving on to
+    coordinate i + 1 from there; a sweep with no acceptance halves the
+    step.  ``objective`` scores a (k, 12) stack of trials, and the
+    remaining trials of a sweep (truncated to the evaluations left) go to
+    it in one call.  The first improving trial in sweep order wins and
+    the call is charged index + 1 evaluations, the trials up to and
+    including it; the sweep then re-batches from the next coordinate.  So
+    accounting, acceptance order and budget truncation are those of
+    scoring the trials one at a time.
 
     Returns (theta, value, evals, converged); converged means the step
     shrank to the floor or the objective reached the numeric floor, rather
     than the evaluation budget running out mid-descent.
     """
     theta = theta0.copy()
-    best = objective(theta)
+    best = float(objective(theta[None])[0])
     evals = 1
     step = 0.1
     while step > _STEP_FLOOR and evals < max_evals and best > _CONVERGED_OBJECTIVE:
         improved = False
-        for i in range(theta.size):
-            for delta in (step, -step):
-                if evals >= max_evals:
-                    break
-                trial = theta.copy()
-                trial[i] += delta
-                value = objective(trial)
-                evals += 1
-                if value < best:
-                    theta, best = trial, value
-                    improved = True
-                    break
+        i = 0
+        while i < theta.size and evals < max_evals:
+            # trial t moves coordinate i + t // 2 by +step (t even) or -step
+            count = min(2 * (theta.size - i), max_evals - evals)
+            t = np.arange(count)
+            trials = np.repeat(theta[None], count, axis=0)
+            trials[t, i + t // 2] += np.where(t % 2 == 0, step, -step)
+            values = objective(trials)
+            hits = np.flatnonzero(values < best)
+            if hits.size == 0:
+                evals += count
+                break
+            j = int(hits[0])
+            evals += j + 1
+            theta, best = trials[j], float(values[j])
+            improved = True
+            i += j // 2 + 1
         if not improved:
             step *= 0.5
     converged = step <= _STEP_FLOOR or best <= _CONVERGED_OBJECTIVE
@@ -479,7 +536,13 @@ def search_norm_preservers(
     Random starts (rotation-induced maps, sector permutations, and generic
     sector-stochastic maps, cycled in that order) are refined by
     derivative-free coordinate descent on the mean alpha-norm deviation
-    over the probe set.  Every converged map whose residual falls below
+    over the probe set.  The objective runs in mean-value space (probe
+    images are c + M m, never a 6x6 product), and each sweep's remaining
+    ±step trials are scored in one batched call; the first improving
+    trial in sweep order wins and index + 1 evaluations are charged, as
+    if the trials had been scored one at a time
+    (:func:`_coordinate_descent`).  Only converged starts are embedded
+    as 6x6 maps.  Every converged map whose residual falls below
     ``tol`` is returned with its distance to the nearest sector-respecting
     permutation.  ``budget`` counts objective evaluations across all
     starts, at most 2000 per start; an exhausted budget with no hits
@@ -491,22 +554,14 @@ def search_norm_preservers(
     if budget < 1:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    probes = _probe_vectors(rng)
+    means = _probe_means(rng)
+    probes = p6_from_means(means)
     base_norms = _alpha_norms(probes, alpha)
 
     def residual(a: np.ndarray) -> float:
         return float(np.mean(np.abs(_alpha_norms(probes @ a.T, alpha) - base_norms)))
 
-    def objective(theta: np.ndarray) -> float:
-        c = theta[:3]
-        m = theta[3:].reshape(3, 3)
-        deviation = residual(_map_from_params(c, m))
-        penalty = 0.0
-        for u in range(3):
-            excess = abs(c[u]) + float(np.linalg.norm(m[u])) - 1.0
-            if excess > 0.0:
-                penalty += 10.0 * excess * excess
-        return deviation + penalty
+    objective = _norm_objective(means, base_norms, alpha)
 
     start_kinds = ("rotation", "permutation", "generic")
     candidates: list[PreserverCandidate] = []

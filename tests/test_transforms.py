@@ -6,16 +6,24 @@ import math
 import numpy as np
 import pytest
 
+from onebit import transforms
 from onebit.measures import normalized_measure
 from onebit.qubit import (
     QubitState,
+    p6_from_means,
     probabilities_from_mean,
     random_state,
     total_uncertainty_state,
 )
 from onebit.transforms import (
+    _SIGNED_PERMUTATIONS,
     InducedMap,
+    _alpha_norms,
+    _coordinate_descent,
     _map_from_params,
+    _norm_objective,
+    _probe_means,
+    _project_params,
     alpha_norm,
     alpha_norm_deviation,
     apply,
@@ -500,3 +508,286 @@ class TestSearchNormPreservers:
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.map.matrix, cb.map.matrix)
             assert ca.residual == cb.residual
+
+
+def scalar_pair_total(p6, alpha):
+    """Normalized total uncertainty of a probability 6-vector from ``math``
+    alone: k (1 - p**a - (1 - p)**a) / (a - 1) per sector, with p the
+    sector's first entry clipped to [0, 1], and the Shannon limit at a = 1."""
+    total = 0.0
+    for u in range(3):
+        p = min(max(p6[2 * u], 0.0), 1.0)
+        q = 1.0 - p
+        if alpha == 1.0:
+            total -= sum(x * math.log2(x) for x in (p, q) if x > 0.0)
+        else:
+            k = (alpha - 1.0) / (1.0 - math.pow(2.0, 1.0 - alpha))
+            total += k * (1.0 - math.pow(p, alpha) - math.pow(q, alpha)) / (alpha - 1.0)
+    return total
+
+
+class TestScanScalarOracle:
+    def test_matches_math_only_oracle_cell_by_cell(self):
+        # 130 maps: two full 64-map blocks and a partial third
+        rng = np.random.default_rng(5)
+        states = random_states_array(rng, 10)
+        maps = induced_from_rotations(random_rotations(rng, 130))
+        images = [
+            [[sum(a[i, j] * p[j] for j in range(6)) for i in range(6)] for p in states]
+            for a in maps
+        ]
+        got = scan_deviations(states, maps, SCAN_ALPHAS)
+        for j, alpha in enumerate(SCAN_ALPHAS):
+            base = [scalar_pair_total(p, alpha) for p in states]
+            table = np.array(
+                [
+                    [abs(scalar_pair_total(image, alpha) - b) for image, b in zip(row, base)]
+                    for row in images
+                ]
+            )
+            dev, s_idx, m_idx = got[j]
+            assert dev == pytest.approx(table.max(), abs=1e-12)
+            assert dev == pytest.approx(table[m_idx, s_idx], abs=1e-12)
+            if alpha not in (2.0, 3.0):  # elsewhere every cell is rounding noise
+                assert (m_idx, s_idx) == np.unravel_index(table.argmax(), table.shape)
+            for a in range(0, len(maps), 7):
+                for b in range(len(states)):
+                    cell = scan_deviations(states[b : b + 1], maps[a : a + 1], [alpha])
+                    assert cell[0][0] == pytest.approx(table[a, b], abs=1e-12)
+
+
+def loop_project_params(theta):
+    """Row-by-row scaling of every (c_u, M_u) with |c_u| + ||M_u|| > 1."""
+    theta = theta.copy()
+    for u in range(3):
+        c_u = theta[u]
+        row = theta[3 + 3 * u : 6 + 3 * u]
+        total = abs(c_u) + float(np.linalg.norm(row))
+        if total > 1.0:
+            theta[u] = c_u / total
+            theta[3 + 3 * u : 6 + 3 * u] = row / total
+    return theta
+
+
+def boundary_thetas(rng, count):
+    """Parameter vectors whose rows lie inside (|c_u| + ||M_u|| < 1), on
+    (scaled to the boundary, within rounding, or exactly dyadic) and
+    outside the validity region."""
+    thetas = rng.uniform(-1.0, 1.0, size=(count, 12))
+    c = thetas[:, :3]
+    m = thetas[:, 3:].reshape(count, 3, 3)
+    total = np.abs(c) + np.linalg.norm(m, axis=2)
+    kind = rng.integers(4, size=(count, 3))
+    scale = np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [total / rng.uniform(0.1, 0.99, size=total.shape), total, np.ones_like(total)],
+        total / rng.uniform(1.01, 3.0, size=total.shape),
+    )
+    c /= scale
+    m /= scale[:, :, None]
+    exact = kind == 2
+    c[exact] = 0.5
+    m[exact] = [0.5, 0.0, 0.0]  # |c| + ||M|| = 1 exactly
+    return thetas
+
+
+class TestProjectParams:
+    def test_matches_the_row_loop_bitwise(self):
+        thetas = boundary_thetas(np.random.default_rng(31), 500)
+        totals = np.abs(thetas[:, :3]) + np.linalg.norm(
+            thetas[:, 3:].reshape(-1, 3, 3), axis=2
+        )
+        assert np.any(totals < 1.0) and np.any(totals > 1.0) and np.any(totals == 1.0)
+        for theta in thetas:
+            assert loop_project_params(theta).tobytes() == _project_params(theta).tobytes()
+
+
+def scalar_objective(probes, base_norms, alpha):
+    """The search objective of one parameter vector through its 6x6 map:
+    mean alpha-norm deviation over the probes plus the per-row penalty."""
+
+    def objective(theta):
+        c = theta[:3]
+        m = theta[3:].reshape(3, 3)
+        a = _map_from_params(c, m)
+        norms = np.sum(np.abs(probes @ a.T) ** alpha, axis=1) ** (1.0 / alpha)
+        deviation = float(np.mean(np.abs(norms - base_norms)))
+        penalty = 0.0
+        for u in range(3):
+            excess = abs(c[u]) + float(np.linalg.norm(m[u])) - 1.0
+            if excess > 0.0:
+                penalty += 10.0 * excess * excess
+        return deviation + penalty
+
+    return objective
+
+
+def search_objectives(alpha, seed=0):
+    """The batched objective and the 6x6-route reference on one probe set."""
+    means = _probe_means(np.random.default_rng(seed))
+    probes = p6_from_means(means)
+    base_norms = _alpha_norms(probes, alpha)
+    return (
+        _norm_objective(means, base_norms, alpha),
+        scalar_objective(probes, base_norms, alpha),
+    )
+
+
+class TestMeanValueObjective:
+    def test_map_action_is_the_mean_value_affine_map(self):
+        rng = np.random.default_rng(41)
+        offsets = rng.uniform(-1.0, 1.0, size=(2000, 3))
+        matrices = rng.uniform(-1.0, 1.0, size=(2000, 3, 3))
+        means = rng.uniform(-1.0, 1.0, size=(2000, 3))
+        lhs = (_map_from_params(offsets, matrices) @ p6_from_means(means)[:, :, None])[..., 0]
+        rhs = p6_from_means(offsets + (matrices @ means[:, :, None])[..., 0])
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14
+
+    # below alpha = 1 the norm amplifies rounding at zero entries without
+    # bound (|1e-17|**0.5 is 3e-9), so the two routes are compared at 1..3
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    def test_batched_objective_matches_the_map_route(self, alpha):
+        batched, scalar = search_objectives(alpha)
+        thetas = boundary_thetas(np.random.default_rng(43), 300)
+        thetas[::3] *= 1.7  # deep outside the validity region: penalty active
+        values = batched(thetas)
+        assert values.shape == (300,)
+        expected = np.array([scalar(theta) for theta in thetas])
+        assert np.any(expected > 1.0)  # some penalties dominate
+        assert np.all(np.abs(values - expected) <= 1e-14 * np.maximum(1.0, expected))
+        for theta, value in zip(thetas[:20], values[:20]):
+            assert batched(theta[None])[0] == value
+
+    def test_axis_arguments_match_the_default_layout_bitwise(self):
+        rng = np.random.default_rng(47)
+        means = rng.uniform(-1.0, 1.0, size=(5, 96, 3))
+        p6 = p6_from_means(means)
+        assert np.array_equal(p6_from_means(means.swapaxes(1, 2), axis=1), p6.swapaxes(1, 2))
+        assert np.array_equal(p6_from_means(means[0].T, axis=0), p6[0].T)
+        for alpha in (0.5, 1.0, 2.0, 3.0):
+            norms = _alpha_norms(p6, alpha)
+            assert np.array_equal(_alpha_norms(p6.swapaxes(1, 2), alpha, axis=1), norms)
+            assert np.array_equal(
+                _alpha_norms(np.ascontiguousarray(p6.swapaxes(1, 2)), alpha, axis=1), norms
+            )
+
+
+def sequential_descent(theta0, objective, max_evals):
+    """Coordinate descent scoring one trial per objective call: for each
+    coordinate, +step then -step; the first improvement is taken and the
+    sweep moves to the next coordinate; a sweep without one halves the
+    step."""
+    def score(theta):
+        return float(objective(theta[None])[0])
+
+    theta = theta0.copy()
+    best = score(theta)
+    evals = 1
+    step = 0.1
+    while step > 1e-10 and evals < max_evals and best > 1e-14:
+        improved = False
+        for i in range(theta.size):
+            for delta in (step, -step):
+                if evals >= max_evals:
+                    break
+                trial = theta.copy()
+                trial[i] += delta
+                value = score(trial)
+                evals += 1
+                if value < best:
+                    theta, best = trial, value
+                    improved = True
+                    break
+        if not improved:
+            step *= 0.5
+    converged = step <= 1e-10 or best <= 1e-14
+    return theta, best, evals, converged
+
+
+def descent_charging_every_trial(theta0, objective, max_evals):
+    """A batched descent that charges all trials of a call, hit or not."""
+    theta = theta0.copy()
+    best = float(objective(theta[None])[0])
+    evals = 1
+    step = 0.1
+    while step > 1e-10 and evals < max_evals and best > 1e-14:
+        improved = False
+        i = 0
+        while i < theta.size and evals < max_evals:
+            count = min(2 * (theta.size - i), max_evals - evals)
+            t = np.arange(count)
+            trials = np.repeat(theta[None], count, axis=0)
+            trials[t, i + t // 2] += np.where(t % 2 == 0, step, -step)
+            values = objective(trials)
+            evals += count
+            hits = np.flatnonzero(values < best)
+            if hits.size == 0:
+                break
+            j = int(hits[0])
+            theta, best = trials[j], float(values[j])
+            improved = True
+            i += j // 2 + 1
+        if not improved:
+            step *= 0.5
+    converged = step <= 1e-10 or best <= 1e-14
+    return theta, best, evals, converged
+
+
+def descent_starts(rng):
+    rotation = np.concatenate([np.zeros(3), random_rotation(rng).ravel()])
+    permutation = np.concatenate([np.zeros(3), _SIGNED_PERMUTATIONS[13].ravel()])
+    rows = rng.normal(size=(3, 3))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    radii = rng.uniform(0.0, 0.9, size=3)
+    offsets = rng.uniform(-1.0, 1.0, size=3) * (1.0 - radii) * 0.9
+    generic = np.concatenate([offsets, (rows * radii[:, None]).ravel()])
+    # descends to the step floor, accepting trials, well inside 2000 evaluations
+    perturbed = permutation + rng.normal(size=12) * 1e-3
+    return {
+        "rotation": rotation,
+        "permutation": permutation,
+        "generic": generic,
+        "perturbed": perturbed,
+    }
+
+
+DESCENT_BUDGETS = (1, 2, 13, 25, 2000)
+
+
+def assert_descent_matches_sequential(descent, alpha):
+    objective, _ = search_objectives(alpha, seed=int(alpha))
+    for kind, theta0 in descent_starts(np.random.default_rng(int(alpha))).items():
+        for max_evals in DESCENT_BUDGETS:
+            theta, value, evals, converged = descent(theta0, objective, max_evals)
+            ref = sequential_descent(theta0, objective, max_evals)
+            assert theta.tobytes() == ref[0].tobytes(), (kind, max_evals)
+            assert (value, evals, converged) == ref[1:], (kind, max_evals)
+            assert isinstance(evals, int) and isinstance(value, float)
+
+
+class TestBatchedDescent:
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_matches_the_sequential_descent(self, alpha):
+        assert_descent_matches_sequential(_coordinate_descent, alpha)
+
+    def test_charging_every_trial_is_caught(self):
+        with pytest.raises(AssertionError):
+            assert_descent_matches_sequential(descent_charging_every_trial, 3.0)
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    @pytest.mark.parametrize("budget", [1, 525, 2100, 10000])
+    def test_spends_exactly_the_budget(self, monkeypatch, alpha, budget):
+        spent = []
+        descent = transforms._coordinate_descent
+
+        def counting(theta0, objective, max_evals):
+            result = descent(theta0, objective, max_evals)
+            spent.append(result[2])
+            return result
+
+        monkeypatch.setattr(transforms, "_coordinate_descent", counting)
+        search_norm_preservers(alpha, budget, seed=11)
+        assert sum(spent) == budget
+        assert all(used <= 2000 for used in spent)
