@@ -186,12 +186,15 @@ def _load_hermitian(path: str) -> HermitianOperator:
     if not isinstance(payload, dict) or "n" not in payload or "re" not in payload:
         raise ValueError(f"{path} must hold a JSON object with keys n, re and optionally im")
     n = payload["n"]
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=float)
+    if type(n) is not int or n > MAX_DIMENSION:
+        raise ValueError(f"n must be an integer within the CLI cap of {MAX_DIMENSION}, got {n!r}")
+    try:
+        re = np.asarray(payload["re"], dtype=float)
+        im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"matrix parts must be arrays of numbers: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix parts must be {n}x{n} arrays")
-    if n > MAX_DIMENSION:
-        raise ValueError(f"dimension {n} exceeds the CLI cap of {MAX_DIMENSION}")
     return HermitianOperator(re + 1j * im)
 
 

@@ -63,14 +63,10 @@ def counting_consistency(n_max: int, m_values, r_values) -> list[tuple[int, int]
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if not m_values or not r_values:
         raise ValueError("m and r ranges must be nonempty")
-    matches = []
-    for m in m_values:
-        for r in r_values:
-            if all(
-                degrees_of_freedom(n, m) == n**r - 1 for n in range(2, n_max + 1)
-            ):
-                matches.append((m, r))
-    return matches
+    return [
+        (m, r) for m in m_values for r in r_values
+        if all(degrees_of_freedom(n, m) == n**r - 1 for n in range(2, n_max + 1))
+    ]
 
 
 @dataclass(frozen=True)
@@ -107,28 +103,30 @@ class HermitianOperator:
 @dataclass(frozen=True)
 class GptStateN:
     """N-level state as N**2 - 1 probabilities: the N outcomes of the
-    reference Z measurement plus, for each outcome pair (i, j) with i < j,
-    the unnormalized interference probabilities (p_xij, p_yij)."""
+    reference Z measurement plus, for each outcome pair i < j, the
+    unnormalized interference probabilities p_xij = px[i, j] and
+    p_yij = py[i, j]; only the upper triangle of the (n, n) arrays is read."""
 
     n: int
     z_probs: np.ndarray
-    pair_probs: dict[tuple[int, int], tuple[float, float]]
+    px: np.ndarray
+    py: np.ndarray
 
     def __post_init__(self):
-        z = np.array(self.z_probs, dtype=float)
-        if z.shape != (self.n,):
-            raise ValueError(f"z_probs must have length {self.n}, got {z.shape}")
-        z.setflags(write=False)
-        object.__setattr__(self, "z_probs", z)
-        expected = {(i, j) for i in range(self.n) for j in range(i + 1, self.n)}
-        if set(self.pair_probs) != expected:
-            raise ValueError("pair_probs must hold exactly the pairs i < j")
+        for name, shape in (("z_probs", (self.n,)), ("px", (self.n,) * 2), ("py", (self.n,) * 2)):
+            a = np.array(getattr(self, name), dtype=float)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} entries must be finite")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def gpt_invariant_violations(state: GptStateN, tol: float = HERMITIAN_TOL) -> list[str]:
     """Human-readable list of violated state invariants (empty when the
-    state is consistent): Z outcomes in [0, 1] summing to 1, and each pair
-    probability within [0, p_i + p_j]."""
+    state is consistent): Z outcomes in [0, 1] summing to 1, then each pair
+    probability within [0, p_i + p_j], pairs row-major and x before y."""
     msgs = []
     z = state.z_probs
     if np.any(z < -tol) or np.any(z > 1.0 + tol):
@@ -136,13 +134,14 @@ def gpt_invariant_violations(state: GptStateN, tol: float = HERMITIAN_TOL) -> li
     total = float(z.sum())
     if abs(total - 1.0) > tol:
         msgs.append(f"z_probs sum {total:.6g} differs from 1")
-    for (i, j), (px, py) in sorted(state.pair_probs.items()):
-        cap = float(z[i] + z[j])
-        for name, value in (("x", px), ("y", py)):
-            if value < -tol or value > cap + tol:
-                msgs.append(
-                    f"p_{name}{i}{j} = {value:.6g} outside [0, p_{i} + p_{j} = {cap:.6g}]"
-                )
+    i, j = np.triu_indices(state.n, 1)
+    cap = z[i] + z[j]
+    values = np.stack([state.px[i, j], state.py[i, j]], axis=1)
+    for k, axis in zip(*np.nonzero((values < -tol) | (values > cap[:, None] + tol))):
+        msgs.append(
+            f"p_{'xy'[axis]}{i[k]}{j[k]} = {values[k, axis]:.6g} "
+            f"outside [0, p_{i[k]} + p_{j[k]} = {cap[k]:.6g}]"
+        )
     return msgs
 
 
@@ -181,14 +180,9 @@ def gpt_from_density(rho: HermitianOperator, basis=None) -> GptStateN:
     m = rho.matrix
     if basis is not None:
         m = _conjugate(_check_basis(basis, rho.n), m)
-    n = rho.n
-    z = np.real(np.diag(m)).copy()
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            half = 0.5 * (m[i, i].real + m[j, j].real)
-            pairs[(i, j)] = (half + m[i, j].real, half + m[i, j].imag)
-    return GptStateN(n=n, z_probs=z, pair_probs=pairs)
+    d = np.real(np.diag(m))
+    half = 0.5 * (d[:, None] + d[None, :])
+    return GptStateN(n=rho.n, z_probs=d, px=half + m.real, py=half + m.imag)
 
 
 def postselect(state: GptStateN, i: int, j: int) -> QubitState:
@@ -213,7 +207,8 @@ def postselect(state: GptStateN, i: int, j: int) -> QubitState:
             f"post-selection on outcomes ({i}, {j}) has probability {s:.3g}; "
             "branch untestable"
         )
-    px, py = state.pair_probs[(min(i, j), max(i, j))]
+    a, b = min(i, j), max(i, j)
+    px, py = state.px[a, b], state.py[a, b]
     if i > j:
         # reversed orientation flips the pair pseudo-spins' sign conventions
         py = s - py

@@ -321,6 +321,11 @@ BAD_INPUTS = {
     "positivity-list-payload": (["positivity", "--input", "{tmp}/list.json"], 2),
     "positivity-missing-key": (["positivity", "--input", "{tmp}/no-re.json"], 2),
     "positivity-missing-file": (["positivity", "--input", "{tmp}/absent.json"], 2),
+    "positivity-re-object": (["positivity", "--input", "{tmp}/re-object.json"], 2),
+    "positivity-im-object": (["positivity", "--input", "{tmp}/im-object.json"], 2),
+    "positivity-object-entry": (["positivity", "--input", "{tmp}/object-entry.json"], 2),
+    "positivity-bool-n": (["positivity", "--input", "{tmp}/bool-n.json"], 2),
+    "positivity-float-n": (["positivity", "--input", "{tmp}/float-n.json"], 2),
     "positivity-nan-tol": (["positivity", "--input", "{tmp}/mixed.json", "--tol", "nan"], 2),
     "positivity-negative-bases": (
         ["positivity", "--input", "{tmp}/mixed.json", "--n-bases", "-1"],
@@ -355,6 +360,13 @@ class TestErrorBoundary:
         (tmp_path / "nan.json").write_text('{"n": 2, "re": [[NaN, 0], [0, NaN]]}')
         (tmp_path / "list.json").write_text("[[0.5, 0], [0, 0.5]]")
         (tmp_path / "no-re.json").write_text('{"n": 2}')
+        (tmp_path / "re-object.json").write_text('{"n": 2, "re": {"a": 1}}')
+        (tmp_path / "im-object.json").write_text(
+            '{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": {"a": 1}}'
+        )
+        (tmp_path / "object-entry.json").write_text('{"n": 2, "re": [[{"a": 1}, 0], [0, 0.5]]}')
+        (tmp_path / "bool-n.json").write_text('{"n": true, "re": [[1.0]]}')
+        (tmp_path / "float-n.json").write_text('{"n": 2.0, "re": [[0.5, 0], [0, 0.5]]}')
         write_matrix(tmp_path / "mixed.json", np.eye(2) / 2)
         code, out, err = run_cli_exit([arg.format(tmp=tmp_path) for arg in argv])
         assert code == expected

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from onebit.highdim import (
+    HERMITIAN_TOL,
+    POSTSELECT_EPS,
     GptStateN,
     HermitianOperator,
     _pair_minors,
@@ -100,7 +102,8 @@ class TestGptFromDensity:
         n = 4
         state = gpt_from_density(HermitianOperator(np.eye(n) / n))
         np.testing.assert_allclose(state.z_probs, 1.0 / n, atol=1e-15)
-        for px, py in state.pair_probs.values():
+        i, j = np.triu_indices(n, 1)
+        for px, py in zip(state.px[i, j], state.py[i, j]):
             assert px == pytest.approx(1.0 / n, abs=1e-15)
             assert py == pytest.approx(1.0 / n, abs=1e-15)
 
@@ -108,7 +111,7 @@ class TestGptFromDensity:
         plus = HermitianOperator(np.full((2, 2), 0.5))
         state = gpt_from_density(plus)
         np.testing.assert_allclose(state.z_probs, [0.5, 0.5], atol=1e-15)
-        assert state.pair_probs[(0, 1)] == pytest.approx((1.0, 0.5), abs=1e-15)
+        assert (state.px[0, 1], state.py[0, 1]) == pytest.approx((1.0, 0.5), abs=1e-15)
 
     def test_indefinite_density_flags_violations(self):
         state = gpt_from_density(HermitianOperator(np.diag([1.2, -0.2])))
@@ -139,8 +142,133 @@ class TestGptFromDensity:
     def test_component_count(self):
         for n in (2, 3, 4, 6):
             state = gpt_from_density(HermitianOperator(np.eye(n) / n))
-            n_params = (state.n - 1) + 2 * len(state.pair_probs)
+            i, j = np.triu_indices(state.n, 1)
+            n_params = (state.n - 1) + state.px[i, j].size + state.py[i, j].size
             assert n_params == n * n - 1
+
+
+def dict_read_off(rho, basis=None):
+    """Loop reference for the (n, n) layout: z and a dict
+    {(i, j): (p_xij, p_yij)} over i < j, one pair at a time."""
+    m = rho.matrix if basis is None else conjugate_into_basis(rho, basis).matrix
+    n = m.shape[0]
+    z = np.real(np.diag(m)).copy()
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            half = 0.5 * (m[i, i].real + m[j, j].real)
+            pairs[(i, j)] = (half + m[i, j].real, half + m[i, j].imag)
+    return z, pairs
+
+
+def dict_violations(z, pairs, tol=HERMITIAN_TOL):
+    msgs = []
+    if np.any(z < -tol) or np.any(z > 1.0 + tol):
+        msgs.append(f"z_probs outside [0, 1]: {z.tolist()}")
+    total = float(z.sum())
+    if abs(total - 1.0) > tol:
+        msgs.append(f"z_probs sum {total:.6g} differs from 1")
+    for (i, j), (px, py) in sorted(pairs.items()):
+        cap = float(z[i] + z[j])
+        for name, value in (("x", px), ("y", py)):
+            if value < -tol or value > cap + tol:
+                msgs.append(
+                    f"p_{name}{i}{j} = {value:.6g} outside [0, p_{i} + p_{j} = {cap:.6g}]"
+                )
+    return msgs
+
+
+def dict_postselect(z, pairs, i, j):
+    p_i, p_j = float(z[i]), float(z[j])
+    s = p_i + p_j
+    if s <= POSTSELECT_EPS:
+        return None
+    px, py = pairs[(min(i, j), max(i, j))]
+    if i > j:
+        py = s - py
+    return (px / s, 1.0 - px / s, py / s, 1.0 - py / s, p_i / s, p_j / s)
+
+
+def layout_ensemble():
+    """Positive, indefinite and boundary operators, n = 2..8, each in the
+    computational basis and in two sampled bases."""
+    rng = np.random.default_rng(42)
+    for n in range(2, 9):
+        operators = [random_density(rng, n), random_density(rng, n)]
+        operators += [random_with_min_eigenvalue(rng, n, s) for s in (-0.3, -0.05, -1e-8, 0.0)]
+        operators.append(HermitianOperator(np.diag([1.0] + [0.0] * (n - 1))))
+        for rho in operators:
+            for basis in (None, random_basis(rng, n), random_basis(rng, n)):
+                yield rho, basis
+
+
+class TestArrayLayout:
+    def test_read_off_matches_dict_loop_bitwise(self):
+        for rho, basis in layout_ensemble():
+            state = gpt_from_density(rho, basis)
+            z, pairs = dict_read_off(rho, basis)
+            assert np.array_equal(state.z_probs, z)
+            for (i, j), (px, py) in pairs.items():
+                assert state.px[i, j] == px and state.py[i, j] == py
+
+    def test_violation_messages_match_dict_loop(self):
+        pair_messages = 0
+        for rho, basis in layout_ensemble():
+            z, pairs = dict_read_off(rho, basis)
+            expected = dict_violations(z, pairs)
+            assert gpt_invariant_violations(gpt_from_density(rho, basis)) == expected
+            pair_messages += sum(msg.startswith("p_") for msg in expected)
+        assert pair_messages > 0
+
+    def test_postselect_matches_dict_loop_bitwise(self):
+        rejected = 0
+        for rho, basis in layout_ensemble():
+            state = gpt_from_density(rho, basis)
+            z, pairs = dict_read_off(rho, basis)
+            for i in range(rho.n):
+                for j in range(rho.n):
+                    if i == j:
+                        continue
+                    expected = dict_postselect(z, pairs, i, j)
+                    if expected is None:
+                        rejected += 1
+                        with pytest.raises(ValueError, match="untestable"):
+                            postselect(state, i, j)
+                    else:
+                        assert postselect(state, i, j).probs == expected
+        assert rejected > 0
+
+
+class TestGptStateN:
+    @staticmethod
+    def fields(n=2):
+        half = np.full((n, n), 0.5)
+        return {"z_probs": np.full(n, 1.0 / n), "px": half, "py": half.copy()}
+
+    @pytest.mark.parametrize("name", ["z_probs", "px", "py"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, name, bad):
+        # a NaN compares False against every range test, so it would pass
+        # gpt_invariant_violations as consistent
+        fields = self.fields()
+        fields[name] = np.full_like(fields[name], bad)
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            GptStateN(n=2, **fields)
+
+    @pytest.mark.parametrize("name", ["z_probs", "px", "py"])
+    def test_rejects_wrong_shapes(self, name):
+        fields = self.fields()
+        fields[name] = self.fields(3)[name]
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            GptStateN(n=2, **fields)
+
+    def test_fields_are_read_only_copies(self):
+        fields = self.fields()
+        state = GptStateN(n=2, **fields)
+        fields["px"][0, 1] = 0.25
+        assert state.px[0, 1] == 0.5
+        with pytest.raises(ValueError):
+            state.py[0, 1] = 0.25
 
 
 class TestPostselect:
@@ -355,6 +483,51 @@ class TestInfoPositivityCheck:
         assert (verdict.witness.basis, verdict.witness.pair) == ("computational", (0, 2))
 
 
+def cholesky_succeeds(m):
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestCholeskyOracle:
+    """An oracle with no eigensolver: rho + t I has a Cholesky factor
+    exactly when lambda_min > -t, up to rounding (Higham, ch. 10), where
+    t = tol * max diag is the eigenvalue oracle's threshold."""
+
+    def test_agrees_with_criterion_on_criterion_4_operators(self):
+        # criterion 4's operators: same generators, kinds, seeds and views
+        rng = np.random.default_rng(42)
+        compared = excluded = 0
+        for n in range(2, 7):
+            eye = np.eye(n)
+            for idx in range(500):
+                kind = idx % 3
+                if kind == 0:
+                    rho = random_density(rng, n)
+                elif kind == 1:
+                    rho = random_with_min_eigenvalue(rng, n, -float(rng.uniform(0.01, 0.5)))
+                else:
+                    rho = random_with_min_eigenvalue(rng, n, float(rng.uniform(-1e-6, 1e-6)))
+                seed = compared + excluded
+                m = rho.matrix
+                t = 1e-9 * float(np.max(np.real(np.diag(m))))
+                # |lambda_min| <= 10 t, located without an eigensolver: rounding
+                # could decide the factorization there, so it is not compared
+                if not cholesky_succeeds(m - 10.0 * t * eye) and cholesky_succeeds(
+                    m + 10.0 * t * eye
+                ):
+                    excluded += 1
+                    continue
+                verdict = info_positivity_check(rho, "eigen-directed", n_bases=3, seed=seed)
+                assert verdict.positive == cholesky_succeeds(m + t * eye), (n, idx)
+                compared += 1
+        print(f"cholesky oracle: {compared} compared, {excluded} excluded (|lambda_min| <= 10 t)")
+        assert compared + excluded == 2500
+        assert excluded < 50
+
+
 class TestPairMinors:
     def test_matches_minor_condition_bitwise(self):
         rng = np.random.default_rng(42)
@@ -396,5 +569,7 @@ class TestGenerators:
             np.testing.assert_allclose(b.conj().T @ b, np.eye(n), atol=1e-12)
 
     def test_structural_validation_of_gpt_state(self):
-        with pytest.raises(ValueError, match="pairs"):
-            GptStateN(n=3, z_probs=np.array([0.3, 0.3, 0.4]), pair_probs={})
+        with pytest.raises(ValueError, match="px must have shape"):
+            GptStateN(
+                n=3, z_probs=np.array([0.3, 0.3, 0.4]), px=np.empty((0, 0)), py=np.empty((0, 0))
+            )
