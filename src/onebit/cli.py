@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -66,9 +68,33 @@ def _jsonify(obj):
 
 
 def _write(path: str, text: str, what: str) -> None:
+    """Rewrite ``path`` in place: write over the old bytes from offset 0,
+    then cut a regular file to the new length; a failed write cuts it to 0.
+
+    ``open(path, "w")`` truncates to zero first, and on an ext4 root
+    (mounted with ``discard``) that truncation took 50-80 ms whenever the
+    file was last written after an earlier truncation, 20 ms or 35 s
+    before.  Like ``open(path, "w")``, this follows symlinks, gives a new
+    file mode 0o666 minus the umask, translates no newlines, and is neither
+    atomic nor durable.  Unlike it, a crash before the cut, or before the
+    overwritten blocks reach the disk, can leave old and new bytes mixed.
+    Device files and FIFOs (``/dev/null``) are never cut.
+    """
+    data = text.encode("utf-8")
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(os.open(path, flags, 0o666), "wb", buffering=0) as handle:
+            regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[handle.write(view) :]
+            except OSError:
+                if regular:
+                    handle.truncate(0)
+                raise
+            if regular:
+                handle.truncate(len(data))
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from onebit.cli import main
@@ -427,3 +429,255 @@ def test_matrix_file_fuzz(data, tmp_path_factory):
         results = report["results"]
         assert results["verdict"]["positive"] == results["oracle"]["positive"]
         assert code == (0 if results["verdict"]["positive"] else 1)
+
+
+class TestWriter:
+    """``--out`` and ``--out-csv`` rewrite their target in place."""
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        report, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
+        assert run_cli(["counting", "--n-max", "9", "--out", str(report)])[0] == 0
+        longer = report.stat().st_size
+        assert run_cli(["counting", "--n-max", "4", "--out", str(report)])[0] == 0
+        assert run_cli(["counting", "--n-max", "4", "--out", str(fresh)])[0] == 0
+        assert report.stat().st_size < longer
+        assert report.read_bytes() == fresh.read_bytes()
+        csv_path, fresh_csv = tmp_path / "scan.csv", tmp_path / "fresh.csv"
+        csv_path.write_bytes(b"stale\n" * 1000)
+        assert run_cli(SCAN + ["--out-csv", str(csv_path)])[0] == 0
+        assert run_cli(SCAN + ["--out-csv", str(fresh_csv)])[0] == 0
+        assert csv_path.read_bytes() == fresh_csv.read_bytes()
+
+    def test_failed_write_leaves_no_stale_tail(self, tmp_path):
+        # a file-size limit below the CSV's length makes the write stop
+        # partway with EFBIG; the old file is longer than the limit
+        resource = pytest.importorskip("resource")
+        argv = ["invariance-scan", "--alphas", "0.5,1,2,3", "--alpha-steps", "2",
+                "--n-states", "3", "--n-maps", "1", "--out-csv"]
+        csv_path, fresh = tmp_path / "scan.csv", tmp_path / "fresh.csv"
+        assert run_cli(argv + [str(fresh)])[0] == 0
+        limit = 128
+        assert fresh.stat().st_size > limit
+        csv_path.write_bytes(b"stale\n" * 1000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "onebit", *argv, str(csv_path)],
+            capture_output=True,
+            text=True,
+            check=False,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith(f"error: cannot write CSV to {csv_path}: ")
+        assert fresh.read_bytes().startswith(csv_path.read_bytes())
+
+    def test_symlink_is_followed(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 5000)
+        link.symlink_to(target)
+        code, out, _ = run_cli(["entropy", "--dist", "0.5,0.5", "--out", str(link)])
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == (GOLDEN_DIR / "entropy_fair_coin.json").read_text()
+
+    def test_device_target(self):
+        code, out, _ = run_cli(SCAN + ["--out-csv", os.devnull, "--out", os.devnull])
+        assert (code, out) == (0, "")
+
+    def test_directory_target_exits_3(self, tmp_path):
+        code, out, err = run_cli(SCAN + ["--out-csv", str(tmp_path)])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write CSV to {tmp_path}: ")
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference.json", "w"):
+                pass
+            code, _, _ = run_cli(["entropy", "--dist", "1,0", "--out", str(tmp_path / "new.json")])
+        finally:
+            os.umask(old)
+        assert code == 0
+        mode = stat.S_IMODE((tmp_path / "new.json").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference.json").stat().st_mode) == 0o640
+
+    def test_opens_without_truncation(self, tmp_path, monkeypatch):
+        # truncating to zero before the write is what makes ext4 flush the
+        # file on close and stall the next rewrite
+        target = tmp_path / "report.json"
+        flags_seen = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            if os.fspath(path) == str(target):
+                flags_seen.append(flags)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        for _ in range(2):
+            assert run_cli(["entropy", "--dist", "0.5,0.5", "--out", str(target)])[0] == 0
+        assert len(flags_seen) == 2, "the report was not written through os.open"
+        assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for flags in flags_seen)
+
+
+#: Output targets for the argument fuzz; "missing-dir" and "directory"
+#: cannot be written.
+OUTPUT_KINDS = ("new", "longer", "missing-dir", "directory", "devnull")
+UNWRITABLE = ("missing-dir", "directory")
+
+
+def output_target(kind, directory, name):
+    if kind == "new":
+        return directory / name
+    if kind == "longer":
+        path = directory / name
+        path.write_bytes(b"stale\n" * 20_000)
+        return path
+    if kind == "missing-dir":
+        return directory / "missing" / name
+    if kind == "directory":
+        return directory
+    return Path(os.devnull)
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda value: [flag, str(value)]))
+
+
+FUZZ_ARGS = {
+    "entropy": [
+        optional(
+            "--dist", st.sampled_from(["0.5,0.5", "1,0", "0.2,0.3,0.5", "0.5,0.6", "nan,0.5", "x"])
+        ),
+        optional("--alpha", st.sampled_from(["0.5", "1", "2", "3", "0", "-1", "nan", "inf"])),
+    ],
+    "invariance-scan": [
+        optional("--alphas", st.sampled_from(["1,2", "2", "0.5,3", "", "nan", "0"])),
+        optional("--alpha-steps", st.integers(-1, 3)),
+        optional("--n-states", st.integers(-1, 12)),
+        optional("--n-maps", st.integers(-1, 4)),
+        optional("--seed", st.integers(-1, 3)),
+    ],
+    "search-preservers": [
+        optional("--alpha", st.sampled_from(["2", "3", "1.5", "0", "nan"])),
+        optional("--budget", st.integers(-1, 30)),
+        optional("--seed", st.integers(0, 3)),
+        optional("--tol", st.sampled_from(["1e-6", "0", "inf"])),
+    ],
+    "malus": [
+        optional("--n-points", st.integers(-1, 9)),
+        optional("--theta-max", st.sampled_from(["1.0", "-2", "nan", "inf"])),
+    ],
+    "counting": [
+        optional("--n-max", st.integers(1, 7)),
+        optional("--m-list", st.sampled_from(["3", "2,3,4", "", "x"])),
+        optional("--r-max", st.integers(-1, 3)),
+    ],
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_cli_argument_fuzz(data, tmp_path_factory):
+    command = data.draw(st.sampled_from(sorted(FUZZ_ARGS)), label="command")
+    argv = [command]
+    for flag_values in FUZZ_ARGS[command]:
+        argv += data.draw(flag_values)
+    directory = tmp_path_factory.mktemp("cli-fuzz")
+    targets = {}
+    flags = ["--out-csv", "--out"] if command == "invariance-scan" else ["--out"]
+    for flag in flags:
+        choices = OUTPUT_KINDS if flag == "--out-csv" else (None,) + OUTPUT_KINDS
+        kind = data.draw(st.sampled_from(choices), label=flag)
+        if kind is not None:
+            path = output_target(kind, directory, flag.strip("-"))
+            targets[flag] = (kind, path)
+            argv += [flag, str(path)]
+    code, out, err = run_cli_exit(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if command == "malus" and out:
+        assert out.startswith("theta,probability\n")
+    elif out:
+        json.loads(out, parse_constant=reject_constant)
+    if any(kind in UNWRITABLE for kind, _ in targets.values()):
+        assert code in (2, 3)
+    else:
+        assert code != 3
+    if code != 0:
+        return
+    written = {flag: path for flag, (kind, path) in targets.items() if kind in ("new", "longer")}
+    first = {flag: path.read_bytes() for flag, path in written.items()}
+    for path in written.values():
+        path.unlink()
+    assert run_cli_exit(argv)[0] == 0
+    assert {flag: path.read_bytes() for flag, path in written.items()} == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matrix_file_fuzz_against_cholesky_oracle(data, tmp_path_factory):
+    """The CLI verdict equals cholesky(rho + t I) succeeding, t = 1e-9 max
+    diag, on test_matrix_file_fuzz's Hermitian and shifted-Gram shapes
+    without the NaN/inf poison, plus near-boundary operators placed on the
+    threshold's scale.
+    Operators with |lambda_min| <= 10 t are located by two more
+    factorizations, so no eigensolver is used, and are not compared; run
+    with --hypothesis-show-statistics to see how many."""
+    n = data.draw(st.integers(2, 4), label="n")
+    re, im = draw_matrix(data, n), draw_matrix(data, n)
+    kind = data.draw(
+        st.sampled_from(["hermitian", "shifted-gram", "near-boundary"]), label="kind"
+    )
+    if kind == "hermitian":
+        re = (re + re.T) / 2.0
+        im = (im - im.T) / 2.0
+        re[-1, -1] = 1.0 - np.trace(re[:-1, :-1])
+    elif kind == "shifted-gram":
+        g = re + 1j * im
+        m = g @ g.conj().T + data.draw(st.floats(-0.3, 1.0), label="t") * np.eye(n)
+        trace = np.trace(m).real
+        if abs(trace) > 1e-3:
+            m = m / trace
+        re, im = m.real.copy(), m.imag.copy()
+    elif kind == "near-boundary":
+        # a zero column makes G G^dagger singular, so lambda_min is the
+        # shift up to rounding; 11 to 200 times t lies just outside the
+        # excluded band, where a wrongly scaled threshold shows
+        g = re + 1j * im
+        g[:, -1] = 0.0
+        m = g @ g.conj().T
+        trace = np.trace(m).real
+        assume(trace > 1e-3)
+        m = m / trace
+        sign = data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        ratio = data.draw(st.integers(11, 200), label="|shift| / t")
+        shift = sign * ratio * 1e-9 * float(np.max(np.diag(m).real))
+        m = (m + shift * np.eye(n)) / (1.0 + n * shift)
+        re, im = m.real.copy(), m.imag.copy()
+    path = tmp_path_factory.mktemp("fuzz") / "rho.json"
+    path.write_text(json.dumps({"n": n, "re": re.tolist(), "im": im.tolist()}))
+    code, out, _ = run_cli(["positivity", "--input", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        event("rejected on load")
+        return
+    rho = re + 1j * im
+    eye = np.eye(n)
+    t = 1e-9 * float(np.max(np.diag(re)))
+    if not cholesky_succeeds(rho - 10.0 * t * eye) and cholesky_succeeds(rho + 10.0 * t * eye):
+        event("excluded: |lambda_min| <= 10 t")
+        return
+    event(f"compared ({kind})")
+    positive = json.loads(out)["results"]["verdict"]["positive"]
+    assert positive == cholesky_succeeds(rho + t * eye)
+    assert code == (0 if positive else 1)
+
+
+def cholesky_succeeds(m):
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
