@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every command emits a JSON run report (stdout, or ``--out``) whose results
-payload is byte-identical across reruns with the same parameters and seed;
-human-readable summaries go to stderr.  Exit codes: 0 success (for
-``positivity``: the operator is positive), 1 operator not positive,
-2 invalid input, 3 unwritable output path.
+Every command but ``malus`` emits a JSON run report (stdout, or ``--out``)
+whose results payload is byte-identical across reruns with the same
+parameters and seed; ``malus`` prints CSV on stdout and writes a JSON
+report only with ``--out``.  Human-readable summaries go to stderr.  Exit
+codes: 0 success (for ``positivity``: the operator is positive),
+1 operator not positive, 2 invalid input, 3 unwritable output path.
 """
 
 from __future__ import annotations
@@ -33,10 +34,29 @@ from .transforms import PERMUTATION_TOL, invariance_scan, search_norm_preservers
 
 #: CLI cap on operator dimension; dense eigendecompositions stay sub-second.
 MAX_DIMENSION = 64
-#: CLI caps on ``counting``'s dimension and hierarchy level; the table holds
-#: one row per (N, m), so an uncapped --n-max exhausts memory.
+#: CLI caps on ``counting``'s dimension, hierarchy level and number of m
+#: values; the table holds one row per (N, m), about 1.2 KB each with its
+#: JSON text, so an uncapped --n-max or --m-list exhausts memory (at the
+#: caps, 160 000 rows peak at 220 MiB RSS).
 MAX_COUNTING_N = 10_000
 MAX_COUNTING_R = 64
+MAX_COUNTING_M = 16
+#: CLI cap on ``positivity --n-bases``: the check stacks the sampled bases
+#: and their views as (n_bases, n, n) complex128 arrays, 64 KiB per basis at
+#: n = 64, so 64 MiB per stack; n = 64 at the cap peaks at 358 MiB RSS.
+MAX_BASES = 1024
+#: CLI cap on ``invariance-scan --n-states`` and ``--n-maps``: each 64-map
+#: block's images are (64, 6, n_states) float64, 3 KiB per state, so 147 MiB
+#: per block at the cap (374 MiB RSS peak); the maps are (n_maps, 6, 6)
+#: float64, 288 B per map, so 14 MiB at the cap (72 MiB RSS peak).
+MAX_SCAN_COUNT = 50_000
+#: CLI cap on the scan's alpha grid (``--alpha-steps`` or the number of
+#: ``--alphas``): the scan keeps one (n_states,) float64 baseline per alpha,
+#: 8 B per state, so 381 MiB over 50 000 states at the cap (463 MiB RSS peak).
+MAX_ALPHAS = 1000
+#: CLI cap on ``malus --n-points``: the rows, as Python floats, and the CSV
+#: text cost about 300 B per point, so 1 000 000 points peak at 342 MiB RSS.
+MAX_MALUS_POINTS = 1_000_000
 
 EXIT_OK = 0
 EXIT_NOT_POSITIVE = 1
@@ -137,6 +157,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _check_cap(what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{what} must be at most {cap}, got {value}")
+
+
 def _parse_list(text: str, kind: type) -> list:
     try:
         return [kind(token) for token in text.split(",") if token != ""]
@@ -159,9 +184,13 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_invariance_scan(args) -> int:
+    _check_cap("--n-states", args.n_states, MAX_SCAN_COUNT)
+    _check_cap("--n-maps", args.n_maps, MAX_SCAN_COUNT)
     if args.alphas is not None:
         alphas = _parse_list(args.alphas, float)
+        _check_cap("the number of --alphas", len(alphas), MAX_ALPHAS)
     else:
+        _check_cap("--alpha-steps", args.alpha_steps, MAX_ALPHAS)
         alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
     reports = invariance_scan(alphas, args.n_states, args.n_maps, args.seed)
     lines = ["alpha,max_deviation,argmax_state_id,argmax_map_id"]
@@ -239,6 +268,7 @@ def _witness_payload(witness) -> dict | None:
 
 
 def _cmd_positivity(args) -> int:
+    _check_cap("--n-bases", args.n_bases, MAX_BASES)
     rho = _load_hermitian(args.input)
     verdict = info_positivity_check(
         rho, strategy=args.strategy, n_bases=args.n_bases, seed=args.seed, tol=args.tol
@@ -285,8 +315,8 @@ def _cmd_counting(args) -> int:
     m_values = _parse_list(args.m_list, int)
     if not 3 <= args.n_max <= MAX_COUNTING_N:
         raise ValueError(f"--n-max must be between 3 and {MAX_COUNTING_N}, got {args.n_max}")
-    if args.r_max > MAX_COUNTING_R:
-        raise ValueError(f"--r-max must be at most {MAX_COUNTING_R}, got {args.r_max}")
+    _check_cap("--r-max", args.r_max, MAX_COUNTING_R)
+    _check_cap("the number of --m-list values", len(m_values), MAX_COUNTING_M)
     r_values = list(range(1, args.r_max + 1))
     table = [
         {"n": n, "m": m, "k": degrees_of_freedom(n, m)}
@@ -320,12 +350,16 @@ def _cmd_search_preservers(args) -> int:
         }
         for cand in candidates
     ]
-    all_permutation_like = all(
-        cand.permutation_distance <= PERMUTATION_TOL for cand in candidates
-    )
+    if candidates:
+        all_permutation_like = all(
+            cand.permutation_distance <= PERMUTATION_TOL for cand in candidates
+        )
+        verdict = f"all_candidates_permutation_like={all_permutation_like}"
+    else:  # the all() of no candidates would read True, a verdict nothing backs
+        all_permutation_like = None
+        verdict = "no verdict"
     print(
-        f"{len(candidates)} candidate(s) below residual {args.tol:g}; "
-        f"all_candidates_permutation_like={all_permutation_like}",
+        f"{len(candidates)} candidate(s) below residual {args.tol:g}; {verdict}",
         file=sys.stderr,
     )
     _emit(
@@ -342,6 +376,7 @@ def _cmd_search_preservers(args) -> int:
 
 
 def _cmd_malus(args) -> int:
+    _check_cap("--n-points", args.n_points, MAX_MALUS_POINTS)
     if not math.isfinite(args.theta_max):
         raise ValueError(f"--theta-max must be finite, got {args.theta_max}")
     thetas = np.linspace(0.0, args.theta_max, args.n_points)

@@ -123,21 +123,23 @@ class GptStateN:
             object.__setattr__(self, name, a)
 
 
-def gpt_invariant_violations(state: GptStateN, tol: float = HERMITIAN_TOL) -> list[str]:
+def gpt_invariant_violations(state: GptStateN) -> list[str]:
     """Human-readable list of violated state invariants (empty when the
     state is consistent): Z outcomes in [0, 1] summing to 1, then each pair
-    probability within [0, p_i + p_j], pairs row-major and x before y."""
+    probability within [0, p_i + p_j], pairs row-major and x before y; each
+    bound holds within ``HERMITIAN_TOL``."""
     msgs = []
     z = state.z_probs
-    if np.any(z < -tol) or np.any(z > 1.0 + tol):
+    if np.any(z < -HERMITIAN_TOL) or np.any(z > 1.0 + HERMITIAN_TOL):
         msgs.append(f"z_probs outside [0, 1]: {z.tolist()}")
     total = float(z.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > HERMITIAN_TOL:
         msgs.append(f"z_probs sum {total:.6g} differs from 1")
     i, j = np.triu_indices(state.n, 1)
     cap = z[i] + z[j]
     values = np.stack([state.px[i, j], state.py[i, j]], axis=1)
-    for k, axis in zip(*np.nonzero((values < -tol) | (values > cap[:, None] + tol))):
+    outside = (values < -HERMITIAN_TOL) | (values > cap[:, None] + HERMITIAN_TOL)
+    for k, axis in zip(*np.nonzero(outside)):
         msgs.append(
             f"p_{'xy'[axis]}{i[k]}{j[k]} = {values[k, axis]:.6g} "
             f"outside [0, p_{i[k]} + p_{j[k]} = {cap[k]:.6g}]"

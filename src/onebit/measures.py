@@ -52,10 +52,10 @@ def normalized_measure(alpha: float) -> EntropyMeasure:
     return EntropyMeasure(alpha=alpha, k=(alpha - 1.0) / (1.0 - 2.0 ** (1.0 - alpha)))
 
 
-def validate_distribution(probs, tol: float = DIST_TOL) -> np.ndarray:
+def validate_distribution(probs) -> np.ndarray:
     """Validate a probability distribution, returning it renormalized.
 
-    Entries must lie in [0, 1] and sum to 1, each within ``tol``.  Inputs
+    Entries must lie in [0, 1] and sum to 1, each within ``DIST_TOL``.  Inputs
     inside the tolerance are clipped and renormalized exactly; anything
     further out is rejected, never silently repaired.
     """
@@ -66,12 +66,12 @@ def validate_distribution(probs, tol: float = DIST_TOL) -> np.ndarray:
         )
     if not np.isfinite(p).all():
         raise ValueError(f"distribution entries must be finite: {p.tolist()}")
-    if np.any(p < -tol) or np.any(p > 1.0 + tol):
+    if np.any(p < -DIST_TOL) or np.any(p > 1.0 + DIST_TOL):
         raise ValueError(f"distribution entries outside [0, 1]: {p.tolist()}")
     total = float(p.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > DIST_TOL:
         raise ValueError(
-            f"distribution sum {total:.6g} differs from 1 beyond tolerance {tol:g}"
+            f"distribution sum {total:.6g} differs from 1 beyond tolerance {DIST_TOL:g}"
         )
     p = np.clip(p, 0.0, 1.0)
     return p / p.sum()
@@ -110,7 +110,7 @@ def pair_entropy(p: float, measure: EntropyMeasure) -> float:
     return float(entropy_sum(np.array([p, 1.0 - p]), measure, 1))
 
 
-def entropy(probs, measure: EntropyMeasure, tol: float = DIST_TOL) -> float:
+def entropy(probs, measure: EntropyMeasure) -> float:
     """Degree-alpha entropy of a probability distribution.
 
     Returns k (1 - sum_i p_i**alpha) / (alpha - 1) for alpha != 1 and the
@@ -120,16 +120,16 @@ def entropy(probs, measure: EntropyMeasure, tol: float = DIST_TOL) -> float:
 
     Raises ValueError for inputs that fail :func:`validate_distribution`.
     """
-    return float(entropy_sum(validate_distribution(probs, tol), measure, 1))
+    return float(entropy_sum(validate_distribution(probs), measure, 1))
 
 
-def total_uncertainty(pairs, measure: EntropyMeasure, tol: float = DIST_TOL) -> float:
+def total_uncertainty(pairs, measure: EntropyMeasure) -> float:
     """Sum of pair entropies over a set of complementary binary experiments.
 
     ``pairs`` is an iterable of (p, 1 - p) distributions, one per
     measurement in the complete set; an empty iterable totals 0.
     """
-    validated = [validate_distribution(pair, tol) for pair in pairs]
+    validated = [validate_distribution(pair) for pair in pairs]
     for p in validated:
         if p.size != 2:
             raise ValueError(f"expected binary pairs, got length {p.size}")

@@ -81,11 +81,11 @@ class QubitState:
                 )
 
     @classmethod
-    def from_probabilities(cls, probs, tol: float = PHYSICAL_TOL) -> "QubitState":
+    def from_probabilities(cls, probs) -> "QubitState":
         """Fully validated construction: sector sums, entry ranges and
         physicality of the mean-value vector are all enforced."""
         state = cls(tuple(probs))
-        state.validate(tol)
+        state.validate()
         return state
 
     @property
@@ -98,34 +98,33 @@ class QubitState:
         p = self.probs
         return np.array([2.0 * p[0] - 1.0, 2.0 * p[2] - 1.0, 2.0 * p[4] - 1.0])
 
-    def validate(self, tol: float = PHYSICAL_TOL) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless entries are in [0, 1] and |m| <= 1,
-        each within ``tol``.  States outside tolerance are rejected, not
-        clipped; silent clipping would mask positivity violations."""
+        each within ``PHYSICAL_TOL``.  States outside tolerance are
+        rejected, not clipped; silent clipping would mask positivity
+        violations."""
         p = self.as_array
-        if np.any(p < -tol) or np.any(p > 1.0 + tol):
+        if np.any(p < -PHYSICAL_TOL) or np.any(p > 1.0 + PHYSICAL_TOL):
             raise ValueError(f"probabilities outside [0, 1]: {self.probs}")
         norm = float(np.linalg.norm(self.mean_values))
-        if norm > 1.0 + tol:
+        if norm > 1.0 + PHYSICAL_TOL:
             raise ValueError(
                 f"mean-value vector has norm {norm!r} > 1: not a physical state"
             )
 
 
-def probabilities_from_mean(
-    m, frame: ComplementaryFrame = CANONICAL_FRAME, tol: float = PHYSICAL_TOL
-) -> QubitState:
+def probabilities_from_mean(m, frame: ComplementaryFrame = CANONICAL_FRAME) -> QubitState:
     """State whose outcome probabilities along the frame axes are
     p_u = (1 + m . u) / 2.
 
-    Rejects mean-value vectors with |m| > 1 + tol.  Round-trips with
+    Rejects mean-value vectors with |m| > 1 + PHYSICAL_TOL.  Round-trips with
     :func:`mean_from_probabilities` on the canonical frame.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3,):
         raise ValueError(f"mean-value vector must have 3 components, got {m.shape}")
     norm = float(np.linalg.norm(m))
-    if norm > 1.0 + tol:
+    if norm > 1.0 + PHYSICAL_TOL:
         raise ValueError(
             f"mean-value vector has norm {norm!r} > 1: not a physical state"
         )
@@ -162,9 +161,10 @@ def total_uncertainty_state(
     return float(entropy_sum(np.array(state.probs), measure, 3))
 
 
-def is_pure(state: QubitState, tol: float = PHYSICAL_TOL) -> bool:
-    """True when the mean-value vector sits on the unit sphere within tol."""
-    return abs(float(np.linalg.norm(state.mean_values)) - 1.0) <= tol
+def is_pure(state: QubitState) -> bool:
+    """True when the mean-value vector sits on the unit sphere within
+    ``PHYSICAL_TOL``."""
+    return abs(float(np.linalg.norm(state.mean_values)) - 1.0) <= PHYSICAL_TOL
 
 
 def malus_probability(theta: float) -> float:

@@ -91,7 +91,7 @@ def _embed(s: np.ndarray, off, m: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-4] + (6, 6))
 
 
-def induced_from_rotations(rotations, tol: float = ORTHO_TOL) -> np.ndarray:
+def induced_from_rotations(rotations) -> np.ndarray:
     """The 6x6 maps, shape (n, 6, 6), acting on probability vectors as the
     given (n, 3, 3) orthogonal matrices act on mean-value vectors.
 
@@ -100,25 +100,25 @@ def induced_from_rotations(rotations, tol: float = ORTHO_TOL) -> np.ndarray:
     of the rotation (rows of an orthogonal matrix have unit norm), so signed
     permutations come out as exact permutation matrices and the identity
     maps to the identity.  Raises ValueError unless every matrix is
-    orthogonal within ``tol``.
+    orthogonal within ``ORTHO_TOL``.
     """
     r = np.asarray(rotations, dtype=float)
     if r.ndim != 3 or r.shape[1:] != (3, 3):
         raise ValueError(f"rotations must have shape (n, 3, 3), got {r.shape}")
     gap = float(np.max(np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)), initial=0.0))
-    if not gap <= tol:  # a NaN gap fails too
+    if not gap <= ORTHO_TOL:  # a NaN gap fails too
         raise ValueError(f"matrix is not orthogonal (r^T r gap {gap:.3g})")
     return _embed(r * r, 0.0, r)
 
 
-def induced_from_rotation(rotation, tol: float = ORTHO_TOL) -> InducedMap:
+def induced_from_rotation(rotation) -> InducedMap:
     """The 6x6 map acting on probability vectors as the given orthogonal
     matrix acts on mean-value vectors; see :func:`induced_from_rotations`.
     """
     r = np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    return InducedMap(induced_from_rotations(r[None], tol)[0])
+    return InducedMap(induced_from_rotations(r[None])[0])
 
 
 def example_permutation_map() -> InducedMap:
@@ -128,19 +128,20 @@ def example_permutation_map() -> InducedMap:
     return induced_from_rotation([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
 
 
-def apply(induced: InducedMap, state: QubitState, tol: float = SECTOR_TOL) -> QubitState:
+def apply(induced: InducedMap, state: QubitState) -> QubitState:
     """Apply a map to a state, checking that the image is a valid
     probability vector.
 
     Raises ValueError with the violation magnitude when sector sums or
-    entry ranges break, which means the map was not sector-stochastic.
-    The image's physicality (|m| <= 1) is not enforced here; sector
-    stochasticity only guarantees a valid probability vector.
+    entry ranges break by more than ``SECTOR_TOL``, which means the map
+    was not sector-stochastic.  The image's physicality (|m| <= 1) is not
+    enforced here; sector stochasticity only guarantees a valid
+    probability vector.
     """
     image = induced.matrix @ state.as_array
     sector_gap = float(np.max(np.abs(image[0::2] + image[1::2] - 1.0)))
     range_gap = float(max(0.0, np.max(image) - 1.0, -np.min(image)))
-    if sector_gap > tol or range_gap > tol:
+    if sector_gap > SECTOR_TOL or range_gap > SECTOR_TOL:
         raise ValueError(
             "map is not sector-stochastic on this state: "
             f"sector-sum gap {sector_gap:.3g}, range excursion {range_gap:.3g}"
@@ -148,15 +149,15 @@ def apply(induced: InducedMap, state: QubitState, tol: float = SECTOR_TOL) -> Qu
     return QubitState(tuple(image))
 
 
-def is_sector_stochastic(induced: InducedMap, tol: float = SECTOR_TOL) -> StochasticityReport:
+def is_sector_stochastic(induced: InducedMap) -> StochasticityReport:
     """Check the sector-stochastic property from the matrix structure.
 
-    Three conditions, each reported with its worst violation: (a) within
-    every 2x2 block the two column sums agree, so image sector sums depend
-    only on input sector sums; (b) those block sums make every image
-    sector sum equal 1; (c) every output entry stays in [0, 1] across the
-    whole physical ball, checked exactly from the affine form
-    p'_i = c_i + d_i . m of each entry.
+    Three conditions, each reported with its worst violation and each
+    held to ``SECTOR_TOL``: (a) within every 2x2 block the two column sums
+    agree, so image sector sums depend only on input sector sums; (b) those
+    block sums make every image sector sum equal 1; (c) every output entry
+    stays in [0, 1] across the whole physical ball, checked exactly from
+    the affine form p'_i = c_i + d_i . m of each entry.
     """
     a = induced.matrix
     block_cols = a.reshape(3, 2, 6).sum(axis=1)
@@ -169,7 +170,7 @@ def is_sector_stochastic(induced: InducedMap, tol: float = SECTOR_TOL) -> Stocha
     range_gap = float(
         max(0.0, np.max(const + reach - 1.0), np.max(reach - const))
     )
-    ok = column_gap <= tol and sector_sum_gap <= tol and range_gap <= tol
+    ok = column_gap <= SECTOR_TOL and sector_sum_gap <= SECTOR_TOL and range_gap <= SECTOR_TOL
     return StochasticityReport(ok, column_gap, sector_sum_gap, range_gap)
 
 
@@ -379,10 +380,10 @@ def permutation_distance(induced: InducedMap) -> float:
     return float(np.min(np.max(gaps, axis=(1, 2))))
 
 
-def is_permutation_type(induced: InducedMap, tol: float = PERMUTATION_TOL) -> bool:
-    """True when every entry is within tol of the nearest sector-respecting
-    permutation matrix."""
-    return permutation_distance(induced) <= tol
+def is_permutation_type(induced: InducedMap) -> bool:
+    """True when every entry is within ``PERMUTATION_TOL`` of the nearest
+    sector-respecting permutation matrix."""
+    return permutation_distance(induced) <= PERMUTATION_TOL
 
 
 # --- norm-preserver search -------------------------------------------------

@@ -251,6 +251,15 @@ class TestSearchPreserversCommand:
         results = json.loads(out)["results"]
         assert isinstance(results["candidates"], list)
 
+    def test_budget_zero_gives_no_verdict(self):
+        # all() of no candidates would read True, a verdict nothing backs
+        code, out, err = run_cli(["search-preservers", "--alpha", "2", "--budget", "0"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["candidates"] == []
+        assert results["all_candidates_permutation_like"] is None
+        assert err.strip().endswith("no verdict")
+
     def test_determinism(self):
         args = ["search-preservers", "--alpha", "2", "--budget", "1500", "--seed", "3"]
         _, out_a, _ = run_cli(args)
@@ -333,19 +342,41 @@ BAD_INPUTS = {
         ["positivity", "--input", "{tmp}/mixed.json", "--n-bases", "-1"],
         2,
     ),
+    "positivity-n-bases-over-cap": (
+        ["positivity", "--input", "{tmp}/mixed.json", "--n-bases", "1025"],
+        2,
+    ),
     "search-nan-alpha": (["search-preservers", "--alpha", "nan"], 2),
     "search-zero-alpha": (["search-preservers", "--alpha", "0"], 2),
     "search-negative-budget": (["search-preservers", "--alpha", "2", "--budget", "-1"], 2),
     "search-nan-tol": (["search-preservers", "--alpha", "2", "--tol", "nan"], 2),
     "malus-negative-points": (["malus", "--n-points", "-1"], 2),
+    "malus-n-points-over-cap": (["malus", "--n-points", "1000001"], 2),
     "malus-nan-theta-max": (["malus", "--n-points", "3", "--theta-max", "nan"], 2),
     "malus-inf-theta-max": (["malus", "--n-points", "3", "--theta-max", "inf"], 2),
     "counting-negative-r-max": (["counting", "--r-max", "-1"], 2),
     "counting-small-n-max": (["counting", "--n-max", "2"], 2),
     "counting-n-max-over-cap": (["counting", "--n-max", "10001"], 2),
     "counting-r-max-over-cap": (["counting", "--r-max", "65"], 2),
+    "counting-m-list-over-cap": (["counting", "--m-list", ",".join(["3"] * 17)], 2),
     "scan-negative-alpha-steps": (
         ["invariance-scan", "--alpha-steps", "-1", "--out-csv", "{tmp}/scan.csv"],
+        2,
+    ),
+    "scan-n-states-over-cap": (
+        ["invariance-scan", "--n-states", "50001", "--out-csv", "{tmp}/scan.csv"],
+        2,
+    ),
+    "scan-n-maps-over-cap": (
+        ["invariance-scan", "--n-maps", "50001", "--out-csv", "{tmp}/scan.csv"],
+        2,
+    ),
+    "scan-alpha-steps-over-cap": (
+        ["invariance-scan", "--alpha-steps", "1001", "--out-csv", "{tmp}/scan.csv"],
+        2,
+    ),
+    "scan-alphas-over-cap": (
+        ["invariance-scan", "--alphas", ",".join(["2"] * 1001), "--out-csv", "{tmp}/scan.csv"],
         2,
     ),
     "entropy-unwritable-report": (

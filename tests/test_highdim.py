@@ -262,6 +262,29 @@ class TestGptStateN:
         with pytest.raises(ValueError, match=f"{name} must have shape"):
             GptStateN(n=2, **fields)
 
+    @pytest.mark.parametrize(
+        "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
+    )
+    @pytest.mark.parametrize(
+        "name, values, message",
+        [
+            ("z_probs", lambda e: [0.5 + e / 2, 0.5 + e / 2], "z_probs sum"),
+            ("z_probs", lambda e: [-e, 1.0 + e], "z_probs outside"),
+            ("px", lambda e: [[0.5, 1.0 + e], [0.5, 0.5]], "p_x01"),
+            ("py", lambda e: [[0.5, -e], [0.5, 0.5]], "p_y01"),
+        ],
+        ids=["z-sum", "z-range", "px-above-cap", "py-below-zero"],
+    )
+    def test_invariant_tolerance_boundary(self, factor, ok, name, values, message):
+        # a violation of half HERMITIAN_TOL is consistent, one of twice it is reported
+        fields = self.fields()
+        fields[name] = values(factor * HERMITIAN_TOL)
+        violations = gpt_invariant_violations(GptStateN(n=2, **fields))
+        if ok:
+            assert violations == []
+        else:
+            assert len(violations) == 1 and violations[0].startswith(message)
+
     def test_fields_are_read_only_copies(self):
         fields = self.fields()
         state = GptStateN(n=2, **fields)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit.measures import (
+    DIST_TOL,
     QUADRATIC,
     SHANNON,
     EntropyMeasure,
@@ -19,6 +20,12 @@ from onebit.measures import (
 )
 from onebit.qubit import QubitState, random_state, total_uncertainty_state
 from onebit.transforms import total_uncertainty_p6
+
+#: Boundary cases for a tolerance constant: a violation of half the
+#: constant passes, one of twice the constant is rejected.
+HALF_OR_TWICE = pytest.mark.parametrize(
+    "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
+)
 
 
 class TestEntropyValues:
@@ -114,6 +121,20 @@ class TestValidation:
     def test_rejects_scalar_and_singleton(self):
         with pytest.raises(ValueError):
             validate_distribution([1.0])
+
+    @HALF_OR_TWICE
+    @pytest.mark.parametrize(
+        "violate, match",
+        [(lambda e: [0.5 + e / 2, 0.5 + e / 2], "sum"), (lambda e: [-e, 1.0 + e], "outside")],
+        ids=["sum", "range"],
+    )
+    def test_tolerance_boundary(self, factor, ok, violate, match):
+        probs = violate(factor * DIST_TOL)
+        if ok:
+            assert validate_distribution(probs).sum() == pytest.approx(1.0, abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match=match):
+                validate_distribution(probs)
 
 
 class TestProperties:

@@ -10,15 +10,29 @@ from hypothesis import strategies as st
 from onebit.measures import QUADRATIC, SHANNON, normalized_measure, total_uncertainty
 from onebit.qubit import (
     CANONICAL_FRAME,
+    PHYSICAL_TOL,
     ComplementaryFrame,
     QubitState,
     is_pure,
     malus_probability,
     mean_from_probabilities,
+    p6_from_means,
     probabilities_from_mean,
     random_state,
     total_uncertainty_state,
 )
+
+#: Boundary cases for a tolerance constant: a violation of half the
+#: constant passes, one of twice the constant is rejected.
+HALF_OR_TWICE = pytest.mark.parametrize(
+    "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
+)
+
+
+def state_with_norm(norm):
+    """Unclipped state whose mean-value vector has the given norm, off the
+    axes so that no entry leaves [0, 1] first."""
+    return QubitState(tuple(p6_from_means(norm * np.array([0.6, 0.8, 0.0]))))
 
 
 class TestFrames:
@@ -126,6 +140,15 @@ class TestQubitStateValidation:
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             QubitState.from_probabilities((1.1, -0.1, 0.5, 0.5, 0.5, 0.5))
 
+    @HALF_OR_TWICE
+    def test_physicality_tolerance_boundary(self, factor, ok):
+        state = state_with_norm(1.0 + factor * PHYSICAL_TOL)
+        if ok:
+            state.validate()
+        else:
+            with pytest.raises(ValueError, match="not a physical state"):
+                state.validate()
+
     def test_diagnostic_construction_allows_out_of_range(self):
         state = QubitState((1.1, -0.1, 0.5, 0.5, 0.5, 0.5))
         assert state.probs[0] == 1.1
@@ -187,6 +210,11 @@ class TestPurity:
 
     def test_three_four_five_vector_is_pure(self):
         assert is_pure(probabilities_from_mean([0.6, 0.8, 0.0]))
+
+    @HALF_OR_TWICE
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["outside", "inside"])
+    def test_tolerance_boundary(self, factor, ok, sign):
+        assert is_pure(state_with_norm(1.0 + sign * factor * PHYSICAL_TOL)) == ok
 
 
 class TestMalus:

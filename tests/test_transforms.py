@@ -9,6 +9,7 @@ import pytest
 from onebit import transforms
 from onebit.measures import normalized_measure
 from onebit.qubit import (
+    SECTOR_TOL,
     QubitState,
     p6_from_means,
     probabilities_from_mean,
@@ -17,6 +18,7 @@ from onebit.qubit import (
 )
 from onebit.transforms import (
     _SIGNED_PERMUTATIONS,
+    ORTHO_TOL,
     InducedMap,
     _alpha_norms,
     _coordinate_descent,
@@ -56,6 +58,29 @@ QUARTER_TURN_MATRIX = np.array(
 
 # mean-value map m -> (m_y, -m_x, m_z): the rotation behind the quarter turn
 QUARTER_TURN_ROTATION = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1.0]])
+
+#: Boundary cases for a tolerance constant: a violation of half the
+#: constant passes, one of twice the constant is rejected.
+HALF_OR_TWICE = pytest.mark.parametrize(
+    "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
+)
+
+
+def identity_with_block(block):
+    """The 6x6 identity with its x-sector block replaced."""
+    a = np.eye(6)
+    a[:2, :2] = block
+    return a
+
+
+#: Identity-based maps, each breaking one sector-stochastic condition by
+#: exactly ``e``: the column gap, the image sector sum, or the entry range
+#: (the last is the offset p_x -> p_x + e, which keeps the sector sums).
+STOCHASTICITY_VIOLATIONS = {
+    "column_gap": lambda e: identity_with_block([[1.0, 0.0], [e / 2, 1.0 - e / 2]]),
+    "sector_sum_gap": lambda e: (1.0 + e) * (0.5 * np.eye(6) + 0.5 / 6.0),
+    "range_gap": lambda e: identity_with_block([[1.0 + e, e], [-e, 1.0 - e]]),
+}
 
 
 SCAN_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -215,6 +240,16 @@ class TestBatchedConstruction:
         with pytest.raises(ValueError, match="orthogonal"):
             induced_from_rotations(rots)
 
+    @HALF_OR_TWICE
+    def test_orthogonality_tolerance_boundary(self, factor, ok):
+        # (1 + d/2)^2 - 1 puts an r^T r gap of d (to rounding) on the diagonal
+        rots = QUARTER_TURN_ROTATION[None] * (1.0 + factor * ORTHO_TOL / 2.0)
+        if ok:
+            assert induced_from_rotations(rots).shape == (1, 6, 6)
+        else:
+            with pytest.raises(ValueError, match="orthogonal"):
+                induced_from_rotations(rots)
+
     def test_nan_rotation_rejects_the_batch(self):
         rots = random_rotations(np.random.default_rng(9), 5)
         rots[2] = np.full((3, 3), np.nan)
@@ -278,6 +313,25 @@ class TestApply:
         with pytest.raises(ValueError, match="sector-stochastic"):
             apply(InducedMap(bad), state)
 
+    @HALF_OR_TWICE
+    @pytest.mark.parametrize(
+        "block, state",
+        [
+            # image p_x = 0.5 + e: the x sector sums to 1 + e
+            (lambda e: [[1.0 + 2.0 * e, 0.0], [0.0, 1.0]], (0.5,) * 6),
+            # image (1 + e, -e): the x sector sums to 1, both entries leave [0, 1]
+            (lambda e: [[1.0 + e, e], [-e, 1.0 - e]], (1.0, 0.0, 0.5, 0.5, 0.5, 0.5)),
+        ],
+        ids=["sector-sum", "range"],
+    )
+    def test_tolerance_boundary(self, factor, ok, block, state):
+        induced = InducedMap(identity_with_block(block(factor * SECTOR_TOL)))
+        if ok:
+            apply(induced, QubitState(state))
+        else:
+            with pytest.raises(ValueError, match="sector-stochastic"):
+                apply(induced, QubitState(state))
+
 
 class TestSectorStochasticCheck:
     def test_quarter_turn_passes(self):
@@ -298,6 +352,16 @@ class TestSectorStochasticCheck:
         report = is_sector_stochastic(InducedMap(a))
         assert not report.ok
         assert report.column_gap > 0.5
+
+    @HALF_OR_TWICE
+    @pytest.mark.parametrize("gap", list(STOCHASTICITY_VIOLATIONS))
+    def test_tolerance_boundary(self, factor, ok, gap):
+        excess = factor * SECTOR_TOL
+        report = is_sector_stochastic(InducedMap(STOCHASTICITY_VIOLATIONS[gap](excess)))
+        assert report.ok == ok
+        assert getattr(report, gap) == pytest.approx(excess, rel=1e-6)
+        for other in set(STOCHASTICITY_VIOLATIONS) - {gap}:
+            assert getattr(report, other) <= 1e-15
 
     def test_contraction_passes(self):
         # shrinking toward the maximally mixed state is stochastic

@@ -82,6 +82,22 @@ MUTANTS = (
         "safe = np.where(p >= 0.0, p, 1.0)",
         ("tests/test_measures.py",),
     ),
+    # tolerance constants: a check 10x looser than its constant
+    Mutant(
+        "distribution-sum-tol-10x",
+        "measures.py",
+        "if abs(total - 1.0) > DIST_TOL:",
+        "if abs(total - 1.0) > 10.0 * DIST_TOL:",
+        ("tests/test_measures.py::TestValidation::test_tolerance_boundary",),
+    ),
+    Mutant(
+        "sector-stochastic-tol-10x",
+        "transforms.py",
+        "ok = column_gap <= SECTOR_TOL and sector_sum_gap <= SECTOR_TOL and range_gap <= SECTOR_TOL",
+        "tol = 10.0 * SECTOR_TOL; "
+        "ok = column_gap <= tol and sector_sum_gap <= tol and range_gap <= tol",
+        ("tests/test_transforms.py::TestSectorStochasticCheck::test_tolerance_boundary",),
+    ),
     # the positivity criterion: tie rule, thresholds, NaN guards
     Mutant(
         "witness-last-minimum",
