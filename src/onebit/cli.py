@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every command but ``malus`` emits a JSON run report (stdout, or ``--out``)
-whose results payload is byte-identical across reruns with the same
-parameters and seed; ``malus`` prints CSV on stdout and writes a JSON
-report only with ``--out``.  Human-readable summaries go to stderr.  Exit
-codes: 0 success (for ``positivity``: the operator is positive),
+Each ``_cmd_*`` handler returns ``(exit_code, parameters, results)`` and
+:func:`main` writes the run report, the one JSON envelope
+``{command, parameters, seed, results, version}`` (``seed`` is 0 for
+commands without ``--seed``), to stdout or ``--out``.  Its results payload
+is byte-identical across reruns with the same parameters and seed.
+``malus`` prints CSV on stdout and returns results only with ``--out``, so
+it writes a report only then.  Human-readable summaries go to stderr.
+Exit codes: 0 success (for ``positivity``: the operator is positive),
 1 operator not positive, 2 invalid input, 3 unwritable output path.
 """
 
@@ -16,6 +19,7 @@ import math
 import os
 import stat
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -63,28 +67,35 @@ EXIT_NOT_POSITIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_BAD_OUTPUT = 3
 
+#: What a ``_cmd_*`` handler returns: its exit code, the report's parameters
+#: and its results; ``None`` results mean the run writes no report.
+_Outcome = tuple[int, dict, dict | None]
+
 
 def _fmt(value: float) -> str:
     """17 significant digits: round-trips float64 exactly."""
     return format(float(value), ".17g")
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _csv(header, rows) -> str:
+    """CSV text: floats through :func:`_fmt`, other values as they are."""
+    lines = [",".join(header)]
+    lines.extend(
+        ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _json_default(obj):
+    """Encode what ``json`` cannot: an array (a complex one as {re, im}), a
+    numpy bool or integer.  ``np.float64`` is a float and never gets here."""
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return {"re": _jsonify(obj.real), "im": _jsonify(obj.imag)}
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+            return {"re": obj.real.tolist(), "im": obj.imag.tolist()}
+        return obj.tolist()
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write(path: str, text: str, what: str) -> None:
@@ -129,7 +140,9 @@ def _emit(command: str, parameters: dict, seed: int, results, out_path: str | No
         "results": results,
         "version": __version__,
     }
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(
+        report, indent=2, sort_keys=True, allow_nan=False, default=_json_default
+    ) + "\n"
     if out_path:
         _write(out_path, text, "report")
     else:
@@ -169,21 +182,14 @@ def _parse_list(text: str, kind: type) -> list:
         raise ValueError(f"cannot parse {text!r} as comma-separated {kind.__name__}s") from exc
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> _Outcome:
     dist = _parse_list(args.dist, float)
     value = entropy(dist, normalized_measure(args.alpha))
     print(f"entropy = {_fmt(value)}", file=sys.stderr)
-    _emit(
-        "entropy",
-        {"dist": dist, "alpha": args.alpha},
-        seed=0,
-        results={"entropy": value},
-        out_path=args.out,
-    )
-    return EXIT_OK
+    return EXIT_OK, {"dist": dist, "alpha": args.alpha}, {"entropy": value}
 
 
-def _cmd_invariance_scan(args) -> int:
+def _cmd_invariance_scan(args) -> _Outcome:
     _check_cap("--n-states", args.n_states, MAX_SCAN_COUNT)
     _check_cap("--n-maps", args.n_maps, MAX_SCAN_COUNT)
     if args.alphas is not None:
@@ -193,41 +199,22 @@ def _cmd_invariance_scan(args) -> int:
         _check_cap("--alpha-steps", args.alpha_steps, MAX_ALPHAS)
         alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
     reports = invariance_scan(alphas, args.n_states, args.n_maps, args.seed)
-    lines = ["alpha,max_deviation,argmax_state_id,argmax_map_id"]
-    for rep in reports:
-        lines.append(
-            f"{_fmt(rep.alpha)},{_fmt(rep.max_deviation)},"
-            f"{rep.argmax_state_id},{rep.argmax_map_id}"
-        )
-    _write(args.out_csv, "\n".join(lines) + "\n", "CSV")
+    fields = ("alpha", "max_deviation", "argmax_state_id", "argmax_map_id")
+    rows = [{field: getattr(rep, field) for field in fields} for rep in reports]
+    _write(args.out_csv, _csv(fields, (row.values() for row in rows)), "CSV")
     worst = max(reports, key=lambda rep: rep.max_deviation)
     print(
         f"scanned {len(reports)} alphas; worst deviation {worst.max_deviation:.3g} "
         f"at alpha={worst.alpha:g}",
         file=sys.stderr,
     )
-    rows = [
-        {
-            "alpha": rep.alpha,
-            "max_deviation": rep.max_deviation,
-            "argmax_state_id": rep.argmax_state_id,
-            "argmax_map_id": rep.argmax_map_id,
-        }
-        for rep in reports
-    ]
-    _emit(
-        "invariance-scan",
-        {
-            "alphas": [float(a) for a in alphas],
-            "n_states": args.n_states,
-            "n_maps": args.n_maps,
-            "out_csv": args.out_csv,
-        },
-        seed=args.seed,
-        results={"rows": rows},
-        out_path=args.out,
-    )
-    return EXIT_OK
+    parameters = {
+        "alphas": [float(a) for a in alphas],
+        "n_states": args.n_states,
+        "n_maps": args.n_maps,
+        "out_csv": args.out_csv,
+    }
+    return EXIT_OK, parameters, {"rows": rows}
 
 
 def _load_hermitian(path: str) -> HermitianOperator:
@@ -253,21 +240,7 @@ def _load_hermitian(path: str) -> HermitianOperator:
     return HermitianOperator(re + 1j * im)
 
 
-def _witness_payload(witness) -> dict | None:
-    if witness is None:
-        return None
-    return {
-        "basis": witness.basis,
-        "pair": None if witness.pair is None else list(witness.pair),
-        "minor": witness.minor,
-        "pair_total": witness.pair_total,
-        "eigenvalue": witness.eigenvalue,
-        "basis_matrix": witness.basis_matrix,
-        "vector": witness.vector,
-    }
-
-
-def _cmd_positivity(args) -> int:
+def _cmd_positivity(args) -> _Outcome:
     _check_cap("--n-bases", args.n_bases, MAX_BASES)
     rho = _load_hermitian(args.input)
     verdict = info_positivity_check(
@@ -286,32 +259,27 @@ def _cmd_positivity(args) -> int:
             f"minor {verdict.witness.minor:.6g}",
             file=sys.stderr,
         )
-    _emit(
-        "positivity",
-        {
-            "input": args.input,
-            "strategy": args.strategy,
-            "n_bases": args.n_bases,
-            "tol": args.tol,
+    parameters = {
+        "input": args.input,
+        "strategy": args.strategy,
+        "n_bases": args.n_bases,
+        "tol": args.tol,
+    }
+    results = {
+        "verdict": {
+            "positive": verdict.positive,
+            "strategy": verdict.strategy,
+            "witness": verdict.witness and asdict(verdict.witness),
         },
-        seed=args.seed,
-        results={
-            "verdict": {
-                "positive": verdict.positive,
-                "strategy": verdict.strategy,
-                "witness": _witness_payload(verdict.witness),
-            },
-            "oracle": {
-                "positive": oracle.positive,
-                "witness": _witness_payload(oracle.witness),
-            },
+        "oracle": {
+            "positive": oracle.positive,
+            "witness": oracle.witness and asdict(oracle.witness),
         },
-        out_path=args.out,
-    )
-    return EXIT_OK if verdict.positive else EXIT_NOT_POSITIVE
+    }
+    return (EXIT_OK if verdict.positive else EXIT_NOT_POSITIVE), parameters, results
 
 
-def _cmd_counting(args) -> int:
+def _cmd_counting(args) -> _Outcome:
     m_values = _parse_list(args.m_list, int)
     if not 3 <= args.n_max <= MAX_COUNTING_N:
         raise ValueError(f"--n-max must be between 3 and {MAX_COUNTING_N}, got {args.n_max}")
@@ -329,17 +297,11 @@ def _cmd_counting(args) -> int:
         + (", ".join(f"({m}, {r})" for m, r in matches) or "none"),
         file=sys.stderr,
     )
-    _emit(
-        "counting",
-        {"n_max": args.n_max, "m_list": m_values, "r_max": args.r_max},
-        seed=0,
-        results={"table": table, "matches": [list(pair) for pair in matches]},
-        out_path=args.out,
-    )
-    return EXIT_OK
+    parameters = {"n_max": args.n_max, "m_list": m_values, "r_max": args.r_max}
+    return EXIT_OK, parameters, {"table": table, "matches": matches}
 
 
-def _cmd_search_preservers(args) -> int:
+def _cmd_search_preservers(args) -> _Outcome:
     candidates = search_norm_preservers(args.alpha, args.budget, args.seed, tol=args.tol)
     payload = [
         {
@@ -362,39 +324,21 @@ def _cmd_search_preservers(args) -> int:
         f"{len(candidates)} candidate(s) below residual {args.tol:g}; {verdict}",
         file=sys.stderr,
     )
-    _emit(
-        "search-preservers",
-        {"alpha": args.alpha, "budget": args.budget, "tol": args.tol},
-        seed=args.seed,
-        results={
-            "candidates": payload,
-            "all_candidates_permutation_like": all_permutation_like,
-        },
-        out_path=args.out,
-    )
-    return EXIT_OK
+    parameters = {"alpha": args.alpha, "budget": args.budget, "tol": args.tol}
+    results = {"candidates": payload, "all_candidates_permutation_like": all_permutation_like}
+    return EXIT_OK, parameters, results
 
 
-def _cmd_malus(args) -> int:
+def _cmd_malus(args) -> _Outcome:
     _check_cap("--n-points", args.n_points, MAX_MALUS_POINTS)
     if not math.isfinite(args.theta_max):
         raise ValueError(f"--theta-max must be finite, got {args.theta_max}")
     thetas = np.linspace(0.0, args.theta_max, args.n_points)
     rows = [(float(t), malus_probability(float(t))) for t in thetas]
-    lines = ["theta,probability"]
-    lines.extend(f"{_fmt(t)},{_fmt(p)}" for t, p in rows)
-    csv_text = "\n".join(lines) + "\n"
-    sys.stdout.write(csv_text)
+    sys.stdout.write(_csv(("theta", "probability"), rows))
     print(f"{args.n_points} points over [0, {args.theta_max:g}]", file=sys.stderr)
-    if args.out:
-        _emit(
-            "malus",
-            {"n_points": args.n_points, "theta_max": args.theta_max},
-            seed=0,
-            results={"rows": [[t, p] for t, p in rows]},
-            out_path=args.out,
-        )
-    return EXIT_OK
+    parameters = {"n_points": args.n_points, "theta_max": args.theta_max}
+    return EXIT_OK, parameters, ({"rows": rows} if args.out else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,12 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  The only error boundary: invalid input
-    (ValueError) exits 2 and an unwritable output path (OSError) exits 3,
-    each with one ``error:`` line on stderr."""
+    """Run one command and write its report, unless it returned no results.
+    The only error boundary: invalid input (ValueError) exits 2 and an
+    unwritable output path (OSError) exits 3, each with one ``error:`` line
+    on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, parameters, results = args.func(args)
+        if results is not None:
+            _emit(args.command, parameters, getattr(args, "seed", 0), results, args.out)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT if isinstance(exc, ValueError) else EXIT_BAD_OUTPUT

@@ -48,9 +48,6 @@ class StochasticityReport:
     sector_sum_gap: float
     range_gap: float
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class InvarianceReport:
@@ -444,11 +441,6 @@ def _probe_means(rng: np.random.Generator) -> np.ndarray:
     fill = fixed_rng.uniform(-1.0, 1.0, size=(n_fill, 3))
     sampled = rng.uniform(-1.0, 1.0, size=(_N_SAMPLED_PROBES, 3))
     return np.concatenate([corners, axes, center, fill, sampled])
-
-
-def _probe_vectors(rng: np.random.Generator) -> np.ndarray:
-    """The probe probability 6-vectors, shape (96, 6)."""
-    return p6_from_means(_probe_means(rng))
 
 
 def _norm_objective(means: np.ndarray, base_norms: np.ndarray, alpha: float):

@@ -204,6 +204,38 @@ class TestPositivityCommand:
         _, out_b, _ = run_cli(args)
         assert out_a == out_b
 
+    def test_golden_report(self, tmp_path, monkeypatch):
+        # a relative --input keeps the path in the parameters fixed
+        monkeypatch.chdir(tmp_path)
+        write_matrix(tmp_path / "rho.json", np.eye(2) / 2)
+        _, out, _ = run_cli(["positivity", "--input", "rho.json"])
+        assert out == (GOLDEN_DIR / "positivity_mixed.json").read_text()
+
+    def test_complex_arrays_are_re_im_objects(self, tmp_path):
+        # every computational pair minor is positive (1/9 - b**2 > 0), but
+        # the smallest eigenvalue is negative; complex phases make the
+        # eigenbasis complex
+        real = np.array([[1 / 3, -0.3, -0.25], [-0.3, 1 / 3, -0.28], [-0.25, -0.28, 1 / 3]])
+        phases = np.diag(np.exp(1j * np.array([0.0, 0.7, -1.1])))
+        path = tmp_path / "rho.json"
+        write_matrix(path, phases @ real @ phases.conj().T)
+        code, out, _ = run_cli(
+            ["positivity", "--input", str(path), "--strategy", "eigen-directed", "--seed", "0"]
+        )
+        assert code == 1
+        results = json.loads(out)["results"]
+        witness = results["verdict"]["witness"]
+        assert witness["basis"] != "computational"
+        basis, vector = witness["basis_matrix"], results["oracle"]["witness"]["vector"]
+        assert isinstance(basis, dict) and sorted(basis) == ["im", "re"]
+        assert isinstance(vector, dict) and sorted(vector) == ["im", "re"]
+        u = np.array(basis["re"]) + 1j * np.array(basis["im"])
+        assert u.shape == (3, 3)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
+        v = np.array(vector["re"]) + 1j * np.array(vector["im"])
+        assert v.shape == (3,)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
 
 class TestCountingCommand:
     def test_default_ranges_single_match(self):
@@ -260,6 +292,10 @@ class TestSearchPreserversCommand:
         assert results["all_candidates_permutation_like"] is None
         assert err.strip().endswith("no verdict")
 
+    def test_golden_report_budget_zero(self):
+        _, out, _ = run_cli(["search-preservers", "--alpha", "2", "--budget", "0"])
+        assert out == (GOLDEN_DIR / "search_budget_zero.json").read_text()
+
     def test_determinism(self):
         args = ["search-preservers", "--alpha", "2", "--budget", "1500", "--seed", "3"]
         _, out_a, _ = run_cli(args)
@@ -315,6 +351,11 @@ class TestMalusCommand:
         report = json.loads(out_path.read_text())
         assert len(report["results"]["rows"]) == 3
 
+    def test_golden_report(self, tmp_path):
+        out_path = tmp_path / "malus.json"
+        run_cli(["malus", "--n-points", "5", "--theta-max", "1.5", "--out", str(out_path)])
+        assert out_path.read_text() == (GOLDEN_DIR / "malus_report.json").read_text()
+
     def test_determinism(self):
         args = ["malus", "--n-points", "50"]
         _, out_a, _ = run_cli(args)
@@ -337,6 +378,7 @@ BAD_INPUTS = {
     "positivity-object-entry": (["positivity", "--input", "{tmp}/object-entry.json"], 2),
     "positivity-bool-n": (["positivity", "--input", "{tmp}/bool-n.json"], 2),
     "positivity-float-n": (["positivity", "--input", "{tmp}/float-n.json"], 2),
+    "positivity-re-not-square": (["positivity", "--input", "{tmp}/re-2x3.json"], 2),
     "positivity-nan-tol": (["positivity", "--input", "{tmp}/mixed.json", "--tol", "nan"], 2),
     "positivity-negative-bases": (
         ["positivity", "--input", "{tmp}/mixed.json", "--n-bases", "-1"],
@@ -359,6 +401,10 @@ BAD_INPUTS = {
     "counting-n-max-over-cap": (["counting", "--n-max", "10001"], 2),
     "counting-r-max-over-cap": (["counting", "--r-max", "65"], 2),
     "counting-m-list-over-cap": (["counting", "--m-list", ",".join(["3"] * 17)], 2),
+    "scan-seed-2-64": (
+        ["invariance-scan", "--seed", str(2**64), "--out-csv", "{tmp}/scan.csv"],
+        2,
+    ),
     "scan-negative-alpha-steps": (
         ["invariance-scan", "--alpha-steps", "-1", "--out-csv", "{tmp}/scan.csv"],
         2,
@@ -400,6 +446,7 @@ class TestErrorBoundary:
         (tmp_path / "object-entry.json").write_text('{"n": 2, "re": [[{"a": 1}, 0], [0, 0.5]]}')
         (tmp_path / "bool-n.json").write_text('{"n": true, "re": [[1.0]]}')
         (tmp_path / "float-n.json").write_text('{"n": 2.0, "re": [[0.5, 0], [0, 0.5]]}')
+        (tmp_path / "re-2x3.json").write_text('{"n": 2, "re": [[0.5, 0, 0], [0, 0.5, 0]]}')
         write_matrix(tmp_path / "mixed.json", np.eye(2) / 2)
         code, out, err = run_cli_exit([arg.format(tmp=tmp_path) for arg in argv])
         assert code == expected

@@ -99,6 +99,11 @@ class TestTotalUncertainty:
     def test_empty_sum(self):
         assert total_uncertainty([], QUADRATIC) == 0.0
 
+    def test_rejects_a_non_binary_pair(self):
+        pairs = [(0.5, 0.5), (0.2, 0.3, 0.5)]
+        with pytest.raises(ValueError, match="expected binary pairs, got length 3"):
+            total_uncertainty(pairs, QUADRATIC)
+
     def test_seven_measurement_set(self):
         # one deterministic measurement, the rest fully random
         pairs = [(1.0, 0.0)] + [(0.5, 0.5)] * 6

@@ -131,6 +131,12 @@ class TestQubitStateValidation:
         with pytest.raises(ValueError, match="sector"):
             QubitState((math.nan,) * 6)
 
+    def test_from_probabilities_accepts_a_physical_state(self):
+        probs = (1.0, 0.0, 0.5, 0.5, 0.5, 0.5)
+        state = QubitState.from_probabilities(probs)
+        assert state == QubitState(probs)
+        assert state.probs == probs
+
     def test_from_probabilities_rejects_unphysical(self):
         # sectors are fine but |m| = sqrt(3) > 1
         with pytest.raises(ValueError, match="not a physical state"):

@@ -553,10 +553,10 @@ class TestSearchNormPreservers:
     def test_rotations_deviate_on_the_probe_domain_at_alpha_three(self):
         # the probe set spans the full sector-consistent cube, where the
         # cubic norm does separate rotations from permutations
-        from onebit.transforms import _probe_vectors
+        from onebit.transforms import _probe_means
 
         rng = np.random.default_rng(42)
-        probes = _probe_vectors(rng)
+        probes = p6_from_means(_probe_means(rng))
         base = np.sum(np.abs(probes) ** 3.0, axis=1) ** (1.0 / 3.0)
         worst = 0.0
         for _ in range(20):

@@ -149,6 +149,14 @@ MUTANTS = (
         "MAX_COUNTING_N = 100_000",
         ("tests/test_cli.py::TestErrorBoundary",),
     ),
+    # the report encoder: a complex array must keep its imaginary part
+    Mutant(
+        "json-complex-real-part-only",
+        "cli.py",
+        'return {"re": obj.real.tolist(), "im": obj.imag.tolist()}',
+        "return obj.real.tolist()",
+        ("tests/test_cli.py::TestPositivityCommand::test_complex_arrays_are_re_im_objects",),
+    ),
     # the output writer
     Mutant(
         "writer-no-ftruncate",
