@@ -14,6 +14,7 @@ Exit codes: 0 success (for ``positivity``: the operator is positive),
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -49,14 +50,17 @@ MAX_COUNTING_M = 16
 #: and their views as (n_bases, n, n) complex128 arrays, 64 KiB per basis at
 #: n = 64, so 64 MiB per stack; n = 64 at the cap peaks at 358 MiB RSS.
 MAX_BASES = 1024
-#: CLI cap on ``invariance-scan --n-states`` and ``--n-maps``: each 64-map
-#: block's images are (64, 6, n_states) float64, 3 KiB per state, so 147 MiB
-#: per block at the cap (374 MiB RSS peak); the maps are (n_maps, 6, 6)
+#: CLI cap on ``invariance-scan --n-states`` and ``--n-maps``: the scan
+#: holds one 64-map block's images and the entropy kernel's terms in two
+#: (64 x 6, n_states) float64 buffers, 3 KiB per state each, so 293 MiB
+#: for both at the cap (a scan of 50 000 states and 64 maps on the default
+#: six-alpha grid peaks at 389 MiB RSS); the maps are (n_maps, 6, 6)
 #: float64, 288 B per map, so 14 MiB at the cap (72 MiB RSS peak).
 MAX_SCAN_COUNT = 50_000
 #: CLI cap on the scan's alpha grid (``--alpha-steps`` or the number of
 #: ``--alphas``): the scan keeps one (n_states,) float64 baseline per alpha,
-#: 8 B per state, so 381 MiB over 50 000 states at the cap (463 MiB RSS peak).
+#: 8 B per state, so 381 MiB over 50 000 states at the cap (452 MiB RSS
+#: peak with the four probe maps alone).
 MAX_ALPHAS = 1000
 #: CLI cap on ``malus --n-points``: the rows, as Python floats, and the CSV
 #: text cost about 300 B per point, so 1 000 000 points peak at 342 MiB RSS.
@@ -128,6 +132,25 @@ def _write(path: str, text: str, what: str) -> None:
                 handle.truncate(len(data))
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _check_target(path: str, what: str) -> None:
+    """Raise the OSError :func:`_write` would, with its message, when
+    ``path`` is a directory, is an existing file that cannot be written,
+    or is a new file in a missing or unwritable directory.  It only asks:
+    it creates, opens and changes nothing, so :func:`main` can check every
+    target before the first output."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif os.path.isdir(parent):
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    else:
+        code = errno.ENOENT
+    if code:
+        raise OSError(f"cannot write {what} to {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _emit(command: str, parameters: dict, seed: int, results, out_path: str | None) -> None:
@@ -409,9 +432,14 @@ def main(argv=None) -> int:
     """Run one command and write its report, unless it returned no results.
     The only error boundary: invalid input (ValueError) exits 2 and an
     unwritable output path (OSError) exits 3, each with one ``error:`` line
-    on stderr."""
+    on stderr.  Every output path is checked before the command runs, so a
+    target that cannot be opened exits 3 with nothing written anywhere."""
     args = build_parser().parse_args(argv)
     try:
+        for flag, what in (("out_csv", "CSV"), ("out", "report")):
+            target = getattr(args, flag, None)
+            if target:
+                _check_target(target, what)
         code, parameters, results = args.func(args)
         if results is not None:
             _emit(args.command, parameters, getattr(args, "seed", 0), results, args.out)

@@ -88,16 +88,44 @@ def entropy_sum(p, measure: EntropyMeasure, count, axis: int = -1):
     a negative entry under a fractional degree, which has no real power
     and raises ValueError instead of producing NaN.
     """
-    p = np.asarray(p, dtype=float)
-    if measure.alpha == 1.0:
-        safe = np.where(p > 0.0, p, 1.0)
-        return -measure.k * np.add.reduce(p * np.log2(safe), axis=axis)
-    if measure.alpha % 1.0 and (p < 0.0).any():
-        raise ValueError(
-            f"negative entry {p.min()!r} has no real power {measure.alpha!r}"
-        )
-    powers = np.add.reduce(p**measure.alpha, axis=axis)
-    return measure.k * (count - powers) / (measure.alpha - 1.0)
+    return _entropy_sum(np.asarray(p, dtype=float), measure, count, axis)
+
+
+#: The degrees whose power ``p**alpha`` evaluates through a faster ufunc;
+#: a power written into a buffer must call the same one to keep its bits
+#: and its speed.
+_FAST_POWERS = {0.5: np.sqrt, 2.0: np.square}
+
+
+def _entropy_sum(p: np.ndarray, measure: EntropyMeasure, count, axis: int, work=None, out=None):
+    """:func:`entropy_sum` of a float array, with the per-entry terms
+    written into ``work`` (shaped like ``p``) and the sums into ``out``
+    (``p``'s shape without ``axis``) when they are given; ``None``
+    allocates.  Both give the same bits."""
+    alpha = measure.alpha
+    if alpha == 1.0:
+        if work is None:
+            work = np.zeros_like(p)
+        else:
+            work.fill(0.0)
+        np.log2(p, out=work, where=p > 0.0)
+        work *= p
+        sums = np.add.reduce(work, axis=axis, out=out)
+        if out is None:
+            return -measure.k * sums
+        out *= -measure.k
+        return out
+    if alpha % 1.0 and (p < 0.0).any():
+        raise ValueError(f"negative entry {p.min()!r} has no real power {alpha!r}")
+    power = _FAST_POWERS.get(alpha)
+    terms = power(p, out=work) if power else np.power(p, alpha, out=work)
+    powers = np.add.reduce(terms, axis=axis, out=out)
+    if out is None:
+        return measure.k * (count - powers) / (alpha - 1.0)
+    np.subtract(count, out, out=out)
+    out *= measure.k
+    out /= alpha - 1.0
+    return out
 
 
 def pair_entropy(p: float, measure: EntropyMeasure) -> float:

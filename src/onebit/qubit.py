@@ -173,20 +173,50 @@ def malus_probability(theta: float) -> float:
     return math.cos(theta / 2.0) ** 2
 
 
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``m`` (..., 3), each with the bits of
+    ``np.linalg.norm`` on that row (the root of its dot product)."""
+    return np.sqrt((m[..., None, :] @ m[..., :, None])[..., 0, 0])
+
+
+def random_mean_vectors(rng: np.random.Generator, count: int, kind: str = "pure") -> np.ndarray:
+    """``count`` uniform mean-value vectors, shape (count, 3), on the unit
+    sphere (pure) or in the unit ball (mixed).
+
+    Each vector is a normal 3-group scaled to unit length, a group whose
+    norm is below 1e-12 being dropped and redrawn; a mixed one is then
+    scaled by a radius drawn after it.  Returns the vectors, and leaves
+    the generator in the state, of ``count`` calls of
+    :func:`random_mean_vector`.  Pure groups are drawn in one call and
+    topped up, in stream order, until ``count`` are kept; a mixed draw
+    interleaves its normals with its radius, so mixed groups are drawn
+    one at a time.
+    """
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    if kind == "pure":
+        groups = rng.normal(size=(count, 3))
+        norms = _row_norms(groups)
+        while (norms < 1e-12).any():
+            ok = norms >= 1e-12
+            top_up = rng.normal(size=(count - int(ok.sum()), 3))
+            groups = np.concatenate([groups[ok], top_up])
+            norms = np.concatenate([norms[ok], _row_norms(top_up)])
+        return groups / norms[:, None]
+    groups = np.empty((count, 3))
+    radii = np.empty((count, 1))
+    for group, radius in zip(groups, radii):
+        group[:] = rng.normal(size=3)
+        while _row_norms(group) < 1e-12:
+            group[:] = rng.normal(size=3)
+        radius[0] = rng.uniform() ** (1.0 / 3.0)
+    return groups / _row_norms(groups)[:, None] * radii
+
+
 def random_mean_vector(rng: np.random.Generator, kind: str = "pure") -> np.ndarray:
     """Uniform mean-value vector on the unit sphere (pure) or in the unit
     ball (mixed)."""
-    if kind not in ("pure", "mixed"):
-        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-    v = rng.normal(size=3)
-    norm = float(np.linalg.norm(v))
-    while norm < 1e-12:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-    v = v / norm
-    if kind == "mixed":
-        v = v * rng.uniform() ** (1.0 / 3.0)
-    return v
+    return random_mean_vectors(rng, 1, kind)[0]
 
 
 def random_state(rng: np.random.Generator, kind: str = "pure") -> QubitState:

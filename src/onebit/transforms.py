@@ -10,8 +10,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .measures import EntropyMeasure, entropy_sum, normalized_measure
-from .qubit import SECTOR_TOL, QubitState, p6_from_means, random_mean_vector
+from .measures import EntropyMeasure, _entropy_sum, entropy_sum, normalized_measure
+from .qubit import SECTOR_TOL, QubitState, _row_norms, p6_from_means, random_mean_vectors
 
 #: Tolerance for orthogonality of rotation inputs.
 ORTHO_TOL = 1e-9
@@ -233,8 +233,10 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     ``block @ states.T`` in the sector-major layout (maps, 6, states), and
     clipped once, and every alpha is then reduced from them over the
     six-entry axis (numpy adds the six terms in entry order along any
-    axis, so this layout gives the bits of the last-axis one).  Ties go to
-    the earliest map, then the earliest state: the argmax inside a block
+    axis, so this layout gives the bits of the last-axis one).  The images,
+    the kernel's per-entry terms and the deviations live in three buffers
+    allocated once per call and reused by every block and alpha.  Ties go
+    to the earliest map, then the earliest state: the argmax inside a block
     runs over (map, state) in row-major order, and a later block replaces
     the best only when strictly larger.
     Raises ValueError when a deviation is not finite.
@@ -248,12 +250,20 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     clipped = np.clip(columns, 0.0, 1.0)
     bases = [entropy_sum(clipped, m, 3, axis=0) for m in measures]
     best = [(-1.0, 0, 0)] * len(measures)
+    rows = min(_SCAN_BLOCK, maps.shape[0])
+    image_buffer = np.empty((rows * 6, columns.shape[1]))
+    work_buffer = np.empty_like(image_buffer)
+    dev_buffer = np.empty((rows, columns.shape[1]))
     for start in range(0, maps.shape[0], _SCAN_BLOCK):
         block = maps[start : start + _SCAN_BLOCK]
-        images = (block.reshape(-1, 6) @ columns).reshape(block.shape[0], 6, -1)
-        np.clip(images, 0.0, 1.0, out=images)
+        n = block.shape[0]
+        flat = np.matmul(block.reshape(-1, 6), columns, out=image_buffer[: n * 6])
+        np.clip(flat, 0.0, 1.0, out=flat)
+        images = flat.reshape(n, 6, -1)
+        work = work_buffer[: n * 6].reshape(n, 6, -1)
+        dev = dev_buffer[:n]
         for j, (measure, base) in enumerate(zip(measures, bases)):
-            dev = entropy_sum(images, measure, 3, axis=1)
+            _entropy_sum(images, measure, 3, 1, work=work, out=dev)
             dev -= base
             np.abs(dev, out=dev)
             m_idx, s_idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
@@ -306,10 +316,12 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
     are exercised at any sample size.  Deterministic for a given seed;
     the sampled maps are proper rotations.
 
-    The sampled rotations are drawn in one batch (:func:`random_rotations`)
-    and embedded in one call, probes first.  :func:`scan_deviations` then
-    applies each 64-map block once for every alpha; ties report the
-    earliest map, then the earliest state, in that order.
+    The sampled states are drawn with one :func:`random_mean_vectors` call
+    per kind, and the sampled rotations in one batch
+    (:func:`random_rotations`) and embedded in one call, probes first.
+    :func:`scan_deviations` then applies each 64-map block once for every
+    alpha; ties report the earliest map, then the earliest state, in that
+    order.
     """
     alphas = list(alphas)
     if not alphas:
@@ -320,14 +332,18 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
     state_rng = np.random.default_rng(state_seed)
     map_rng = np.random.default_rng(map_seed)
 
-    state_ids = [name for name, _ in _PROBE_STATES]
-    means = [m for _, m in _PROBE_STATES]
     n_pure = n_states - n_states // 2
-    for idx in range(n_states):
-        kind = "pure" if idx < n_pure else "mixed"
-        state_ids.append(f"{kind}[{idx}]")
-        means.append(random_mean_vector(state_rng, kind))
-    states = p6_from_means(np.array(means))
+    state_ids = [name for name, _ in _PROBE_STATES]
+    state_ids.extend(f"pure[{idx}]" for idx in range(n_pure))
+    state_ids.extend(f"mixed[{idx}]" for idx in range(n_pure, n_states))
+    means = np.concatenate(
+        [
+            np.array([m for _, m in _PROBE_STATES]),
+            random_mean_vectors(state_rng, n_pure, "pure"),
+            random_mean_vectors(state_rng, n_states - n_pure, "mixed"),
+        ]
+    )
+    states = p6_from_means(means)
 
     map_ids = [name for name, _ in _PROBE_MAPS]
     map_ids.extend(f"rot[{idx}]" for idx in range(n_maps))
@@ -412,12 +428,6 @@ def _map_from_params(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     s = m * m
     s = s + (1.0 - s.sum(axis=-1, keepdims=True)) / 3.0
     return _embed(s, (c / 3.0)[..., None], m)
-
-
-def _row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of ``m`` (..., 3, 3), each with the bits
-    of ``np.linalg.norm`` on that row (the root of its dot product)."""
-    return np.sqrt((m[..., None, :] @ m[..., :, None])[..., 0, 0])
 
 
 def _project_params(theta: np.ndarray) -> np.ndarray:

@@ -1,0 +1,25 @@
+"""Entropy references built from ``math`` alone, one float at a time, for
+the kernel tests in ``test_measures.py`` and ``test_transforms.py``."""
+
+import math
+
+
+def math_entropy_sum(entries, alpha, k, count):
+    """k (count - sum_i x_i**alpha) / (alpha - 1) over a flat sequence of
+    floats, and at alpha = 1 the Shannon limit -k sum_i x_i log2 x_i over
+    the entries x_i > 0."""
+    if alpha == 1.0:
+        return -k * sum(x * math.log2(x) for x in entries if x > 0.0)
+    return k * (count - sum(math.pow(x, alpha) for x in entries)) / (alpha - 1.0)
+
+
+def scalar_pair_total(p6, alpha):
+    """Normalized total uncertainty of a probability 6-vector: the pair
+    entropy of (p, 1 - p) per sector, with p the sector's first entry
+    clipped to [0, 1], and k chosen so that a fair pair scores 1."""
+    k = 1.0 if alpha == 1.0 else (alpha - 1.0) / (1.0 - math.pow(2.0, 1.0 - alpha))
+    total = 0.0
+    for u in range(3):
+        p = min(max(p6[2 * u], 0.0), 1.0)
+        total += math_entropy_sum((p, 1.0 - p), alpha, k, 1)
+    return total

@@ -599,6 +599,44 @@ class TestWriter:
         assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for flags in flags_seen)
 
 
+def tree_snapshot(root):
+    """Every path under ``root`` with its bytes and modification time."""
+    return {
+        path: (path.read_bytes() if path.is_file() else None, path.stat().st_mtime_ns)
+        for path in sorted(root.rglob("*"))
+    }
+
+
+#: Runs with one output target that cannot be opened, and one that can.
+SIDE_EFFECT_CASES = {
+    "malus-report-in-missing-dir": ["malus", "--n-points", "3", "--out", "{tmp}/missing/m.json"],
+    "scan-new-csv-report-in-missing-dir": SCAN
+    + ["--out-csv", "{tmp}/scan.csv", "--out", "{tmp}/missing/s.json"],
+    "scan-old-csv-report-on-directory": SCAN
+    + ["--out-csv", "{tmp}/old.csv", "--out", "{tmp}"],
+    "scan-csv-in-missing-dir-old-report": SCAN
+    + ["--out-csv", "{tmp}/missing/scan.csv", "--out", "{tmp}/old.json"],
+    "counting-report-in-missing-dir": ["counting", "--n-max", "4", "--out", "{tmp}/missing/c.json"],
+}
+
+
+class TestUnwritableTargetHasNoSideEffects:
+    """Exit 3 for a target that cannot be opened leaves stdout empty and
+    creates, truncates or touches no file: every target is checked before
+    the command runs."""
+
+    @pytest.mark.parametrize("case", sorted(SIDE_EFFECT_CASES))
+    def test_exit_3_writes_nothing(self, tmp_path, case):
+        (tmp_path / "old.csv").write_bytes(b"stale\n" * 100)
+        (tmp_path / "old.json").write_bytes(b"{}\n")
+        before = tree_snapshot(tmp_path)
+        argv = [arg.format(tmp=tmp_path) for arg in SIDE_EFFECT_CASES[case]]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write ")
+        assert tree_snapshot(tmp_path) == before
+
+
 #: Output targets for the argument fuzz; "missing-dir" and "directory"
 #: cannot be written.
 OUTPUT_KINDS = ("new", "longer", "missing-dir", "directory", "devnull")

@@ -12,7 +12,9 @@ from onebit.measures import (
     QUADRATIC,
     SHANNON,
     EntropyMeasure,
+    _entropy_sum,
     entropy,
+    entropy_sum,
     normalized_measure,
     pair_entropy,
     total_uncertainty,
@@ -20,6 +22,8 @@ from onebit.measures import (
 )
 from onebit.qubit import QubitState, random_state, total_uncertainty_state
 from onebit.transforms import total_uncertainty_p6
+
+from math_reference import math_entropy_sum
 
 #: Boundary cases for a tolerance constant: a violation of half the
 #: constant passes, one of twice the constant is rejected.
@@ -228,7 +232,51 @@ class TestPairEntropyDiagnostics:
         assert pair_entropy(p, SHANNON) == pytest.approx(expected, abs=1e-15)
 
 
+#: The kernel's layouts, each a (shape, axis) with six entries along the
+#: axis: one 6-vector, the scan's (6, states) baselines and its
+#: (maps, 6, states) images.
+KERNEL_LAYOUTS = {"1-D": ((6,), -1), "axis-0": ((6, 5), 0), "axis-1": ((4, 6, 5), 1)}
+#: The square-root and square fast paths, the Shannon branch and two
+#: general powers.
+KERNEL_ALPHAS = pytest.mark.parametrize("alpha", [0.5, 2.0, 1.0, 1.5, 3.0])
+
+
+def kernel_input(layout, alpha):
+    """Entries in [0, 1] with an exact 0 and an exact 1 in every
+    distribution, and a negative entry at an integer degree."""
+    shape, axis = KERNEL_LAYOUTS[layout]
+    p = np.random.default_rng(17).uniform(size=shape)
+    lanes = np.moveaxis(p, axis, -1)
+    lanes[..., 1] = 0.0
+    lanes[..., 4] = 1.0
+    if alpha % 1.0 == 0.0:
+        lanes[..., 2] = -0.25
+    return p, axis
+
+
 class TestOneKernel:
+    @KERNEL_ALPHAS
+    @pytest.mark.parametrize("layout", sorted(KERNEL_LAYOUTS))
+    def test_matches_the_math_reference(self, alpha, layout):
+        p, axis = kernel_input(layout, alpha)
+        measure = normalized_measure(alpha)
+        got = entropy_sum(p, measure, 3, axis=axis)
+        lanes = np.moveaxis(p, axis, -1).reshape(-1, 6)
+        expected = [math_entropy_sum(lane.tolist(), alpha, measure.k, 3) for lane in lanes]
+        np.testing.assert_allclose(np.ravel(got), expected, rtol=0.0, atol=1e-12)
+
+    @KERNEL_ALPHAS
+    @pytest.mark.parametrize("layout", sorted(KERNEL_LAYOUTS))
+    def test_buffers_give_the_allocating_bits(self, alpha, layout):
+        # stale NaN in the buffers must not reach the result
+        p, axis = kernel_input(layout, alpha)
+        measure = normalized_measure(alpha)
+        expected = entropy_sum(p, measure, 3, axis=axis)
+        work = np.full(p.shape, np.nan)
+        out = np.full(np.shape(expected), np.nan)
+        assert _entropy_sum(p, measure, 3, axis, work=work, out=out) is out
+        assert out.tobytes() == np.asarray(expected).tobytes()
+
     def test_fractional_power_of_negative_entry_raises(self):
         with pytest.raises(ValueError, match="no real power"):
             pair_entropy(1.1, normalized_measure(2.5))

@@ -18,6 +18,8 @@ from onebit.qubit import (
     mean_from_probabilities,
     p6_from_means,
     probabilities_from_mean,
+    random_mean_vector,
+    random_mean_vectors,
     random_state,
     total_uncertainty_state,
 )
@@ -265,3 +267,77 @@ class TestRandomStates:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             random_state(np.random.default_rng(0), "thermal")
+
+
+def sequential_mean_vector(rng, kind):
+    """One mean-value vector drawn a normal 3-group at a time: redraw the
+    group while its norm is below 1e-12, normalize it, and for a mixed
+    vector scale it by the cube root of a uniform drawn after it."""
+    v = rng.normal(size=3)
+    norm = float(np.linalg.norm(v))
+    while norm < 1e-12:
+        v = rng.normal(size=3)
+        norm = float(np.linalg.norm(v))
+    v = v / norm
+    if kind == "mixed":
+        v = v * rng.uniform() ** (1.0 / 3.0)
+    return v
+
+
+class ZeroGroupStream:
+    """Generator stand-in with a fixed stream: normal 3-groups 0, 2 and 3
+    are all zeros, and the uniforms come from a list of their own."""
+
+    def __init__(self):
+        rng = np.random.default_rng(5)
+        self.groups = rng.normal(size=(8, 3))
+        self.groups[[0, 2, 3]] = 0.0
+        self.normals = list(self.groups.ravel())
+        self.uniforms = list(rng.uniform(size=8))
+
+    def normal(self, size):
+        n = int(np.prod(size))
+        values, self.normals = self.normals[:n], self.normals[n:]
+        return np.array(values).reshape(size)
+
+    def uniform(self):
+        return self.uniforms.pop(0)
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 190])
+    def test_matches_sequential_draws_bitwise(self, count, kind):
+        batch_rng, loop_rng = np.random.default_rng(23), np.random.default_rng(23)
+        got = random_mean_vectors(batch_rng, count, kind)
+        expected = np.array(
+            [sequential_mean_vector(loop_rng, kind) for _ in range(count)]
+        ).reshape(count, 3)
+        assert got.shape == (count, 3)
+        assert got.tobytes() == expected.tobytes()
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_single_draws_match_sequential_draws_bitwise(self):
+        rng, loop_rng = np.random.default_rng(29), np.random.default_rng(29)
+        for kind in ["pure", "mixed", "mixed", "pure"] * 25:
+            got = random_mean_vector(rng, kind)
+            assert got.tobytes() == sequential_mean_vector(loop_rng, kind).tobytes()
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_degenerate_groups_are_skipped_in_stream_order(self, kind):
+        # pure: the first draw of 3 groups keeps group 1, the top-up of 2
+        # keeps group 4 and the top-up of 1 takes group 5
+        stream, loop_stream = ZeroGroupStream(), ZeroGroupStream()
+        got = random_mean_vectors(stream, 3, kind)
+        expected = [sequential_mean_vector(loop_stream, kind) for _ in range(3)]
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert (stream.normals, stream.uniforms) == (loop_stream.normals, loop_stream.uniforms)
+        kept = stream.groups[[1, 4, 5]]
+        directions = got / np.linalg.norm(got, axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            directions, kept / np.linalg.norm(kept, axis=1, keepdims=True), atol=1e-15
+        )
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            random_mean_vectors(np.random.default_rng(0), 3, "thermal")

@@ -44,6 +44,8 @@ from onebit.transforms import (
     total_uncertainty_p6,
 )
 
+from math_reference import scalar_pair_total
+
 QUARTER_TURN_MATRIX = np.array(
     [
         [0, 0, 1, 0, 0, 0],
@@ -574,22 +576,6 @@ class TestSearchNormPreservers:
             assert ca.residual == cb.residual
 
 
-def scalar_pair_total(p6, alpha):
-    """Normalized total uncertainty of a probability 6-vector from ``math``
-    alone: k (1 - p**a - (1 - p)**a) / (a - 1) per sector, with p the
-    sector's first entry clipped to [0, 1], and the Shannon limit at a = 1."""
-    total = 0.0
-    for u in range(3):
-        p = min(max(p6[2 * u], 0.0), 1.0)
-        q = 1.0 - p
-        if alpha == 1.0:
-            total -= sum(x * math.log2(x) for x in (p, q) if x > 0.0)
-        else:
-            k = (alpha - 1.0) / (1.0 - math.pow(2.0, 1.0 - alpha))
-            total += k * (1.0 - math.pow(p, alpha) - math.pow(q, alpha)) / (alpha - 1.0)
-    return total
-
-
 class TestScanScalarOracle:
     def test_matches_math_only_oracle_cell_by_cell(self):
         # 130 maps: two full 64-map blocks and a partial third
@@ -618,6 +604,53 @@ class TestScanScalarOracle:
                 for b in range(len(states)):
                     cell = scan_deviations(states[b : b + 1], maps[a : a + 1], [alpha])
                     assert cell[0][0] == pytest.approx(table[a, b], abs=1e-12)
+
+
+def fresh_scan_deviations(states, maps, alphas):
+    """scan_deviations with every block's images, every alpha's entropy
+    terms and every deviation freshly allocated, the entropy written out
+    as p**alpha or p log2 p: the block loop the buffers must reproduce."""
+    columns = np.ascontiguousarray(states.T)
+    clipped = np.clip(columns, 0.0, 1.0)
+
+    def total(p, measure, axis):
+        if measure.alpha == 1.0:
+            safe = np.where(p > 0.0, p, 1.0)
+            return -measure.k * np.add.reduce(p * np.log2(safe), axis=axis)
+        powers = np.add.reduce(p**measure.alpha, axis=axis)
+        return measure.k * (3 - powers) / (measure.alpha - 1.0)
+
+    measures = [normalized_measure(alpha) for alpha in alphas]
+    best = [(-1.0, 0, 0)] * len(measures)
+    for start in range(0, maps.shape[0], 64):
+        block = maps[start : start + 64]
+        images = (block.reshape(-1, 6) @ columns).reshape(block.shape[0], 6, -1)
+        images = np.clip(images, 0.0, 1.0)
+        for j, measure in enumerate(measures):
+            dev = np.abs(total(images, measure, 1) - total(clipped, measure, 0))
+            m_idx, s_idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
+            if dev[m_idx, s_idx] > best[j][0]:
+                best[j] = (float(dev[m_idx, s_idx]), int(s_idx), start + int(m_idx))
+    return best
+
+
+class TestScanBuffers:
+    @pytest.mark.parametrize("n_states", [1, 5])
+    @pytest.mark.parametrize("n_maps", [1, 63, 64, 65, 130])
+    def test_matches_fresh_allocation_bitwise(self, n_maps, n_states):
+        # the pure +x state and an exact quarter turn put exact zeros and
+        # ones into the images; the last block is partial unless M = 64
+        rng = np.random.default_rng(n_maps * 10 + n_states)
+        states = random_states_array(rng, n_states)
+        states[0] = p6_from_means([1.0, 0.0, 0.0])
+        rotations = random_rotations(rng, n_maps)
+        rotations[n_maps // 2] = QUARTER_TURN_ROTATION
+        maps = induced_from_rotations(rotations)
+        got = scan_deviations(states, maps, SCAN_ALPHAS)
+        expected = fresh_scan_deviations(states, maps, SCAN_ALPHAS)
+        assert [(dev.hex(), s, m) for dev, s, m in got] == [
+            (dev.hex(), s, m) for dev, s, m in expected
+        ]
 
 
 def loop_project_params(theta):

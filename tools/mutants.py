@@ -71,16 +71,40 @@ MUTANTS = (
     Mutant(
         "entropy-wrong-power",
         "measures.py",
-        "powers = np.add.reduce(p**measure.alpha, axis=axis)",
-        "powers = np.add.reduce(p ** (2.0 * measure.alpha - 2.0), axis=axis)",
+        "np.power(p, alpha, out=work)",
+        "np.power(p, 2.0 * alpha - 2.0, out=work)",
         ("tests/test_transforms.py::TestScanScalarOracle",),
     ),
     Mutant(
         "shannon-log-of-zero",
         "measures.py",
-        "safe = np.where(p > 0.0, p, 1.0)",
-        "safe = np.where(p >= 0.0, p, 1.0)",
+        "np.log2(p, out=work, where=p > 0.0)",
+        "np.log2(p, out=work, where=p >= 0.0)",
         ("tests/test_measures.py",),
+    ),
+    # the kernel's buffers: a reused work buffer keeps the last alpha's
+    # terms, so the Shannon branch must clear it first
+    Mutant(
+        "shannon-no-zero-fill",
+        "measures.py",
+        "work.fill(0.0)",
+        "pass",
+        ("tests/test_measures.py::TestOneKernel::test_buffers_give_the_allocating_bits",),
+    ),
+    Mutant(
+        "sqrt-fast-path-squares",
+        "measures.py",
+        "_FAST_POWERS = {0.5: np.sqrt, 2.0: np.square}",
+        "_FAST_POWERS = {0.5: np.square, 2.0: np.square}",
+        ("tests/test_measures.py::TestOneKernel::test_matches_the_math_reference",),
+    ),
+    # the batched pure-state sampler must drop a degenerate normal group
+    Mutant(
+        "sampler-keeps-degenerate",
+        "qubit.py",
+        "groups = np.concatenate([groups[ok], top_up])",
+        "groups = np.concatenate([groups, top_up])[:count]",
+        ("tests/test_qubit.py::TestBatchedSampler::test_degenerate_groups_are_skipped_in_stream_order",),
     ),
     # tolerance constants: a check 10x looser than its constant
     Mutant(
