@@ -52,10 +52,12 @@ MAX_COUNTING_M = 16
 MAX_BASES = 1024
 #: CLI cap on ``invariance-scan --n-states`` and ``--n-maps``: the scan
 #: holds one 64-map block's images and the entropy kernel's terms in two
-#: (64 x 6, n_states) float64 buffers, 3 KiB per state each, so 293 MiB
-#: for both at the cap (a scan of 50 000 states and 64 maps on the default
-#: six-alpha grid peaks at 389 MiB RSS); the maps are (n_maps, 6, 6)
-#: float64, 288 B per map, so 14 MiB at the cap (72 MiB RSS peak).
+#: (64 x 6, slab width) float64 buffers per state slab, 3 KiB per state
+#: each whatever the slab count, so 293 MiB for both at the cap (a scan of
+#: 50 000 states and 64 maps on the default six-alpha grid peaks at
+#: 386-396 MiB RSS in two slabs, 389 MiB in one); the maps are
+#: (n_maps, 6, 6) float64, 288 B per map, so 14 MiB at the cap (72 MiB
+#: RSS peak).
 MAX_SCAN_COUNT = 50_000
 #: CLI cap on the scan's alpha grid (``--alpha-steps`` or the number of
 #: ``--alphas``): the scan keeps one (n_states,) float64 baseline per alpha,

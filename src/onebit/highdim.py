@@ -182,9 +182,15 @@ def gpt_from_density(rho: HermitianOperator, basis=None) -> GptStateN:
     m = rho.matrix
     if basis is not None:
         m = _conjugate(_check_basis(basis, rho.n), m)
+    return _read_off(m)
+
+
+def _read_off(m: np.ndarray) -> GptStateN:
+    """The outcome probabilities of :func:`gpt_from_density`, read off an
+    operator matrix already expressed in the measured basis."""
     d = np.real(np.diag(m))
     half = 0.5 * (d[:, None] + d[None, :])
-    return GptStateN(n=rho.n, z_probs=d, px=half + m.real, py=half + m.imag)
+    return GptStateN(n=m.shape[0], z_probs=d, px=half + m.real, py=half + m.imag)
 
 
 def postselect(state: GptStateN, i: int, j: int) -> QubitState:
@@ -330,6 +336,7 @@ def info_positivity_check(
     The views are one (V, n, n) stack: computational, sampled[0..n_bases-1],
     eigenbasis.  The witness is the smallest minor over every view and pair
     i < j; ties go to the earliest view, then the first pair in row-major order.
+    Its pair qubit is read off that view of the stack, not conjugated again.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -356,9 +363,8 @@ def info_positivity_check(
     label = (
         "computational" if v == 0 else "eigenbasis" if v > n_sampled else f"sampled[{v - 1}]"
     )
-    gpt = gpt_from_density(rho, basis)
     try:
-        pair_total = pair_uncertainty(gpt, i, j)
+        pair_total = pair_uncertainty(_read_off(views[v]), i, j)
     except ValueError:
         pair_total = None
     witness = PositivityWitness(

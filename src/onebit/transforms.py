@@ -5,6 +5,8 @@ alpha-norm preservers.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -223,37 +225,38 @@ def total_uncertainty_p6(p6: np.ndarray, alpha: float, k: float) -> np.ndarray:
 #: Maps applied per scan block; caps the images held at once at
 #: 64 x 6 x S floats for S states.
 _SCAN_BLOCK = 64
+#: Fewest block cells (maps in a block x states) per scan slab: a scan of
+#: S states in blocks of B maps runs in min(usable cores, B S // _SLAB_CELLS)
+#: slabs, at least one.  With smaller slabs the numpy calls are too short
+#: for a helper thread to gain (timed on 2 cores at B = 1 to 64).
+_SLAB_CELLS = _SCAN_BLOCK * 128
 
 
-def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[float, int, int]]:
-    """Per alpha: (max |H_total(A p) - H_total(p)|, state index, map index).
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    ``states`` has shape (S, 6) and ``maps`` (M, 6, 6).  Maps are applied
-    in blocks of 64: each block's images are built once, as
-    ``block @ states.T`` in the sector-major layout (maps, 6, states), and
-    clipped once, and every alpha is then reduced from them over the
-    six-entry axis (numpy adds the six terms in entry order along any
-    axis, so this layout gives the bits of the last-axis one).  The images,
-    the kernel's per-entry terms and the deviations live in three buffers
-    allocated once per call and reused by every block and alpha.  Ties go
-    to the earliest map, then the earliest state: the argmax inside a block
-    runs over (map, state) in row-major order, and a later block replaces
-    the best only when strictly larger.
-    Raises ValueError when a deviation is not finite.
-    """
-    states = np.asarray(states, dtype=float)
-    maps = np.asarray(maps, dtype=float)
-    if states.shape[0] == 0 or maps.shape[0] == 0:
-        raise ValueError("scan needs at least one state and one map")
-    measures = [normalized_measure(alpha) for alpha in alphas]
+
+def _slab_buffers(states: np.ndarray, measures, rows: int):
+    """One slab's inputs and scratch: its state columns (6, s), the
+    per-alpha baselines of its clipped columns, and the image, term and
+    deviation buffers for a block of ``rows`` maps."""
     columns = np.ascontiguousarray(states.T)
     clipped = np.clip(columns, 0.0, 1.0)
     bases = [entropy_sum(clipped, m, 3, axis=0) for m in measures]
-    best = [(-1.0, 0, 0)] * len(measures)
-    rows = min(_SCAN_BLOCK, maps.shape[0])
-    image_buffer = np.empty((rows * 6, columns.shape[1]))
-    work_buffer = np.empty_like(image_buffer)
-    dev_buffer = np.empty((rows, columns.shape[1]))
+    image = np.empty((rows * 6, columns.shape[1]))
+    return columns, bases, image, np.empty_like(image), np.empty((rows, columns.shape[1]))
+
+
+def _scan_slab(maps, measures, columns, bases, image_buffer, work_buffer, dev_buffer):
+    """The argmax cell (value, map index within the block, state index
+    within the slab) of every (block, alpha), in block-major order, for the
+    states in ``columns``.  Allocates nothing large: every array it writes
+    is one of the buffers."""
+    cells = []
     for start in range(0, maps.shape[0], _SCAN_BLOCK):
         block = maps[start : start + _SCAN_BLOCK]
         n = block.shape[0]
@@ -262,18 +265,87 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
         images = flat.reshape(n, 6, -1)
         work = work_buffer[: n * 6].reshape(n, 6, -1)
         dev = dev_buffer[:n]
-        for j, (measure, base) in enumerate(zip(measures, bases)):
+        for measure, base in zip(measures, bases):
             _entropy_sum(images, measure, 3, 1, work=work, out=dev)
             dev -= base
             np.abs(dev, out=dev)
             m_idx, s_idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            value = float(dev[m_idx, s_idx])
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"total-uncertainty deviation is not finite at alpha={measure.alpha}"
-                )
-            if value > best[j][0]:
-                best[j] = (value, int(s_idx), start + int(m_idx))
+            cells.append((float(dev[m_idx, s_idx]), int(m_idx), int(s_idx)))
+    return cells
+
+
+def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[float, int, int]]:
+    """Per alpha: (max |H_total(A p) - H_total(p)|, state index, map index).
+
+    ``states`` has shape (S, 6) and ``maps`` (M, 6, 6).  The states are
+    split into min(usable cores, S min(M, 64) // (64 x 128)) contiguous
+    slabs, at least one, so a full block needs 128 states per slab;
+    the calling thread scans the first and one helper thread each of the
+    others (numpy's GEMM and ufuncs release the interpreter lock).  Within
+    a slab, maps are applied in blocks of 64: each block's images are built
+    once, as ``block @ columns`` in the sector-major layout (maps, 6,
+    states), and clipped once, and every alpha is then reduced from them
+    over the six-entry axis (numpy adds the six terms in entry order along
+    any axis, so this layout gives the bits of the last-axis one).  The
+    calling thread allocates every slab's columns, baselines and image,
+    term and deviation buffers before any slab starts, each as wide as its
+    slab, so together they take the memory of a one-slab scan, and a
+    helper allocates nothing large (what it allocated would come from a
+    malloc arena of its own and raise the peak RSS).
+
+    A cell's arithmetic is the same whichever slab holds it (a six-term
+    dot product, a clip, six terms summed in entry order, the baseline
+    subtracted), so the slab count cannot change a bit.  The slabs'
+    argmax cells are merged in (block, alpha) order: the larger value wins,
+    equal values go to the smaller map index and then to the earlier slab,
+    and a later block replaces the best only when strictly larger, so ties
+    go to the earliest map, then the earliest state, as in a row-major
+    argmax.  An exception raised in a helper is re-raised here.
+    Raises ValueError when a deviation is not finite.
+    """
+    states = np.asarray(states, dtype=float)
+    maps = np.asarray(maps, dtype=float)
+    if states.shape[0] == 0 or maps.shape[0] == 0:
+        raise ValueError("scan needs at least one state and one map")
+    measures = [normalized_measure(alpha) for alpha in alphas]
+    rows = min(_SCAN_BLOCK, maps.shape[0])
+    n_slabs = max(1, min(_usable_cores(), rows * states.shape[0] // _SLAB_CELLS))
+    offsets = [states.shape[0] * k // n_slabs for k in range(n_slabs + 1)]
+    slabs = [_slab_buffers(states[a:b], measures, rows) for a, b in zip(offsets, offsets[1:])]
+
+    results = [None] * n_slabs
+
+    def run(k):
+        try:
+            results[k] = _scan_slab(maps, measures, *slabs[k])
+        except Exception as exc:  # re-raised by the caller after the join
+            results[k] = exc
+
+    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, n_slabs)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+
+    best = [(-1.0, 0, 0)] * len(measures)
+    for cell, candidates in enumerate(zip(*results)):
+        block, j = divmod(cell, len(measures))
+        if not all(np.isfinite(v) for v, _, _ in candidates):
+            raise ValueError(
+                f"total-uncertainty deviation is not finite at alpha={measures[j].alpha}"
+            )
+        value, m_idx, s_idx = candidates[0]
+        for (v, m, s), offset in zip(candidates[1:], offsets[1:]):
+            if v > value or (v == value and m < m_idx):
+                value, m_idx, s_idx = v, m, offset + s
+        if value > best[j][0]:
+            best[j] = (value, s_idx, block * _SCAN_BLOCK + m_idx)
     return best
 
 
@@ -319,9 +391,13 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
     The sampled states are drawn with one :func:`random_mean_vectors` call
     per kind, and the sampled rotations in one batch
     (:func:`random_rotations`) and embedded in one call, probes first.
-    :func:`scan_deviations` then applies each 64-map block once for every
-    alpha; ties report the earliest map, then the earliest state, in that
-    order.
+    :func:`scan_deviations` then splits the states into one contiguous
+    slab per usable core (at most one per 128 states at 64 maps or more),
+    scans the first in the calling thread and the others in helper threads
+    over buffers the calling thread allocated, and applies each 64-map
+    block once for every alpha; ties report the earliest map, then the
+    earliest state, in that order.  The report has the same bits for any
+    slab count, since a cell's arithmetic does not depend on its slab.
     """
     alphas = list(alphas)
     if not alphas:

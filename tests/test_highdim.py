@@ -497,6 +497,31 @@ class TestInfoPositivityCheck:
             oracle = eigen_positivity_oracle(rho)
             assert verdict.positive == oracle.positive
 
+    def test_witness_pair_total_has_the_bits_of_a_fresh_read_off(self):
+        # the witness reads its pair off the checked view; the reference
+        # conjugates rho into the witness basis again, one basis at a time
+        rng = np.random.default_rng(7)
+        labels = set()
+        for trial in range(120):
+            n = int(rng.choice([2, 3, 5, 8, 16, 64]))
+            rho = random_with_min_eigenvalue(rng, n, -float(rng.uniform(1e-4, 0.3)))
+            strategy = ("fixed-basis", "sampled", "eigen-directed")[trial % 3]
+            verdict = info_positivity_check(rho, strategy, n_bases=3, seed=trial)
+            if verdict.positive:
+                continue
+            w = verdict.witness
+            labels.add(w.basis.split("[")[0])
+            state = gpt_from_density(rho, w.basis_matrix)
+            try:
+                expected = pair_uncertainty(state, *w.pair)
+            except ValueError:
+                expected = None
+            if expected is None:
+                assert w.pair_total is None
+            else:
+                assert w.pair_total.hex() == expected.hex()
+        assert labels == {"computational", "sampled", "eigenbasis"}
+
     def test_rejects_unknown_strategy(self):
         rho = HermitianOperator(np.eye(2) / 2)
         with pytest.raises(ValueError, match="strategy"):

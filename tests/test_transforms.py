@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,6 +655,191 @@ class TestScanBuffers:
         assert [(dev.hex(), s, m) for dev, s, m in got] == [
             (dev.hex(), s, m) for dev, s, m in expected
         ]
+
+
+def hexed(scan):
+    return [(dev.hex(), s, m) for dev, s, m in scan]
+
+
+def force_slabs(monkeypatch, cores):
+    """Make the next scans run in ``cores`` slabs (every test scans at
+    least ``cores`` states)."""
+    monkeypatch.setattr(transforms, "_SLAB_CELLS", 1)
+    monkeypatch.setattr(transforms, "_usable_cores", lambda: cores)
+
+
+def sector_depolarizer(sector):
+    """Sends one sector's outcome pair to (1/2, 1/2), fixes the others."""
+    a = np.eye(6)
+    a[2 * sector : 2 * sector + 2, 2 * sector : 2 * sector + 2] = 0.5
+    return a
+
+
+def spy_slabs(monkeypatch):
+    """Record (thread, slab width) for every slab the next scans run."""
+    calls = []
+    scan_slab = transforms._scan_slab
+
+    def spy(maps, measures, columns, *buffers):
+        calls.append((threading.current_thread(), columns.shape[1]))
+        return scan_slab(maps, measures, columns, *buffers)
+
+    monkeypatch.setattr(transforms, "_scan_slab", spy)
+    return calls
+
+
+class TestScanSlabs:
+    """The state axis split into slabs.  The slab count is forced to 1-4
+    by patching the slab size and the core count, so a one-core machine
+    still runs the helpers and the merge."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_states, n_maps", [(4, 1), (9, 65), (23, 130)])
+    def test_every_slab_count_gives_the_one_slab_bits(self, monkeypatch, cores, n_states, n_maps):
+        rng = np.random.default_rng(n_states * 1000 + n_maps)
+        states = random_states_array(rng, n_states)
+        states[0] = p6_from_means([1.0, 0.0, 0.0])
+        rotations = random_rotations(rng, n_maps)
+        rotations[n_maps // 2] = QUARTER_TURN_ROTATION
+        maps = induced_from_rotations(rotations)
+        force_slabs(monkeypatch, 1)
+        serial = hexed(scan_deviations(states, maps, SCAN_ALPHAS))
+        force_slabs(monkeypatch, cores)
+        assert hexed(scan_deviations(states, maps, SCAN_ALPHAS)) == serial
+        assert hexed(fresh_scan_deviations(states, maps, SCAN_ALPHAS)) == serial
+
+    def test_more_helpers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        states = random_states_array(rng, 64)
+        maps = induced_from_rotations(random_rotations(rng, 130))
+        force_slabs(monkeypatch, 1)
+        serial = hexed(scan_deviations(states, maps, SCAN_ALPHAS))
+        force_slabs(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert hexed(scan_deviations(states, maps, SCAN_ALPHAS)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_caller_scans_the_first_slab_and_one_helper_each_other(self, monkeypatch, cores):
+        calls = spy_slabs(monkeypatch)
+        force_slabs(monkeypatch, cores)
+        rng = np.random.default_rng(cores)
+        maps = induced_from_rotations(random_rotations(rng, 3))
+        scan_deviations(random_states_array(rng, 10), maps, [2.0])
+        widths = [10 * (k + 1) // cores - 10 * k // cores for k in range(cores)]
+        assert len({thread for thread, _ in calls}) == cores
+        assert (threading.current_thread(), widths[0]) in calls
+        assert sorted(width for _, width in calls) == sorted(widths)
+
+    @pytest.mark.parametrize(
+        "n_states, n_maps, slabs",
+        [(255, 64, 1), (256, 64, 2), (256, 200, 2), (4095, 4, 1), (4096, 4, 2), (10**4, 64, 2)],
+    )
+    def test_a_slab_holds_at_least_a_full_block_over_128_states(
+        self, monkeypatch, n_states, n_maps, slabs
+    ):
+        calls = spy_slabs(monkeypatch)
+        monkeypatch.setattr(transforms, "_usable_cores", lambda: 2)
+        states = np.full((n_states, 6), 0.5)
+        scan_deviations(states, np.repeat(np.eye(6)[None], n_maps, axis=0), [2.0])
+        assert len(calls) == slabs
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_a_tie_across_slabs_goes_to_the_earliest_state(self, monkeypatch, cores):
+        # pure +x at states 3-7, so the tie straddles every slab boundary
+        # for 2, 3 and 4 slabs; all entries are dyadic, so every copy of a
+        # cell has the same bits
+        pure_x = [1.0, 0.0, 0.5, 0.5, 0.5, 0.5]
+        states = np.array([[0.5] * 6] * 3 + [pure_x] * 5)
+        maps = np.repeat(np.eye(6)[None], 130, axis=0)
+        maps[[5, 129]] = np.kron(np.eye(3), np.full((2, 2), 0.5))
+        force_slabs(monkeypatch, 1)
+        serial = hexed(scan_deviations(states, maps, SCAN_ALPHAS))
+        force_slabs(monkeypatch, cores)
+        got = scan_deviations(states, maps, SCAN_ALPHAS)
+        assert hexed(got) == serial
+        assert hexed(fresh_scan_deviations(states, maps, SCAN_ALPHAS)) == serial
+        for dev, s_idx, m_idx in got:
+            assert dev == pytest.approx(1.0, abs=1e-12)
+            assert (s_idx, m_idx) == (3, 5)
+
+    def test_an_equal_value_at_an_earlier_map_in_a_later_slab_wins(self, monkeypatch):
+        # slab 0 (pure +x) peaks at map 7, slab 1 (pure +y) at map 5 with the
+        # same value; at these degrees every term is dyadic, so the two
+        # peaks have the same bits and only the tie rule decides
+        alphas = (1.0, 2.0, 3.0)
+        states = np.array([[1.0, 0.0, 0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 1.0, 0.0, 0.5, 0.5]])
+        maps = np.repeat(np.eye(6)[None], 10, axis=0)
+        maps[7] = sector_depolarizer(0)
+        maps[5] = sector_depolarizer(1)
+        force_slabs(monkeypatch, 1)
+        serial = hexed(scan_deviations(states, maps, alphas))
+        force_slabs(monkeypatch, 2)
+        got = scan_deviations(states, maps, alphas)
+        assert hexed(got) == serial
+        assert [(s_idx, m_idx) for _, s_idx, m_idx in got] == [(1, 5)] * 3
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_a_nan_in_the_last_slab_raises_the_serial_message(self, monkeypatch, cores):
+        rng = np.random.default_rng(cores)
+        states = random_states_array(rng, 8)
+        states[-1] = math.nan
+        maps = induced_from_rotations(random_rotations(rng, 70))
+        force_slabs(monkeypatch, 1)
+        with pytest.raises(ValueError, match="not finite") as serial:
+            scan_deviations(states, maps, [2.0, 0.5])
+        force_slabs(monkeypatch, cores)
+        with pytest.raises(ValueError, match="not finite") as got:
+            scan_deviations(states, maps, [2.0, 0.5])
+        assert str(got.value) == str(serial.value) == (
+            "total-uncertainty deviation is not finite at alpha=2.0"
+        )
+
+    @pytest.mark.parametrize("failing_slab", ["helper", "caller"])
+    def test_a_slab_exception_reaches_the_caller(self, monkeypatch, capfd, failing_slab):
+        caller = threading.get_ident()
+        scan_slab = transforms._scan_slab
+
+        def failing(*args):
+            if (threading.get_ident() == caller) == (failing_slab == "caller"):
+                raise FloatingPointError(f"{failing_slab} slab failed")
+            return scan_slab(*args)
+
+        monkeypatch.setattr(transforms, "_scan_slab", failing)
+        force_slabs(monkeypatch, 3)
+        rng = np.random.default_rng(0)
+        maps = induced_from_rotations(random_rotations(rng, 3))
+        running = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"^{failing_slab} slab failed$"):
+            scan_deviations(random_states_array(rng, 6), maps, [2.0])
+        assert threading.active_count() == running
+        assert capfd.readouterr().err == ""
+
+    def test_core_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(transforms.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(transforms.os, "cpu_count", lambda: None)
+        assert transforms._usable_cores() == 1
+        monkeypatch.setattr(transforms.os, "cpu_count", lambda: 3)
+        assert transforms._usable_cores() == 3
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the scan's helpers are plain threads; concurrent.futures would add
+    # about 3 ms to every CLI start
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import onebit, onebit.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def loop_project_params(theta):

@@ -55,9 +55,25 @@ MUTANTS = (
     Mutant(
         "scan-no-finite-check",
         "transforms.py",
-        "if not np.isfinite(value):",
+        "if not all(np.isfinite(v) for v, _, _ in candidates):",
         "if False:",
         ("tests/test_transforms.py::TestInvarianceScan",),
+    ),
+    # the merge of the state slabs: a tie at one map goes to the earlier
+    # slab, and a NaN in any slab raises
+    Mutant(
+        "scan-slab-tie-later",
+        "transforms.py",
+        "(v == value and m < m_idx)",
+        "(v == value and m <= m_idx)",
+        ("tests/test_transforms.py::TestScanSlabs",),
+    ),
+    Mutant(
+        "scan-finite-slab-0-only",
+        "transforms.py",
+        "for v, _, _ in candidates)",
+        "for v, _, _ in candidates[:1])",
+        ("tests/test_transforms.py::TestScanSlabs",),
     ),
     Mutant(
         "scan-base-added",
@@ -129,6 +145,13 @@ MUTANTS = (
         "int(np.argmin(minors))",
         "minors.size - 1 - int(np.argmin(minors.ravel()[::-1]))",
         ("tests/test_highdim.py",),
+    ),
+    Mutant(
+        "witness-reads-first-view",
+        "highdim.py",
+        "_read_off(views[v])",
+        "_read_off(views[0])",
+        ("tests/test_highdim.py::TestInfoPositivityCheck",),
     ),
     Mutant(
         "threshold-100x",
