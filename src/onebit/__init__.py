@@ -25,7 +25,6 @@ from .qubit import (
     QubitState,
     is_pure,
     malus_probability,
-    mean_from_probabilities,
     probabilities_from_mean,
     random_state,
     total_uncertainty_state,
@@ -35,12 +34,10 @@ from .transforms import (
     InvarianceReport,
     PreserverCandidate,
     alpha_norm,
-    alpha_norm_deviation,
     apply,
     example_permutation_map,
     induced_from_rotation,
     invariance_scan,
-    is_permutation_type,
     is_sector_stochastic,
     permutation_distance,
     random_rotation,
@@ -57,7 +54,6 @@ from .highdim import (
     eigen_positivity_oracle,
     gpt_from_density,
     gpt_invariant_violations,
-    hierarchy_k,
     info_positivity_check,
     minor_condition,
     pair_uncertainty,

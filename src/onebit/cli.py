@@ -243,8 +243,8 @@ def _cmd_invariance_scan(args) -> _Outcome:
 
 
 def _load_hermitian(path: str) -> HermitianOperator:
-    """Read a {n, re, im} operator file; every read, parse or shape failure
-    is a ValueError."""
+    """Read a {n, re, im} operator file; every read, parse, shape or entry
+    failure is a ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -255,13 +255,16 @@ def _load_hermitian(path: str) -> HermitianOperator:
     n = payload["n"]
     if type(n) is not int or n > MAX_DIMENSION:
         raise ValueError(f"n must be an integer within the CLI cap of {MAX_DIMENSION}, got {n!r}")
-    try:
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"matrix parts must be arrays of numbers: {exc}") from exc
-    if re.shape != (n, n) or im.shape != (n, n):
+    parts = [np.array(payload.get(key, [[0.0] * n] * n), dtype=object) for key in ("re", "im")]
+    if any(part.shape != (n, n) for part in parts):
         raise ValueError(f"matrix parts must be {n}x{n} arrays")
+    # entry by entry: numpy would cast a string and read a boolean among numbers as 0 or 1
+    if not all(type(x) in (int, float) for part in parts for x in part.flat):
+        raise ValueError("matrix entries must be numbers, not strings, booleans or null")
+    try:
+        re, im = (part.astype(float) for part in parts)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"matrix entries must be finite numbers: {exc}") from exc
     return HermitianOperator(re + 1j * im)
 
 

@@ -17,8 +17,6 @@ HERMITIAN_TOL = 1e-9
 #: Below this pair weight a post-selection branch is untestable.
 POSTSELECT_EPS = 1e-12
 
-_INT64_MAX = 2**63 - 1
-
 STRATEGIES = ("fixed-basis", "sampled", "eigen-directed")
 
 
@@ -31,23 +29,6 @@ def degrees_of_freedom(n: int, m: int = 3) -> int:
     if m < 1:
         raise ValueError(f"measurement count must be >= 1, got {m}")
     return (n - 1) + n * (n - 1) * (m - 1) // 2
-
-
-def hierarchy_k(n: int, r: int) -> int:
-    """N**r - 1, the degree-of-freedom count of the r-th theory in the
-    multiplicative hierarchy.  Results beyond the signed 64-bit range are
-    rejected rather than silently widened."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if r < 1:
-        raise ValueError(f"hierarchy level must be >= 1, got {r}")
-    # n >= 2**(bits - 1), so past this bound n**r >= 2**64 without computing it
-    if r * (int(n).bit_length() - 1) >= 64:
-        raise OverflowError(f"{n}**{r} - 1 exceeds the 64-bit integer range")
-    value = n**r - 1
-    if value > _INT64_MAX:
-        raise OverflowError(f"{n}**{r} - 1 exceeds the 64-bit integer range")
-    return value
 
 
 def counting_consistency(n_max: int, m_values, r_values) -> list[tuple[int, int]]:

@@ -29,8 +29,7 @@ class ComplementaryFrame:
 
     Orthonormality is exactly mutual complementarity: certainty along one
     axis forces even odds along the other two.  Improper frames
-    (determinant -1) are accepted; ``determinant`` reports which kind a
-    frame is.
+    (determinant -1) are accepted.
     """
 
     axes: np.ndarray
@@ -45,10 +44,6 @@ class ComplementaryFrame:
             raise ValueError(f"frame axes are not orthonormal (gap {gap:.3g})")
         a.setflags(write=False)
         object.__setattr__(self, "axes", a)
-
-    @property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.axes))
 
 
 CANONICAL_FRAME = ComplementaryFrame(np.eye(3))
@@ -118,7 +113,7 @@ def probabilities_from_mean(m, frame: ComplementaryFrame = CANONICAL_FRAME) -> Q
     p_u = (1 + m . u) / 2.
 
     Rejects mean-value vectors with |m| > 1 + PHYSICAL_TOL.  Round-trips with
-    :func:`mean_from_probabilities` on the canonical frame.
+    :attr:`QubitState.mean_values` on the canonical frame.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3,):
@@ -142,11 +137,6 @@ def p6_from_means(m, axis: int = -1) -> np.ndarray:
     out[lead + (slice(0, None, 2),)] = p
     out[lead + (slice(1, None, 2),)] = 1.0 - p
     return out
-
-
-def mean_from_probabilities(state: QubitState) -> np.ndarray:
-    """Mean-value vector (2p_x - 1, 2p_y - 1, 2p_z - 1) of a state."""
-    return state.mean_values
 
 
 def total_uncertainty_state(
@@ -186,11 +176,10 @@ def random_mean_vectors(rng: np.random.Generator, count: int, kind: str = "pure"
     Each vector is a normal 3-group scaled to unit length, a group whose
     norm is below 1e-12 being dropped and redrawn; a mixed one is then
     scaled by a radius drawn after it.  Returns the vectors, and leaves
-    the generator in the state, of ``count`` calls of
-    :func:`random_mean_vector`.  Pure groups are drawn in one call and
-    topped up, in stream order, until ``count`` are kept; a mixed draw
-    interleaves its normals with its radius, so mixed groups are drawn
-    one at a time.
+    the generator in the state, of ``count`` draws of one vector at a
+    time.  Pure groups are drawn in one call and topped up, in stream
+    order, until ``count`` are kept; a mixed draw interleaves its normals
+    with its radius, so mixed groups are drawn one at a time.
     """
     if kind not in ("pure", "mixed"):
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
@@ -213,13 +202,7 @@ def random_mean_vectors(rng: np.random.Generator, count: int, kind: str = "pure"
     return groups / _row_norms(groups)[:, None] * radii
 
 
-def random_mean_vector(rng: np.random.Generator, kind: str = "pure") -> np.ndarray:
-    """Uniform mean-value vector on the unit sphere (pure) or in the unit
-    ball (mixed)."""
-    return random_mean_vectors(rng, 1, kind)[0]
-
-
 def random_state(rng: np.random.Generator, kind: str = "pure") -> QubitState:
     """Random state in the canonical frame; deterministic for a given
     generator.  kind='pure' samples the sphere, 'mixed' the ball."""
-    return probabilities_from_mean(random_mean_vector(rng, kind))
+    return probabilities_from_mean(random_mean_vectors(rng, 1, kind)[0])

@@ -183,16 +183,10 @@ def alpha_norm(vec, alpha: float) -> float:
     return float(_alpha_norms(np.asarray(vec, dtype=float), alpha))
 
 
-def alpha_norm_deviation(induced: InducedMap, state: QubitState, alpha: float) -> float:
-    """| ||A p||_alpha - ||p||_alpha | for one state."""
-    p = state.as_array
-    return abs(alpha_norm(induced.matrix @ p, alpha) - alpha_norm(p, alpha))
-
-
-def random_rotations(rng: np.random.Generator, n: int, reflections: bool = False) -> np.ndarray:
+def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """``n`` Haar-uniform rotation matrices, shape (n, 3, 3), from one
-    stacked QR with the sign fix of Mezzadri (2007); with ``reflections``
-    the determinant may be -1 (Haar on the full orthogonal group).
+    stacked QR with the sign fix of Mezzadri (2007); the first column of a
+    matrix with determinant -1 is negated.
 
     Draws the same normals, in the same order, as ``n`` calls of
     :func:`random_rotation`, and returns the same matrices.
@@ -200,16 +194,14 @@ def random_rotations(rng: np.random.Generator, n: int, reflections: bool = False
     z = rng.normal(size=(n, 3, 3))
     q, r = np.linalg.qr(z)
     q = q * np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)[:, None, :]
-    if not reflections:
-        flip = np.linalg.det(q) < 0.0
-        q[flip, :, 0] = -q[flip, :, 0]
+    flip = np.linalg.det(q) < 0.0
+    q[flip, :, 0] = -q[flip, :, 0]
     return q
 
 
-def random_rotation(rng: np.random.Generator, reflections: bool = False) -> np.ndarray:
-    """Haar-uniform rotation matrix; with ``reflections`` the determinant
-    may be -1 (Haar on the full orthogonal group)."""
-    return random_rotations(rng, 1, reflections)[0]
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform rotation matrix (determinant +1)."""
+    return random_rotations(rng, 1)[0]
 
 
 def total_uncertainty_p6(p6: np.ndarray, alpha: float, k: float) -> np.ndarray:
@@ -456,23 +448,11 @@ _SIGNED_PERMUTATIONS = np.array(
 _SECTOR_PERMUTATION_MATRICES = induced_from_rotations(_SIGNED_PERMUTATIONS)
 
 
-def sector_permutation_maps() -> list[InducedMap]:
-    """All 48 sector-respecting permutation maps: a permutation of the
-    three sectors composed with optional within-sector outcome swaps,
-    embedded exactly from the signed permutations of mean values."""
-    return [InducedMap(a) for a in _SECTOR_PERMUTATION_MATRICES]
-
-
 def permutation_distance(induced: InducedMap) -> float:
-    """Chebyshev distance from the nearest sector-respecting permutation."""
+    """Chebyshev distance from the nearest of the 48 sector-respecting
+    permutations (a sector permutation with optional outcome swaps)."""
     gaps = np.abs(induced.matrix - _SECTOR_PERMUTATION_MATRICES)
     return float(np.min(np.max(gaps, axis=(1, 2))))
-
-
-def is_permutation_type(induced: InducedMap) -> bool:
-    """True when every entry is within ``PERMUTATION_TOL`` of the nearest
-    sector-respecting permutation matrix."""
-    return permutation_distance(induced) <= PERMUTATION_TOL
 
 
 # --- norm-preserver search -------------------------------------------------

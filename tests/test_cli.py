@@ -259,6 +259,12 @@ class TestCountingCommand:
         code, _, _ = run_cli(["counting", "--n-max", "2"])
         assert code == 2
 
+    def test_r_max_at_its_cap(self):
+        # 2**64 - 1 is past the signed 64-bit range: the count must stay exact
+        code, out, _ = run_cli(["counting", "--n-max", "3", "--m-list", "3", "--r-max", "64"])
+        assert code == 0
+        assert json.loads(out)["results"]["matches"] == [[3, 2]]
+
     def test_golden_report(self):
         _, out, _ = run_cli(["counting", "--n-max", "5", "--m-list", "3", "--r-max", "2"])
         golden = (GOLDEN_DIR / "counting_small.json").read_text()
@@ -376,6 +382,10 @@ BAD_INPUTS = {
     "positivity-re-object": (["positivity", "--input", "{tmp}/re-object.json"], 2),
     "positivity-im-object": (["positivity", "--input", "{tmp}/im-object.json"], 2),
     "positivity-object-entry": (["positivity", "--input", "{tmp}/object-entry.json"], 2),
+    "positivity-string-entry": (["positivity", "--input", "{tmp}/string-entry.json"], 2),
+    "positivity-bool-entry": (["positivity", "--input", "{tmp}/bool-entry.json"], 2),
+    "positivity-null-entry": (["positivity", "--input", "{tmp}/null-entry.json"], 2),
+    "positivity-huge-int-entry": (["positivity", "--input", "{tmp}/huge-int-entry.json"], 2),
     "positivity-bool-n": (["positivity", "--input", "{tmp}/bool-n.json"], 2),
     "positivity-float-n": (["positivity", "--input", "{tmp}/float-n.json"], 2),
     "positivity-re-not-square": (["positivity", "--input", "{tmp}/re-2x3.json"], 2),
@@ -444,6 +454,17 @@ class TestErrorBoundary:
             '{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": {"a": 1}}'
         )
         (tmp_path / "object-entry.json").write_text('{"n": 2, "re": [[{"a": 1}, 0], [0, 0.5]]}')
+        # numpy would cast the strings and read the boolean as 0 among numbers
+        (tmp_path / "string-entry.json").write_text(
+            '{"n": 2, "re": [["0.5", "0.6"], ["0.6", "0.5"]]}'
+        )
+        (tmp_path / "bool-entry.json").write_text('{"n": 2, "re": [[0.5, false], [0, 0.5]]}')
+        (tmp_path / "null-entry.json").write_text(
+            '{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, null], [0, 0]]}'
+        )
+        (tmp_path / "huge-int-entry.json").write_text(
+            json.dumps({"n": 2, "re": [[0.5, 10**400], [10**400, 0.5]]})
+        )
         (tmp_path / "bool-n.json").write_text('{"n": true, "re": [[1.0]]}')
         (tmp_path / "float-n.json").write_text('{"n": 2.0, "re": [[0.5, 0], [0, 0.5]]}')
         (tmp_path / "re-2x3.json").write_text('{"n": 2, "re": [[0.5, 0, 0], [0, 0.5, 0]]}')

@@ -18,7 +18,6 @@ from onebit.highdim import (
     eigen_positivity_oracle,
     gpt_from_density,
     gpt_invariant_violations,
-    hierarchy_k,
     info_positivity_check,
     minor_condition,
     pair_uncertainty,
@@ -51,25 +50,6 @@ class TestCounting:
     def test_rejects_zero_measurements(self):
         with pytest.raises(ValueError, match="measurement count must be >= 1, got 0"):
             degrees_of_freedom(3, 0)
-
-    def test_hierarchy_values(self):
-        assert hierarchy_k(2, 2) == 3
-        assert hierarchy_k(2, 3) == 7
-        assert hierarchy_k(4, 2) == 15
-
-    def test_hierarchy_overflow(self):
-        assert hierarchy_k(2, 62) == 2**62 - 1
-        with pytest.raises(OverflowError):
-            hierarchy_k(2, 64)
-        with pytest.raises(OverflowError):
-            hierarchy_k(10, 1000000)
-
-    def test_hierarchy_overflow_past_the_bit_length_precheck(self):
-        # 40 * (bit_length(3) - 1) = 40 < 64 passes the precheck, but
-        # 3**40 - 1 is about 1.2e19, above the signed 64-bit maximum
-        assert hierarchy_k(3, 39) == 3**39 - 1
-        with pytest.raises(OverflowError, match=r"3\*\*40 - 1 exceeds"):
-            hierarchy_k(3, 40)
 
     def test_consistency_default_ranges(self):
         assert counting_consistency(50, range(2, 10), range(1, 5)) == [(3, 2)]

@@ -23,6 +23,7 @@ from onebit.qubit import (
 from onebit.transforms import (
     _SIGNED_PERMUTATIONS,
     ORTHO_TOL,
+    PERMUTATION_TOL,
     InducedMap,
     _alpha_norms,
     _coordinate_descent,
@@ -31,20 +32,17 @@ from onebit.transforms import (
     _probe_means,
     _project_params,
     alpha_norm,
-    alpha_norm_deviation,
     apply,
     example_permutation_map,
     induced_from_rotation,
     induced_from_rotations,
     invariance_scan,
-    is_permutation_type,
     is_sector_stochastic,
     permutation_distance,
     random_rotation,
     random_rotations,
     scan_deviations,
     search_norm_preservers,
-    sector_permutation_maps,
     total_uncertainty_p6,
 )
 
@@ -92,12 +90,12 @@ STOCHASTICITY_VIOLATIONS = {
 SCAN_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 
 
-def loop_rotation(rng, reflections):
+def loop_rotation(rng):
     """Per-matrix Haar sampler: QR of one 3x3 normal draw, sign fix, and a
-    column flip for determinant -1 when reflections are excluded."""
+    column flip for determinant -1."""
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    if not reflections and np.linalg.det(q) < 0.0:
+    if np.linalg.det(q) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
 
@@ -115,6 +113,23 @@ def loop_embedding(rot):
             a[2 * u + 1, 2 * v] = minus
             a[2 * u + 1, 2 * v + 1] = plus
     return a
+
+
+#: The 48 signed permutations of mean values, built independently of the
+#: module's table.
+SIGNED_PERMUTATIONS = np.array(
+    [
+        np.eye(3)[list(order)] * np.array(signs)[:, None]
+        for order in itertools.permutations(range(3))
+        for signs in itertools.product((1.0, -1.0), repeat=3)
+    ]
+)
+
+
+def norm_gap(induced, state, alpha):
+    """| ||A p||_alpha - ||p||_alpha | for one state."""
+    p = state.as_array
+    return abs(alpha_norm(induced.matrix @ p, alpha) - alpha_norm(p, alpha))
 
 
 def random_states_array(rng, count):
@@ -181,14 +196,13 @@ class TestInducedFromRotation:
             assert images.max() <= 1.0 + 1e-12
 
     def test_reflection_requires_flag(self):
+        # a reflection embeds, but no sampler option draws one
         reflection = np.diag([1.0, 1.0, -1.0])
         induced = induced_from_rotation(reflection)
         assert is_sector_stochastic(induced).ok
         rng = np.random.default_rng(42)
         dets = [np.linalg.det(random_rotation(rng)) for _ in range(50)]
         assert all(d > 0 for d in dets)
-        dets = [np.linalg.det(random_rotation(rng, reflections=True)) for _ in range(50)]
-        assert any(d < 0 for d in dets)
 
     def test_group_action_composes_on_states(self):
         # matrix-level equality cannot hold for this embedding; the action
@@ -205,23 +219,20 @@ class TestInducedFromRotation:
 
 
 class TestBatchedConstruction:
-    @pytest.mark.parametrize("reflections", [False, True])
-    def test_batch_matches_sequential_draws(self, reflections):
-        batch = random_rotations(np.random.default_rng(9), 256, reflections)
+    def test_batch_matches_sequential_draws(self):
+        batch = random_rotations(np.random.default_rng(9), 256)
         loop_rng = np.random.default_rng(9)
-        loop = np.array([loop_rotation(loop_rng, reflections) for _ in range(256)])
+        loop = np.array([loop_rotation(loop_rng) for _ in range(256)])
         call_rng = np.random.default_rng(9)
-        calls = np.array([random_rotation(call_rng, reflections) for _ in range(256)])
+        calls = np.array([random_rotation(call_rng) for _ in range(256)])
         assert np.array_equal(batch, loop)
         assert np.array_equal(batch, calls)
-        dets = np.linalg.det(batch)
-        if reflections:
-            assert np.any(dets < 0.0)
-        else:
-            assert np.all(dets > 0.0)
+        assert np.all(np.linalg.det(batch) > 0.0)
 
     def test_batched_embedding_matches_per_map(self):
-        rots = random_rotations(np.random.default_rng(9), 64, reflections=True)
+        rots = random_rotations(np.random.default_rng(9), 64)
+        rots[1::2, :, 0] = -rots[1::2, :, 0]  # every other matrix improper
+        assert np.all(np.linalg.det(rots[1::2]) < 0.0)
         batch = induced_from_rotations(rots)
         assert batch.shape == (64, 6, 6)
         for rot, a in zip(rots, batch):
@@ -229,16 +240,11 @@ class TestBatchedConstruction:
             assert np.array_equal(a, induced_from_rotation(rot).matrix)
 
     def test_signed_permutations_embed_exactly(self):
-        perms = np.array(
-            [
-                np.eye(3)[list(order)] * np.array(signs)[:, None]
-                for order in itertools.permutations(range(3))
-                for signs in itertools.product((1.0, -1.0), repeat=3)
-            ]
-        )
-        family = {m.matrix.tobytes() for m in sector_permutation_maps()}
-        batch = induced_from_rotations(perms)
-        assert {a.tobytes() for a in batch} == family
+        for rot, a in zip(SIGNED_PERMUTATIONS, induced_from_rotations(SIGNED_PERMUTATIONS)):
+            assert np.array_equal(a, loop_embedding(rot))
+            assert set(np.unique(a)) <= {0.0, 1.0}
+            assert np.array_equal(a.sum(axis=0), np.ones(6))
+            assert np.array_equal(a.sum(axis=1), np.ones(6))
 
     def test_one_non_orthogonal_entry_rejects_the_batch(self):
         rots = random_rotations(np.random.default_rng(9), 5)
@@ -388,7 +394,7 @@ class TestAlphaNorms:
         for _ in range(100):
             induced = induced_from_rotation(random_rotation(rng))
             state = random_state(rng, "mixed")
-            assert alpha_norm_deviation(induced, state, 2.0) <= 1e-10
+            assert norm_gap(induced, state, 2.0) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0, 5.0])
     def test_quarter_turn_preserves_every_norm(self, alpha):
@@ -396,14 +402,14 @@ class TestAlphaNorms:
         quarter = example_permutation_map()
         for _ in range(100):
             state = random_state(rng, "mixed")
-            assert alpha_norm_deviation(quarter, state, alpha) <= 1e-12
+            assert norm_gap(quarter, state, alpha) <= 1e-12
 
     def test_one_norm_always_preserved(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             induced = induced_from_rotation(random_rotation(rng))
             state = random_state(rng, "mixed")
-            assert alpha_norm_deviation(induced, state, 1.0) <= 1e-12
+            assert norm_gap(induced, state, 1.0) <= 1e-12
 
 
 class TestInvarianceScan:
@@ -502,22 +508,22 @@ class TestInvarianceScan:
 
 
 class TestPermutationFamily:
+    FAMILY = induced_from_rotations(SIGNED_PERMUTATIONS)
+
     def test_family_has_48_distinct_members(self):
-        mats = [m.matrix.tobytes() for m in sector_permutation_maps()]
-        assert len(mats) == 48
-        assert len(set(mats)) == 48
+        assert len({a.tobytes() for a in self.FAMILY}) == 48
 
     def test_all_members_are_sector_stochastic_permutations(self):
-        for member in sector_permutation_maps():
+        for a in self.FAMILY:
+            member = InducedMap(a)
             assert is_sector_stochastic(member).ok
-            assert is_permutation_type(member)
             assert permutation_distance(member) == 0.0
 
     def test_quarter_turn_is_permutation_type(self):
-        assert is_permutation_type(example_permutation_map())
+        assert permutation_distance(example_permutation_map()) == 0.0
 
     def test_identity_is_permutation_type(self):
-        assert is_permutation_type(InducedMap(np.eye(6)))
+        assert permutation_distance(InducedMap(np.eye(6))) == 0.0
 
     def test_thirty_degree_rotation_is_not(self):
         rot = np.array(
@@ -528,8 +534,7 @@ class TestPermutationFamily:
             ]
         )
         induced = induced_from_rotation(rot)
-        assert not is_permutation_type(induced)
-        assert permutation_distance(induced) > 0.1
+        assert permutation_distance(induced) > max(0.1, PERMUTATION_TOL)
 
 
 class TestSearchNormPreservers:

@@ -114,6 +114,17 @@ MUTANTS = (
         "_FAST_POWERS = {0.5: np.square, 2.0: np.square}",
         ("tests/test_measures.py::TestOneKernel::test_matches_the_math_reference",),
     ),
+    # the rotation sampler must flip an improper draw to determinant +1
+    Mutant(
+        "rotation-no-det-flip",
+        "transforms.py",
+        "q[flip, :, 0] = -q[flip, :, 0]",
+        "q[flip, :, 0] = q[flip, :, 0]",
+        (
+            "tests/test_transforms.py::TestBatchedConstruction::test_batch_matches_sequential_draws",
+            "tests/test_transforms.py::TestInducedFromRotation::test_reflection_requires_flag",
+        ),
+    ),
     # the batched pure-state sampler must drop a degenerate normal group
     Mutant(
         "sampler-keeps-degenerate",
@@ -187,6 +198,22 @@ MUTANTS = (
         "cli.py",
         "if value < 0:",
         "if value < -1:",
+        ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    # matrix-file entries: isinstance admits booleans (bool subclasses int),
+    # and without the check numpy casts strings
+    Mutant(
+        "loader-isinstance-admits-bool",
+        "cli.py",
+        "type(x) in (int, float)",
+        "isinstance(x, (int, float))",
+        ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    Mutant(
+        "loader-no-entry-check",
+        "cli.py",
+        "if not all(type(x) in (int, float) for part in parts for x in part.flat):",
+        "if False:",
         ("tests/test_cli.py::TestErrorBoundary",),
     ),
     Mutant(
