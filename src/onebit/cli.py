@@ -48,7 +48,8 @@ MAX_COUNTING_R = 64
 MAX_COUNTING_M = 16
 #: CLI cap on ``positivity --n-bases``: the check stacks the sampled bases
 #: and their views as (n_bases, n, n) complex128 arrays, 64 KiB per basis at
-#: n = 64, so 64 MiB per stack; n = 64 at the cap peaks at 358 MiB RSS.
+#: n = 64, so 64 MiB per stack; n = 64 at the cap peaks at 296-329 MiB RSS
+#: on 2 cores (one BLAS thread: the upper end).
 MAX_BASES = 1024
 #: CLI cap on ``invariance-scan --n-states`` and ``--n-maps``: the scan
 #: holds one 64-map block's images and the entropy kernel's terms in two

@@ -5,10 +5,12 @@ criterion for Hermitian unit-trace operators.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .measures import QUADRATIC
 from .qubit import QubitState, total_uncertainty_state
 
@@ -18,6 +20,14 @@ HERMITIAN_TOL = 1e-9
 POSTSELECT_EPS = 1e-12
 
 STRATEGIES = ("fixed-basis", "sampled", "eigen-directed")
+#: Fewest units of view work (n**3 per checked frame) per part of the
+#: positivity check: the frames (sampled bases plus the eigenbasis) of an
+#: n x n operator are built in min(usable cores, frames,
+#: frames n**3 // _VIEW_WORK) parts, at least one.  With 9 frames that is
+#: two parts from n = 31 on.  Timed on 2 cores with one BLAS thread, 9
+#: frames, one part -> two: n = 8 0.12 -> 0.25 ms, n = 16 0.23 -> 0.38 ms,
+#: n = 32 0.58 -> 0.41 ms, n = 64 3.0 -> 1.8 ms.
+_VIEW_WORK = 2**17
 
 
 def degrees_of_freedom(n: int, m: int = 3) -> int:
@@ -138,10 +148,10 @@ def _check_basis(basis, n: int) -> np.ndarray:
     return b
 
 
-def _conjugate(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _conjugate(b: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """b^dagger m b: ``m`` in the basis of the columns of ``b``, batched
-    over leading axes of ``b``."""
-    return np.swapaxes(b.conj(), -1, -2) @ m @ b
+    over leading axes of ``b``; written into ``out`` when given."""
+    return np.matmul(np.swapaxes(b.conj(), -1, -2) @ m, b, out=out)
 
 
 def conjugate_into_basis(rho: HermitianOperator, basis) -> HermitianOperator:
@@ -250,15 +260,22 @@ class PositivityVerdict:
     strategy: str
 
 
+def _haar_bases(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Haar-random orthonormal bases (columns) written into ``out`` of
+    shape (count, n, n): one stacked QR of the complex Gaussian matrices
+    (z[:, 0] + i z[:, 1]) / sqrt(2) from normals ``z`` of shape
+    (count, 2, n, n), with the phase fix."""
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return np.multiply(q, (d / np.abs(d)).conj()[..., None, :], out=out)
+
+
 def _random_bases(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """``count`` Haar-random orthonormal bases (columns), shape
     (count, n, n), via one stacked QR of complex Gaussian matrices with the
     phase fix.  Draws the same normals, in the same order, as ``count``
     calls of :func:`random_basis`, and returns the same matrices."""
-    z = rng.normal(size=(count, 2, n, n))
-    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d)).conj()[..., None, :]
+    return _haar_bases(rng.normal(size=(count, 2, n, n)), np.empty((count, n, n), complex))
 
 
 def random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -290,6 +307,68 @@ def eigen_positivity_oracle(rho: HermitianOperator, tol: float = 1e-9) -> Positi
     return PositivityVerdict(False, witness, "eigen-oracle")
 
 
+def _check_views(m: np.ndarray, n_sampled: int, eigen: bool, seed: int):
+    """The check's frames and views of the operator matrix ``m``.
+
+    The frames are one (F, n, n) basis stack: ``n_sampled`` Haar bases
+    drawn from ``seed``, then the eigenbasis when ``eigen``.  The views are
+    one (F + 1, n, n) stack: ``m`` itself, then ``m`` in frame f as view
+    f + 1.  The calling thread allocates both stacks and splits the work
+    into :func:`_threads.part_count` parts (see ``_VIEW_WORK``).  The
+    sampled bases form one contiguous chunk per part, in stream order; the
+    calling thread draws every chunk's normals from the one generator, in
+    chunk order, and hands chunk k to the helper of part k + 1 as soon as
+    it is drawn, and turns the last chunk into bases and views itself.  The
+    first helper (or the calling thread, with one part) computes the
+    eigenbasis view first, overlapping the draws.  Consecutive draws give
+    the bits of one draw, and each frame's QR, phase fix and conjugation
+    are the same calls on the same values in any chunk, so the stacks have
+    the same bits for every part count.  When the calling thread fails, it
+    releases every helper still waiting for its chunk before the join.
+    """
+    n = m.shape[0]
+    frames = n_sampled + eigen
+    bases = np.empty((frames, n, n), complex)
+    views = np.empty((frames + 1, n, n), complex)
+    views[0] = m
+    n_parts = _threads.part_count(frames * n**3, _VIEW_WORK, frames)
+    ends = [n_sampled * c // n_parts for c in range(n_parts + 1)]
+    chunks = [None] * (n_parts - 1)
+    handed = [threading.Event() for _ in chunks]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def part(k):
+        if eigen and k == min(1, n_parts - 1):
+            bases[-1] = _eigh(m)[1]
+            if n_parts > 1:
+                _conjugate(bases[-1:], m, out=views[-1:])
+        if k == 0:
+            try:
+                for c in range(n_parts):
+                    z = rng.normal(size=(ends[c + 1] - ends[c], 2, n, n))
+                    if c < n_parts - 1:
+                        chunks[c] = z
+                        handed[c].set()
+            finally:
+                for event in handed:
+                    event.set()
+            c = n_parts - 1
+        else:
+            c = k - 1
+            handed[c].wait()
+            z, chunks[c] = chunks[c], None
+            if z is None:  # the calling thread failed before drawing it
+                return
+        a, b = ends[c], ends[c + 1]
+        _haar_bases(z, bases[a:b])
+        if n_parts == 1:  # the eigenbasis follows the only chunk: one conjugation
+            b = frames
+        _conjugate(bases[a:b], m, out=views[a + 1 : b + 1])
+
+    _threads.run_parts(part, n_parts)
+    return bases, views
+
+
 def info_positivity_check(
     rho: HermitianOperator,
     strategy: str = "eigen-directed",
@@ -318,15 +397,24 @@ def info_positivity_check(
     eigenbasis.  The witness is the smallest minor over every view and pair
     i < j; ties go to the earliest view, then the first pair in row-major order.
     Its pair qubit is read off that view of the stack, not conjugated again.
+
+    The stack is built in min(usable cores, frames, frames n**3 // 2**17)
+    parts (2**17 is ``_VIEW_WORK``), at least one, where frames counts the
+    sampled bases and the eigenbasis: with 8 sampled bases, one part below
+    n = 31 and two from there on 2 cores.  A helper thread computes the eigenbasis view while
+    the calling thread draws the normals chunk by chunk from the one
+    generator; each chunk's QR and conjugation run on the part it was
+    handed to (:func:`_check_views`).  Verdict, witness and pair total
+    have the same bits for every part count.  Raises ValueError when
+    ``n_bases`` is negative.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if n_bases < 0:
+        raise ValueError(f"n_bases must be >= 0, got {n_bases}")
     n = rho.n
     n_sampled = 0 if strategy == "fixed-basis" else n_bases
-    bases = _random_bases(np.random.default_rng(np.random.SeedSequence(seed)), n_sampled, n)
-    if strategy == "eigen-directed":
-        bases = np.concatenate([bases, _eigh(rho.matrix)[1][None]])
-    views = np.concatenate([rho.matrix[None], _conjugate(bases, rho.matrix)])
+    bases, views = _check_views(rho.matrix, n_sampled, strategy == "eigen-directed", seed)
 
     diag = np.real(np.diagonal(views, axis1=1, axis2=2))
     threshold = tol * float(np.max(diag[0])) * float(np.max(diag))

@@ -5,13 +5,12 @@ alpha-norm preservers.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 
+from . import _threads
 from .measures import EntropyMeasure, _entropy_sum, entropy_sum, normalized_measure
 from .qubit import SECTOR_TOL, QubitState, _row_norms, p6_from_means, random_mean_vectors
 
@@ -224,14 +223,6 @@ _SCAN_BLOCK = 64
 _SLAB_CELLS = _SCAN_BLOCK * 128
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its affinity set where the platform
-    reports one, else the machine's core count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _slab_buffers(states: np.ndarray, measures, rows: int):
     """One slab's inputs and scratch: its state columns (6, s), the
     per-alpha baselines of its clipped columns, and the image, term and
@@ -301,29 +292,10 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
         raise ValueError("scan needs at least one state and one map")
     measures = [normalized_measure(alpha) for alpha in alphas]
     rows = min(_SCAN_BLOCK, maps.shape[0])
-    n_slabs = max(1, min(_usable_cores(), rows * states.shape[0] // _SLAB_CELLS))
+    n_slabs = _threads.part_count(rows * states.shape[0], _SLAB_CELLS, states.shape[0])
     offsets = [states.shape[0] * k // n_slabs for k in range(n_slabs + 1)]
     slabs = [_slab_buffers(states[a:b], measures, rows) for a, b in zip(offsets, offsets[1:])]
-
-    results = [None] * n_slabs
-
-    def run(k):
-        try:
-            results[k] = _scan_slab(maps, measures, *slabs[k])
-        except Exception as exc:  # re-raised by the caller after the join
-            results[k] = exc
-
-    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, n_slabs)]
-    for helper in helpers:
-        helper.start()
-    try:
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
+    results = _threads.run_parts(lambda k: _scan_slab(maps, measures, *slabs[k]), n_slabs)
 
     best = [(-1.0, 0, 0)] * len(measures)
     for cell, candidates in enumerate(zip(*results)):

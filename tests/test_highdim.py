@@ -1,15 +1,25 @@
 """Tests for counting, post-selection, and the one-bit positivity criterion."""
 
+import contextlib
+import io
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from onebit import _threads, highdim
+from onebit.cli import main
 from onebit.highdim import (
     HERMITIAN_TOL,
     POSTSELECT_EPS,
+    STRATEGIES,
     GptStateN,
     HermitianOperator,
+    _check_views,
+    _conjugate,
     _pair_minors,
     _random_bases,
     conjugate_into_basis,
@@ -507,6 +517,12 @@ class TestInfoPositivityCheck:
         with pytest.raises(ValueError, match="strategy"):
             info_positivity_check(rho, "exhaustive")
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rejects_a_negative_basis_count(self, strategy):
+        rho = HermitianOperator(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="^n_bases must be >= 0, got -1$"):
+            info_positivity_check(rho, strategy, n_bases=-1)
+
     def test_tied_pairs_report_the_first_in_row_major_order(self):
         # minors (0, 2) and (1, 2) are both 0.7 * -0.4
         rho = HermitianOperator(np.diag([0.7, 0.7, -0.4]))
@@ -520,6 +536,227 @@ class TestInfoPositivityCheck:
         rho = HermitianOperator(np.diag([0.7, 0.7, -0.4]))
         verdict = info_positivity_check(rho, "eigen-directed", seed=seed)
         assert (verdict.witness.basis, verdict.witness.pair) == ("computational", (0, 2))
+
+
+def force_parts(monkeypatch, parts):
+    """Make the next checks split their views into ``parts`` parts (at
+    most one per checked frame)."""
+    monkeypatch.setattr(highdim, "_VIEW_WORK", 1)
+    monkeypatch.setattr(_threads, "usable_cores", lambda: parts)
+
+
+def concatenated_views(m, n_sampled, eigen, seed):
+    """The check's bases and views built in one thread the way the check
+    built them before they were split into parts: one draw, one stacked QR,
+    the eigenbasis and then the computational view joined on by copies."""
+    n = m.shape[0]
+    bases = _random_bases(np.random.default_rng(np.random.SeedSequence(seed)), n_sampled, n)
+    if eigen:
+        bases = np.concatenate([bases, np.linalg.eigh(m)[1][None]])
+    return bases, np.concatenate([m[None], _conjugate(bases, m)])
+
+
+def witness_bits(verdict):
+    w = verdict.witness
+    if w is None:
+        return verdict.positive
+    return (
+        verdict.positive,
+        w.basis,
+        w.pair,
+        w.minor.hex(),
+        None if w.pair_total is None else w.pair_total.hex(),
+        None if w.basis_matrix is None else w.basis_matrix.tobytes(),
+    )
+
+
+def call_with_timeout(fn, timeout=60.0):
+    """The exception ``fn()`` raises (None if it returns), with the call
+    made on a watchdog thread that must finish within ``timeout`` s."""
+    outcome = []
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    watchdog = threading.Thread(target=target, daemon=True)
+    watchdog.start()
+    watchdog.join(timeout)
+    assert not watchdog.is_alive(), "the check did not finish: a helper is stuck"
+    return outcome[0]
+
+
+class FailingDraws:
+    """A generator whose ``fail_at``-th normal draw (from 0) raises."""
+
+    def __init__(self, rng, fail_at):
+        self.rng, self.fail_at, self.calls = rng, fail_at, 0
+
+    def normal(self, size):
+        if self.calls == self.fail_at:
+            raise FloatingPointError(f"draw {self.fail_at} failed")
+        self.calls += 1
+        return self.rng.normal(size=size)
+
+
+class TestPositivityParts:
+    """The check's views split into parts.  The part count is forced to
+    1-4 by patching the work threshold and the core count, so a one-core
+    machine still runs the helpers and the hand-over of the normals."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("n_bases", [0, 1, 3, 8, 9])
+    @pytest.mark.parametrize("n", [2, 5, 31, 32, 64])
+    def test_every_part_count_gives_the_one_part_bits(self, monkeypatch, n, n_bases, strategy):
+        rng = np.random.default_rng(n * 100 + n_bases)
+        rho = random_with_min_eigenvalue(rng, n, -float(rng.uniform(1e-3, 0.3)))
+        seed = int(rng.integers(1000))
+        n_sampled = 0 if strategy == "fixed-basis" else n_bases
+        eigen = strategy == "eigen-directed"
+        force_parts(monkeypatch, 1)
+        bases, views = _check_views(rho.matrix, n_sampled, eigen, seed)
+        reference = concatenated_views(rho.matrix, n_sampled, eigen, seed)
+        assert np.array_equal(bases, reference[0]) and np.array_equal(views, reference[1])
+        serial = witness_bits(info_positivity_check(rho, strategy, n_bases, seed))
+        for parts in (2, 3, 4):
+            force_parts(monkeypatch, parts)
+            got_bases, got_views = _check_views(rho.matrix, n_sampled, eigen, seed)
+            assert np.array_equal(got_bases, bases) and np.array_equal(got_views, views)
+            assert witness_bits(info_positivity_check(rho, strategy, n_bases, seed)) == serial
+
+    def test_more_parts_than_cores_under_fast_thread_switching(self, monkeypatch):
+        rho = random_with_min_eigenvalue(np.random.default_rng(8), 12, -0.05)
+        force_parts(monkeypatch, 1)
+        serial = _check_views(rho.matrix, 9, True, 4)
+        force_parts(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = _check_views(rho.matrix, 9, True, 4)
+                assert np.array_equal(got[0], serial[0]) and np.array_equal(got[1], serial[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_a_helper_takes_the_eigen_view_and_the_caller_the_last_chunk(
+        self, monkeypatch, parts
+    ):
+        calls = []
+        eigh, haar_bases = highdim._eigh, highdim._haar_bases
+
+        def spy_eigh(m):
+            calls.append((threading.current_thread(), "eigh"))
+            return eigh(m)
+
+        def spy_haar(z, out):
+            calls.append((threading.current_thread(), z.shape[0]))
+            return haar_bases(z, out)
+
+        monkeypatch.setattr(highdim, "_eigh", spy_eigh)
+        monkeypatch.setattr(highdim, "_haar_bases", spy_haar)
+        force_parts(monkeypatch, parts)
+        rho = random_density(np.random.default_rng(parts), 6)
+        info_positivity_check(rho, "eigen-directed", n_bases=9, seed=3)
+        caller = threading.current_thread()
+        chunks = [9 * (c + 1) // parts - 9 * c // parts for c in range(parts)]
+        assert len({thread for thread, _ in calls}) == parts
+        assert (caller, chunks[-1]) in calls
+        assert sorted(size for _, size in calls if size != "eigh") == sorted(chunks)
+        eigen_thread = next(thread for thread, what in calls if what == "eigh")
+        assert (eigen_thread is caller) == (parts == 1)
+
+    @pytest.mark.parametrize(
+        "n, n_bases, strategy, cores, parts",
+        [
+            (2, 3, "eigen-directed", 2, 1),  # the positivity_small workload
+            (6, 3, "eigen-directed", 2, 1),
+            (30, 8, "eigen-directed", 2, 1),
+            (31, 8, "eigen-directed", 2, 2),
+            (64, 8, "eigen-directed", 2, 2),  # the positivity_n64 workload
+            (64, 8, "eigen-directed", 4, 4),
+            (64, 8, "eigen-directed", 1, 1),
+            (64, 0, "eigen-directed", 2, 1),
+            (64, 1, "eigen-directed", 2, 2),
+            (64, 1, "sampled", 2, 1),
+            (64, 8, "fixed-basis", 2, 1),
+            (40, 9, "eigen-directed", 4, 4),
+        ],
+    )
+    def test_the_gate(self, monkeypatch, n, n_bases, strategy, cores, parts):
+        counts = []
+        run_parts = _threads.run_parts
+
+        def spy(part, n_parts):
+            counts.append(n_parts)
+            return run_parts(part, n_parts)
+
+        monkeypatch.setattr(_threads, "run_parts", spy)
+        monkeypatch.setattr(_threads, "usable_cores", lambda: cores)
+        info_positivity_check(HermitianOperator(np.eye(n) / n), strategy, n_bases)
+        assert counts == [parts]
+
+    @pytest.mark.parametrize("parts, fail_at", [(1, 0), (2, 0), (2, 1), (3, 1), (4, 0), (4, 3)])
+    def test_a_failed_draw_releases_every_helper(self, monkeypatch, parts, fail_at):
+        rho = random_density(np.random.default_rng(0), 8)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: FailingDraws(default_rng(seed), fail_at)
+        )
+        force_parts(monkeypatch, parts)
+        running = threading.active_count()
+        exc = call_with_timeout(lambda: info_positivity_check(rho, "eigen-directed", n_bases=8))
+        assert isinstance(exc, FloatingPointError)
+        assert str(exc) == f"draw {fail_at} failed"
+        assert threading.active_count() == running
+
+    def test_an_eigh_failure_on_a_helper_reaches_the_caller(self, monkeypatch, capfd):
+        threads = []
+
+        def failing(m):
+            threads.append(threading.current_thread())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        rho = random_density(np.random.default_rng(1), 8)
+        force_parts(monkeypatch, 1)
+        with pytest.raises(RuntimeError) as serial:
+            info_positivity_check(rho, "eigen-directed", n_bases=8)
+        force_parts(monkeypatch, 2)
+        running = threading.active_count()
+        with pytest.raises(RuntimeError) as got:
+            info_positivity_check(rho, "eigen-directed", n_bases=8)
+        assert str(got.value) == str(serial.value) == (
+            "eigendecomposition failed: Eigenvalues did not converge"
+        )
+        assert threads[0] is threading.current_thread()
+        assert threads[1] is not threading.current_thread()
+        assert threading.active_count() == running
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("strategy", ["sampled", "eigen-directed"])
+    def test_cli_report_bytes_do_not_depend_on_the_core_count(
+        self, monkeypatch, tmp_path, strategy
+    ):
+        rho = random_with_min_eigenvalue(np.random.default_rng(40), 40, -0.2)
+        path = tmp_path / "rho.json"
+        m = rho.matrix
+        path.write_text(json.dumps({"n": 40, "re": m.real.tolist(), "im": m.imag.tolist()}))
+        reports = []
+        for cores in (1, 4):
+            monkeypatch.setattr(_threads, "usable_cores", lambda c=cores: c)
+            out = tmp_path / f"report{cores}.json"
+            argv = ["positivity", "--input", str(path), "--n-bases", "9", "--seed", "5"]
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    assert main([*argv, "--strategy", strategy, "--out", str(out)]) == 1
+            reports.append((out.read_bytes(), stdout.getvalue()))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0][0])["results"]["verdict"]["witness"]["basis_matrix"]
 
 
 def cholesky_succeeds(m):

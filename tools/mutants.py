@@ -164,6 +164,40 @@ MUTANTS = (
         "_read_off(views[0])",
         ("tests/test_highdim.py::TestInfoPositivityCheck",),
     ),
+    # the check's views split into parts: one basis stack and one view
+    # stack in frame order, filled from one generator's stream
+    Mutant(
+        "views-eigen-first",
+        "highdim.py",
+        "            bases[-1] = _eigh(m)[1]\n"
+        "            if n_parts > 1:\n"
+        "                _conjugate(bases[-1:], m, out=views[-1:])",
+        "            bases[0] = _eigh(m)[1]\n"
+        "            if n_parts > 1:\n"
+        "                _conjugate(bases[:1], m, out=views[1:2])",
+        ("tests/test_highdim.py::TestPositivityParts",),
+    ),
+    Mutant(
+        "views-chunk-fresh-generator",
+        "highdim.py",
+        "z = rng.normal(size=",
+        "z = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=",
+        ("tests/test_highdim.py::TestPositivityParts",),
+    ),
+    Mutant(
+        "views-chunk-off-by-one",
+        "highdim.py",
+        "out=views[a + 1 : b + 1]",
+        "out=views[a:b]",
+        ("tests/test_highdim.py::TestPositivityParts",),
+    ),
+    Mutant(
+        "views-chunk-draw-one-extra",
+        "highdim.py",
+        "size=(ends[c + 1] - ends[c], 2, n, n)",
+        "size=(ends[c + 1] - ends[c] + (c < n_parts - 1), 2, n, n)",
+        ("tests/test_highdim.py::TestPositivityParts",),
+    ),
     Mutant(
         "threshold-100x",
         "highdim.py",
