@@ -8,7 +8,8 @@ is byte-identical across reruns with the same parameters and seed.
 ``malus`` prints CSV on stdout and returns results only with ``--out``, so
 it writes a report only then.  Human-readable summaries go to stderr.
 Exit codes: 0 success (for ``positivity``: the operator is positive),
-1 operator not positive, 2 invalid input, 3 unwritable output path.
+1 operator not positive, 2 invalid input, 3 unwritable output path,
+4 ``positivity``'s criterion and oracle disagree (its report is written).
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ EXIT_OK = 0
 EXIT_NOT_POSITIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_BAD_OUTPUT = 3
+EXIT_DISAGREE = 4
 
 #: What a ``_cmd_*`` handler returns: its exit code, the report's parameters
 #: and its results; ``None`` results mean the run writes no report.
@@ -305,6 +307,9 @@ def _cmd_positivity(args) -> _Outcome:
             "witness": oracle.witness and asdict(oracle.witness),
         },
     }
+    if verdict.positive != oracle.positive:
+        print("warning: the criterion and the eigenvalue oracle disagree", file=sys.stderr)
+        return EXIT_DISAGREE, parameters, results
     return (EXIT_OK if verdict.positive else EXIT_NOT_POSITIVE), parameters, results
 
 

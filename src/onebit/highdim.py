@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _threads
 from .measures import QUADRATIC
-from .qubit import QubitState, total_uncertainty_state
+from .qubit import QubitState, _haar_q, total_uncertainty_state
 
 #: Tolerance on hermiticity, unit trace, and basis orthonormality.
 HERMITIAN_TOL = 1e-9
@@ -160,9 +160,10 @@ def conjugate_into_basis(rho: HermitianOperator, basis) -> HermitianOperator:
     return HermitianOperator(_conjugate(_check_basis(basis, rho.n), rho.matrix))
 
 
-def gpt_from_density(rho: HermitianOperator, basis=None) -> GptStateN:
+def gpt_from_density(rho: HermitianOperator) -> GptStateN:
     """Read off the Z / X_ij / Y_ij outcome probabilities of an operator
-    in an orthonormal basis (default computational).
+    in the computational basis; for another orthonormal basis, read off
+    ``conjugate_into_basis(rho, basis)``.
 
     z_k = <k|rho|k>, and for each pair the pseudo-spin probabilities are
     p_xij = (rho_ii + rho_jj)/2 + Re rho_ij and
@@ -170,10 +171,7 @@ def gpt_from_density(rho: HermitianOperator, basis=None) -> GptStateN:
     satisfies every state invariant; for indefinite rho the violations are
     exactly what :func:`gpt_invariant_violations` flags.
     """
-    m = rho.matrix
-    if basis is not None:
-        m = _conjugate(_check_basis(basis, rho.n), m)
-    return _read_off(m)
+    return _read_off(rho.matrix)
 
 
 def _read_off(m: np.ndarray) -> GptStateN:
@@ -260,28 +258,12 @@ class PositivityVerdict:
     strategy: str
 
 
-def _haar_bases(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Haar-random orthonormal bases (columns) written into ``out`` of
-    shape (count, n, n): one stacked QR of the complex Gaussian matrices
-    (z[:, 0] + i z[:, 1]) / sqrt(2) from normals ``z`` of shape
-    (count, 2, n, n), with the phase fix."""
-    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return np.multiply(q, (d / np.abs(d)).conj()[..., None, :], out=out)
-
-
-def _random_bases(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """``count`` Haar-random orthonormal bases (columns), shape
-    (count, n, n), via one stacked QR of complex Gaussian matrices with the
-    phase fix.  Draws the same normals, in the same order, as ``count``
-    calls of :func:`random_basis`, and returns the same matrices."""
-    return _haar_bases(rng.normal(size=(count, 2, n, n)), np.empty((count, n, n), complex))
-
-
 def random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-random orthonormal basis (columns), via QR of a complex
-    Gaussian matrix with the phase fix."""
-    return _random_bases(rng, 1, n)[0]
+    """Haar-random orthonormal basis (columns): the QR of the complex
+    Gaussian matrix (z[0] + i z[1]) / sqrt(2), normals ``z`` of shape
+    (2, n, n), with the phase fix (``qubit._haar_q``)."""
+    z = rng.normal(size=(2, n, n))
+    return _haar_q((z[0] + 1j * z[1]) / np.sqrt(2.0))
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +342,7 @@ def _check_views(m: np.ndarray, n_sampled: int, eigen: bool, seed: int):
             if z is None:  # the calling thread failed before drawing it
                 return
         a, b = ends[c], ends[c + 1]
-        _haar_bases(z, bases[a:b])
+        _haar_q((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0), out=bases[a:b])
         if n_parts == 1:  # the eigenbasis follows the only chunk: one conjugation
             b = frames
         _conjugate(bases[a:b], m, out=views[a + 1 : b + 1])

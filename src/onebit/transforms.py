@@ -6,13 +6,13 @@ alpha-norm preservers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, cycle, pairwise, permutations, product
 
 import numpy as np
 
 from . import _threads
 from .measures import EntropyMeasure, _entropy_sum, entropy_sum, normalized_measure
-from .qubit import SECTOR_TOL, QubitState, _row_norms, p6_from_means, random_mean_vectors
+from .qubit import SECTOR_TOL, QubitState, _haar_q, _row_norms, p6_from_means, random_mean_vectors
 
 #: Tolerance for orthogonality of rotation inputs.
 ORTHO_TOL = 1e-9
@@ -184,15 +184,14 @@ def alpha_norm(vec, alpha: float) -> float:
 
 def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """``n`` Haar-uniform rotation matrices, shape (n, 3, 3), from one
-    stacked QR with the sign fix of Mezzadri (2007); the first column of a
-    matrix with determinant -1 is negated.
+    stacked QR with the sign fix of Mezzadri (2007) (the package's one
+    phase fix, shared with the unitary bases of ``highdim``); the first
+    column of a matrix with determinant -1 is negated.
 
     Draws the same normals, in the same order, as ``n`` calls of
     :func:`random_rotation`, and returns the same matrices.
     """
-    z = rng.normal(size=(n, 3, 3))
-    q, r = np.linalg.qr(z)
-    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)[:, None, :]
+    q = _haar_q(rng.normal(size=(n, 3, 3)))
     flip = np.linalg.det(q) < 0.0
     q[flip, :, 0] = -q[flip, :, 0]
     return q
@@ -234,11 +233,11 @@ def _slab_buffers(states: np.ndarray, measures, rows: int):
     return columns, bases, image, np.empty_like(image), np.empty((rows, columns.shape[1]))
 
 
-def _scan_slab(maps, measures, columns, bases, image_buffer, work_buffer, dev_buffer):
-    """The argmax cell (value, map index within the block, state index
-    within the slab) of every (block, alpha), in block-major order, for the
-    states in ``columns``.  Allocates nothing large: every array it writes
-    is one of the buffers."""
+def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer, dev_buffer):
+    """The argmax cell (value, state index, map index) of every (block,
+    alpha), in block-major order, for the states in ``columns``, the first
+    of which is state ``offset``; both indices count over the whole scan.
+    Allocates nothing large: every array it writes is one of the buffers."""
     cells = []
     for start in range(0, maps.shape[0], _SCAN_BLOCK):
         block = maps[start : start + _SCAN_BLOCK]
@@ -253,7 +252,7 @@ def _scan_slab(maps, measures, columns, bases, image_buffer, work_buffer, dev_bu
             dev -= base
             np.abs(dev, out=dev)
             m_idx, s_idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            cells.append((float(dev[m_idx, s_idx]), int(m_idx), int(s_idx)))
+            cells.append((float(dev[m_idx, s_idx]), offset + int(s_idx), start + int(m_idx)))
     return cells
 
 
@@ -278,13 +277,13 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
 
     A cell's arithmetic is the same whichever slab holds it (a six-term
     dot product, a clip, six terms summed in entry order, the baseline
-    subtracted), so the slab count cannot change a bit.  The slabs'
-    argmax cells are merged in (block, alpha) order: the larger value wins,
-    equal values go to the smaller map index and then to the earlier slab,
-    and a later block replaces the best only when strictly larger, so ties
-    go to the earliest map, then the earliest state, as in a row-major
-    argmax.  An exception raised in a helper is re-raised here.
-    Raises ValueError when a deviation is not finite.
+    subtracted), so the slab count cannot change a bit.  Every slab reports
+    the argmax cell of each (block, alpha) with indices over the whole scan,
+    and each alpha's result is the best of all those cells by the tie rule
+    of a row-major argmax over (map, state): the largest value, then the
+    earliest map, then the earliest state.  An exception raised in a helper
+    is re-raised here.  Raises ValueError when a deviation is not finite,
+    naming the alpha of the first such cell in block-major order.
     """
     states = np.asarray(states, dtype=float)
     maps = np.asarray(maps, dtype=float)
@@ -294,23 +293,18 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     rows = min(_SCAN_BLOCK, maps.shape[0])
     n_slabs = _threads.part_count(rows * states.shape[0], _SLAB_CELLS, states.shape[0])
     offsets = [states.shape[0] * k // n_slabs for k in range(n_slabs + 1)]
-    slabs = [_slab_buffers(states[a:b], measures, rows) for a, b in zip(offsets, offsets[1:])]
+    slabs = [(a, *_slab_buffers(states[a:b], measures, rows)) for a, b in pairwise(offsets)]
     results = _threads.run_parts(lambda k: _scan_slab(maps, measures, *slabs[k]), n_slabs)
 
-    best = [(-1.0, 0, 0)] * len(measures)
-    for cell, candidates in enumerate(zip(*results)):
-        block, j = divmod(cell, len(measures))
+    cells = list(zip(*results))  # per (block, alpha), block-major: every slab's cell
+    for candidates, measure in zip(cells, cycle(measures)):
         if not all(np.isfinite(v) for v, _, _ in candidates):
-            raise ValueError(
-                f"total-uncertainty deviation is not finite at alpha={measures[j].alpha}"
-            )
-        value, m_idx, s_idx = candidates[0]
-        for (v, m, s), offset in zip(candidates[1:], offsets[1:]):
-            if v > value or (v == value and m < m_idx):
-                value, m_idx, s_idx = v, m, offset + s
-        if value > best[j][0]:
-            best[j] = (value, s_idx, block * _SCAN_BLOCK + m_idx)
-    return best
+            raise ValueError(f"total-uncertainty deviation is not finite at alpha={measure.alpha}")
+    # a row-major argmax's tie rule: largest value, then earliest map, then earliest state
+    return [
+        min(chain.from_iterable(cells[j :: len(measures)]), key=lambda c: (-c[0], c[2], c[1]))
+        for j in range(len(measures))
+    ]
 
 
 def _rotation_about(axis: int, angle: float) -> np.ndarray:
@@ -359,9 +353,11 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
     slab per usable core (at most one per 128 states at 64 maps or more),
     scans the first in the calling thread and the others in helper threads
     over buffers the calling thread allocated, and applies each 64-map
-    block once for every alpha; ties report the earliest map, then the
-    earliest state, in that order.  The report has the same bits for any
-    slab count, since a cell's arithmetic does not depend on its slab.
+    block once for every alpha.  Each alpha reports the cell a row-major
+    argmax over (map, state) would: the largest deviation, then the
+    earliest map, then the earliest state.  The report has the same bits
+    for any slab count, since a cell's arithmetic does not depend on its
+    slab.
     """
     alphas = list(alphas)
     if not alphas:

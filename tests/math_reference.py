@@ -23,3 +23,20 @@ def scalar_pair_total(p6, alpha):
         p = min(max(p6[2 * u], 0.0), 1.0)
         total += math_entropy_sum((p, 1.0 - p), alpha, k, 1)
     return total
+
+
+def diagonal_minus_axis(alpha):
+    """3 h_alpha(1/2 + 1/(2 sqrt 3)) - 2: the normalized total uncertainty
+    of the pure diagonal state m = (1, 1, 1) / sqrt 3 minus that of a pure
+    axis state (one certain sector, two fair ones)."""
+    p = 0.5 + 0.5 / math.sqrt(3.0)
+    return scalar_pair_total((p, 1.0 - p) * 3, alpha) - 2.0
+
+
+def scan_supremum(alpha):
+    """D(alpha) = |3 h_alpha(1/2 + 1/(2 sqrt 3)) - 2|, the largest
+    |H_total(A p) - H_total(p)| over all states and rotations.  The total
+    depends on a state only through the squared mean values, rotations
+    act transitively on each sphere |m| = r, and the extremes sit at the
+    pure axis and pure diagonal states."""
+    return abs(diagonal_minus_axis(alpha))

@@ -16,6 +16,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from onebit.cli import main
+from onebit.highdim import random_with_min_eigenvalue
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -235,6 +236,28 @@ class TestPositivityCommand:
         v = np.array(vector["re"]) + 1j * np.array(vector["im"])
         assert v.shape == (3,)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("strategy", ["fixed-basis", "sampled"])
+    def test_a_verdict_the_oracle_contradicts_exits_4(self, tmp_path, strategy):
+        # the computational pair minors are positive (1/9 - b**2 > 0) but the
+        # smallest eigenvalue is negative; in 40 dimensions 16 Haar frames
+        # miss a -1e-3 eigenvalue
+        if strategy == "fixed-basis":
+            matrix = [[1 / 3, -0.3, -0.25], [-0.3, 1 / 3, -0.28], [-0.25, -0.28, 1 / 3]]
+        else:
+            matrix = random_with_min_eigenvalue(np.random.default_rng(0), 40, -1e-3).matrix
+        path = tmp_path / "rho.json"
+        write_matrix(path, matrix)
+        argv = ["positivity", "--input", str(path), "--strategy", strategy, "--n-bases", "16"]
+        code, out, err = run_cli(argv)
+        assert code == 4
+        results = json.loads(out)["results"]
+        assert results["verdict"] == {"positive": True, "strategy": strategy, "witness": None}
+        assert results["oracle"]["positive"] is False
+        assert err.splitlines() == [
+            f"criterion: positive ({strategy}); oracle: NOT positive",
+            "warning: the criterion and the eigenvalue oracle disagree",
+        ]
 
 
 class TestCountingCommand:

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from onebit.highdim import (
     _check_views,
     _conjugate,
     _pair_minors,
-    _random_bases,
     conjugate_into_basis,
     counting_consistency,
     degrees_of_freedom,
@@ -128,17 +128,18 @@ class TestGptFromDensity:
                 assert gpt_invariant_violations(state) == []
 
     def test_respects_given_basis(self):
+        # in basis b, z_k = <b_k|rho|b_k>
         rng = np.random.default_rng(42)
         rho = random_density(rng, 3)
         basis = random_basis(rng, 3)
-        direct = gpt_from_density(conjugate_into_basis(rho, basis))
-        via_basis = gpt_from_density(rho, basis)
-        np.testing.assert_allclose(direct.z_probs, via_basis.z_probs, atol=1e-12)
+        state = gpt_from_density(conjugate_into_basis(rho, basis))
+        expected = [np.vdot(b, rho.matrix @ b).real for b in basis.T]
+        np.testing.assert_allclose(state.z_probs, expected, atol=1e-12)
 
     def test_rejects_non_orthonormal_basis(self):
         rho = HermitianOperator(np.eye(2) / 2)
         with pytest.raises(ValueError, match="orthonormal"):
-            gpt_from_density(rho, np.array([[1.0, 1.0], [0.0, 0.0]]))
+            conjugate_into_basis(rho, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_component_count(self):
         for n in (2, 3, 4, 6):
@@ -146,6 +147,11 @@ class TestGptFromDensity:
             i, j = np.triu_indices(state.n, 1)
             n_params = (state.n - 1) + state.px[i, j].size + state.py[i, j].size
             assert n_params == n * n - 1
+
+
+def read_off(rho, basis=None):
+    """``gpt_from_density`` in ``basis`` (computational when None)."""
+    return gpt_from_density(rho if basis is None else conjugate_into_basis(rho, basis))
 
 
 def dict_read_off(rho, basis=None):
@@ -206,7 +212,7 @@ def layout_ensemble():
 class TestArrayLayout:
     def test_read_off_matches_dict_loop_bitwise(self):
         for rho, basis in layout_ensemble():
-            state = gpt_from_density(rho, basis)
+            state = read_off(rho, basis)
             z, pairs = dict_read_off(rho, basis)
             assert np.array_equal(state.z_probs, z)
             for (i, j), (px, py) in pairs.items():
@@ -217,14 +223,14 @@ class TestArrayLayout:
         for rho, basis in layout_ensemble():
             z, pairs = dict_read_off(rho, basis)
             expected = dict_violations(z, pairs)
-            assert gpt_invariant_violations(gpt_from_density(rho, basis)) == expected
+            assert gpt_invariant_violations(read_off(rho, basis)) == expected
             pair_messages += sum(msg.startswith("p_") for msg in expected)
         assert pair_messages > 0
 
     def test_postselect_matches_dict_loop_bitwise(self):
         rejected = 0
         for rho, basis in layout_ensemble():
-            state = gpt_from_density(rho, basis)
+            state = read_off(rho, basis)
             z, pairs = dict_read_off(rho, basis)
             for i in range(rho.n):
                 for j in range(rho.n):
@@ -465,7 +471,7 @@ class TestInfoPositivityCheck:
             n = int(rng.integers(2, 6))
             rho = random_density(rng, n)
             for _ in range(5):
-                state = gpt_from_density(rho, random_basis(rng, n))
+                state = read_off(rho, random_basis(rng, n))
                 for i in range(n):
                     for j in range(i + 1, n):
                         if state.z_probs[i] + state.z_probs[j] < 1e-9:
@@ -501,7 +507,7 @@ class TestInfoPositivityCheck:
                 continue
             w = verdict.witness
             labels.add(w.basis.split("[")[0])
-            state = gpt_from_density(rho, w.basis_matrix)
+            state = read_off(rho, w.basis_matrix)
             try:
                 expected = pair_uncertainty(state, *w.pair)
             except ValueError:
@@ -546,11 +552,13 @@ def force_parts(monkeypatch, parts):
 
 
 def concatenated_views(m, n_sampled, eigen, seed):
-    """The check's bases and views built in one thread the way the check
-    built them before they were split into parts: one draw, one stacked QR,
-    the eigenbasis and then the computational view joined on by copies."""
+    """The check's bases and views built in one thread from sequential
+    draws: one ``random_basis`` call per sampled basis, then the eigenbasis,
+    stacked by copies, and the computational view joined on."""
     n = m.shape[0]
-    bases = _random_bases(np.random.default_rng(np.random.SeedSequence(seed)), n_sampled, n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    bases = np.array([random_basis(rng, n) for _ in range(n_sampled)], complex)
+    bases = bases.reshape(n_sampled, n, n)
     if eigen:
         bases = np.concatenate([bases, np.linalg.eigh(m)[1][None]])
     return bases, np.concatenate([m[None], _conjugate(bases, m)])
@@ -647,18 +655,18 @@ class TestPositivityParts:
         self, monkeypatch, parts
     ):
         calls = []
-        eigh, haar_bases = highdim._eigh, highdim._haar_bases
+        eigh, haar_q = highdim._eigh, highdim._haar_q
 
         def spy_eigh(m):
             calls.append((threading.current_thread(), "eigh"))
             return eigh(m)
 
-        def spy_haar(z, out):
+        def spy_haar(z, out=None):
             calls.append((threading.current_thread(), z.shape[0]))
-            return haar_bases(z, out)
+            return haar_q(z, out)
 
         monkeypatch.setattr(highdim, "_eigh", spy_eigh)
-        monkeypatch.setattr(highdim, "_haar_bases", spy_haar)
+        monkeypatch.setattr(highdim, "_haar_q", spy_haar)
         force_parts(monkeypatch, parts)
         rho = random_density(np.random.default_rng(parts), 6)
         info_positivity_check(rho, "eigen-directed", n_bases=9, seed=3)
@@ -826,16 +834,19 @@ class TestGenerators:
                 smallest = float(np.linalg.eigvalsh(rho.matrix)[0])
                 assert smallest == pytest.approx(target, abs=1e-12)
 
-    def test_batched_bases_match_sequential_draws_bitwise(self):
+    def test_batched_bases_match_sequential_draws_bitwise(self, monkeypatch):
+        # the check's sampled basis stack, built in one and in two chunks,
+        # against one basis at a time with the phase fix written out
         def loop_basis(rng, n):
             z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
             q, r = np.linalg.qr(z)
             d = np.diag(r)
-            return q * (d / np.abs(d)).conj()
+            return q * (d / np.abs(d))
 
-        for n in (1, 2, 3, 6, 17):
-            batch = _random_bases(np.random.default_rng(n), 5, n)
-            rng = np.random.default_rng(n)
+        for parts, n in product((1, 2), (1, 2, 3, 6, 17)):
+            force_parts(monkeypatch, parts)
+            batch = _check_views(np.eye(n, dtype=complex) / n, 5, False, n)[0]
+            rng = np.random.default_rng(np.random.SeedSequence(n))
             assert np.array_equal(batch, [loop_basis(rng, n) for _ in range(5)])
 
     def test_random_basis_is_unitary(self):

@@ -13,6 +13,7 @@ from onebit.qubit import (
     PHYSICAL_TOL,
     ComplementaryFrame,
     QubitState,
+    _haar_q,
     is_pure,
     malus_probability,
     p6_from_means,
@@ -121,6 +122,42 @@ class TestProbabilityMeanConversion:
                     if other != axis:
                         assert probs[2 * other] == pytest.approx(0.5, abs=1e-9)
 
+
+def assert_positive_qr(q, z):
+    """q^dagger z is upper triangular with a positive real diagonal."""
+    r = np.swapaxes(q.conj(), -1, -2) @ z
+    np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=1e-12)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert (diag.real > 0.0).all()
+    np.testing.assert_allclose(diag.imag, 0.0, atol=1e-12)
+
+
+class TestHaarPhaseFix:
+    """The Q of the one QR whose R has a positive diagonal (Mezzadri 2007),
+    whichever column phases the factorization chose."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_q_does_not_depend_on_the_qr_phases(self, monkeypatch, dtype):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(4, 5, 5)).astype(dtype)
+        if dtype is complex:
+            z += 1j * rng.normal(size=z.shape)
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(4, 5)))
+        else:
+            phases = rng.choice([-1.0, 1.0], size=(4, 5))
+        expected = _haar_q(z)
+        assert_positive_qr(expected, z)
+        qr = np.linalg.qr
+
+        def rephased(a):
+            # (Q D)(D* R) is a QR of the same matrices for any unit phases D
+            q, r = qr(a)
+            return q * phases[..., None, :], phases.conj()[..., :, None] * r
+
+        monkeypatch.setattr(np.linalg, "qr", rephased)
+        got = _haar_q(z)
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+        assert_positive_qr(got, z)
 
 class TestQubitStateValidation:
     def test_rejects_bad_sector_sum(self):

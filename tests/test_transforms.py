@@ -46,7 +46,7 @@ from onebit.transforms import (
     total_uncertainty_p6,
 )
 
-from math_reference import scalar_pair_total
+from math_reference import diagonal_minus_axis, scalar_pair_total, scan_supremum
 
 QUARTER_TURN_MATRIX = np.array(
     [
@@ -615,6 +615,38 @@ class TestScanScalarOracle:
                     assert cell[0][0] == pytest.approx(table[a, b], abs=1e-12)
 
 
+SUPREMUM_ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+
+
+class TestScanSupremum:
+    """D(alpha) = |3 h_alpha(1/2 + 1/(2 sqrt 3)) - 2| bounds every deviation
+    the scan can find; it is computed with ``math`` alone."""
+
+    @pytest.mark.parametrize("seed", [42, 1, 7])
+    def test_the_scan_stays_below_the_supremum(self, seed):
+        for report in invariance_scan(SUPREMUM_ALPHAS, 1000, 200, seed):
+            assert report.max_deviation <= scan_supremum(report.alpha) + 1e-12
+
+    @pytest.mark.parametrize("seed", [42, 1, 7])
+    def test_the_scan_comes_close_to_the_supremum(self, seed):
+        # measured at these sizes: 0.11% to 0.19% below D on every seed
+        for report in invariance_scan(SUPREMUM_ALPHAS, 1000, 200, seed):
+            if report.alpha not in (2.0, 3.0):
+                assert report.max_deviation >= 0.995 * scan_supremum(report.alpha)
+
+    def test_vanishes_exactly_at_2_and_3(self):
+        # on binary pairs 1 - p**3 - q**3 = 3 p q, so the cubic total is the
+        # quadratic one; no other degree is invariant
+        assert scan_supremum(2.0) <= 1e-15 and scan_supremum(3.0) <= 1e-15
+        assert scan_supremum(4.0) == pytest.approx(2.0 / 21.0, abs=1e-15)
+        grid = [0.055 + 0.01 * k for k in range(995)]  # 0.055 to 9.995, never 2 or 3
+        signs = [diagonal_minus_axis(alpha) > 0.0 for alpha in grid]
+        changes = [(a, b) for a, b, s, t in zip(grid, grid[1:], signs, signs[1:]) if s != t]
+        assert len(changes) == 2
+        assert changes[0][0] < 2.0 < changes[0][1] and changes[1][0] < 3.0 < changes[1][1]
+        assert signs[0] and diagonal_minus_axis(2.5) < 0.0
+
+
 def fresh_scan_deviations(states, maps, alphas):
     """scan_deviations with every block's images, every alpha's entropy
     terms and every deviation freshly allocated, the entropy written out
@@ -685,9 +717,9 @@ def spy_slabs(monkeypatch):
     calls = []
     scan_slab = transforms._scan_slab
 
-    def spy(maps, measures, columns, *buffers):
+    def spy(maps, measures, offset, columns, *buffers):
         calls.append((threading.current_thread(), columns.shape[1]))
-        return scan_slab(maps, measures, columns, *buffers)
+        return scan_slab(maps, measures, offset, columns, *buffers)
 
     monkeypatch.setattr(transforms, "_scan_slab", spy)
     return calls
