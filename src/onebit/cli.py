@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Each ``_cmd_*`` handler returns ``(exit_code, parameters, results)`` and
-:func:`main` writes the run report, the one JSON envelope
+The parser alone checks flags: each flag's argparse type enforces its
+range and cap.  Each ``_cmd_*`` handler returns ``(exit_code, parameters,
+results)`` and :func:`main` writes the run report, the one JSON envelope
 ``{command, parameters, seed, results, version}`` (``seed`` is 0 for
 commands without ``--seed``), to stdout or ``--out``.  Its results payload
 is byte-identical across reruns with the same parameters and seed.
@@ -177,54 +178,57 @@ def _emit(command: str, parameters: dict, seed: int, results, out_path: str | No
         sys.stdout.write(text)
 
 
-def _uint64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
-    return value
+_MAX_FLOAT = sys.float_info.max
+_TINY = math.ulp(0.0)  # the least positive float: ``value >= _TINY`` is ``value > 0``
+_SPANS = {(_TINY, _MAX_FLOAT): "positive and finite", (-_MAX_FLOAT, _MAX_FLOAT): "finite"}
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be nonnegative, got {text}")
-    return value
+def _bounded(kind: type, low, high=_MAX_FLOAT):
+    """An argparse type: ``kind(text)``, accepted when low <= value <= high.
+    NaN fails the test, and so do infinities under the default ``high``."""
+    span = _SPANS.get((low, high), f"between {low} and {high}")
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+def _listed(kind: type, cap: int = sys.maxsize):
+    """An argparse type: comma-separated ``kind`` values, empty tokens
+    skipped, at most ``cap`` of them."""
+
+    def parse(text: str) -> list:
+        values = [kind(token) for token in text.split(",") if token != ""]
+        if len(values) > cap:
+            raise argparse.ArgumentTypeError(f"must hold at most {cap} values, got {len(values)}")
+        return values
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
-def _check_cap(what: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise ValueError(f"{what} must be at most {cap}, got {value}")
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every error, in any subcommand, is a ValueError, so
+    :func:`main` reports it like any other invalid input."""
 
-
-def _parse_list(text: str, kind: type) -> list:
-    try:
-        return [kind(token) for token in text.split(",") if token != ""]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {text!r} as comma-separated {kind.__name__}s") from exc
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _cmd_entropy(args) -> _Outcome:
-    dist = _parse_list(args.dist, float)
-    value = entropy(dist, normalized_measure(args.alpha))
+    value = entropy(args.dist, normalized_measure(args.alpha))
     print(f"entropy = {_fmt(value)}", file=sys.stderr)
-    return EXIT_OK, {"dist": dist, "alpha": args.alpha}, {"entropy": value}
+    return EXIT_OK, {"dist": args.dist, "alpha": args.alpha}, {"entropy": value}
 
 
 def _cmd_invariance_scan(args) -> _Outcome:
-    _check_cap("--n-states", args.n_states, MAX_SCAN_COUNT)
-    _check_cap("--n-maps", args.n_maps, MAX_SCAN_COUNT)
-    if args.alphas is not None:
-        alphas = _parse_list(args.alphas, float)
-        _check_cap("the number of --alphas", len(alphas), MAX_ALPHAS)
-    else:
-        _check_cap("--alpha-steps", args.alpha_steps, MAX_ALPHAS)
+    alphas = args.alphas
+    if alphas is None:
         alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
     reports = invariance_scan(alphas, args.n_states, args.n_maps, args.seed)
     fields = ("alpha", "max_deviation", "argmax_state_id", "argmax_map_id")
@@ -272,7 +276,6 @@ def _load_hermitian(path: str) -> HermitianOperator:
 
 
 def _cmd_positivity(args) -> _Outcome:
-    _check_cap("--n-bases", args.n_bases, MAX_BASES)
     rho = _load_hermitian(args.input)
     verdict = info_positivity_check(
         rho, strategy=args.strategy, n_bases=args.n_bases, seed=args.seed, tol=args.tol
@@ -314,24 +317,19 @@ def _cmd_positivity(args) -> _Outcome:
 
 
 def _cmd_counting(args) -> _Outcome:
-    m_values = _parse_list(args.m_list, int)
-    if not 3 <= args.n_max <= MAX_COUNTING_N:
-        raise ValueError(f"--n-max must be between 3 and {MAX_COUNTING_N}, got {args.n_max}")
-    _check_cap("--r-max", args.r_max, MAX_COUNTING_R)
-    _check_cap("the number of --m-list values", len(m_values), MAX_COUNTING_M)
     r_values = list(range(1, args.r_max + 1))
     table = [
         {"n": n, "m": m, "k": degrees_of_freedom(n, m)}
-        for m in m_values
+        for m in args.m_list
         for n in range(2, args.n_max + 1)
     ]
-    matches = counting_consistency(args.n_max, m_values, r_values)
+    matches = counting_consistency(args.n_max, args.m_list, r_values)
     print(
         f"consistent (m, r) pairs over N=2..{args.n_max}: "
         + (", ".join(f"({m}, {r})" for m, r in matches) or "none"),
         file=sys.stderr,
     )
-    parameters = {"n_max": args.n_max, "m_list": m_values, "r_max": args.r_max}
+    parameters = {"n_max": args.n_max, "m_list": args.m_list, "r_max": args.r_max}
     return EXIT_OK, parameters, {"table": table, "matches": matches}
 
 
@@ -364,9 +362,6 @@ def _cmd_search_preservers(args) -> _Outcome:
 
 
 def _cmd_malus(args) -> _Outcome:
-    _check_cap("--n-points", args.n_points, MAX_MALUS_POINTS)
-    if not math.isfinite(args.theta_max):
-        raise ValueError(f"--theta-max must be finite, got {args.theta_max}")
     thetas = np.linspace(0.0, args.theta_max, args.n_points)
     rows = [(float(t), malus_probability(float(t))) for t in thetas]
     sys.stdout.write(_csv(("theta", "probability"), rows))
@@ -376,15 +371,18 @@ def _cmd_malus(args) -> _Outcome:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="onebit",
         description="Information-invariance and positivity checks over "
         "complementary measurements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed, positive = _bounded(int, 0, 2**64 - 1), _bounded(float, _TINY)
 
     p = sub.add_parser("entropy", help="degree-alpha entropy of a distribution")
-    p.add_argument("--dist", required=True, help="comma-separated probabilities")
+    p.add_argument(
+        "--dist", type=_listed(float), required=True, help="comma-separated probabilities"
+    )
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_entropy)
@@ -395,11 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha-min", type=float, default=0.5)
     p.add_argument("--alpha-max", type=float, default=3.0)
-    p.add_argument("--alpha-steps", type=_nonnegative_int, default=6)
-    p.add_argument("--alphas", default=None, help="explicit comma-separated grid")
-    p.add_argument("--n-states", type=_nonnegative_int, default=1000)
-    p.add_argument("--n-maps", type=_nonnegative_int, default=200)
-    p.add_argument("--seed", type=_uint64, default=0)
+    p.add_argument("--alpha-steps", type=_bounded(int, 0, MAX_ALPHAS), default=6)
+    p.add_argument("--alphas", type=_listed(float, MAX_ALPHAS), help="comma-separated grid")
+    p.add_argument("--n-states", type=_bounded(int, 0, MAX_SCAN_COUNT), default=1000)
+    p.add_argument("--n-maps", type=_bounded(int, 0, MAX_SCAN_COUNT), default=200)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out-csv", required=True, help="CSV output path")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_invariance_scan)
@@ -407,32 +405,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("positivity", help="one-bit positivity criterion vs oracle")
     p.add_argument("--input", required=True, help="JSON file: {n, re, im}")
     p.add_argument("--strategy", choices=STRATEGIES, default="eigen-directed")
-    p.add_argument("--n-bases", type=_nonnegative_int, default=8)
-    p.add_argument("--seed", type=_uint64, default=0)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--n-bases", type=_bounded(int, 0, MAX_BASES), default=8)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--tol", type=positive, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_positivity)
 
     p = sub.add_parser("counting", help="degree-of-freedom table and scaling matches")
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--m-list", default="2,3,4,5,6,7,8,9")
-    p.add_argument("--r-max", type=_nonnegative_int, default=4)
+    p.add_argument("--n-max", type=_bounded(int, 3, MAX_COUNTING_N), default=50)
+    p.add_argument("--m-list", type=_listed(int, MAX_COUNTING_M), default="2,3,4,5,6,7,8,9")
+    p.add_argument("--r-max", type=_bounded(int, 0, MAX_COUNTING_R), default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_counting)
 
     p = sub.add_parser(
         "search-preservers", help="randomized search for alpha-norm preservers"
     )
-    p.add_argument("--alpha", type=_positive_float, required=True)
-    p.add_argument("--budget", type=_nonnegative_int, default=10000)
-    p.add_argument("--seed", type=_uint64, default=0)
-    p.add_argument("--tol", type=_positive_float, default=PERMUTATION_TOL)
+    p.add_argument("--alpha", type=positive, required=True)
+    p.add_argument("--budget", type=_bounded(int, 0), default=10000)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--tol", type=positive, default=PERMUTATION_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_search_preservers)
 
     p = sub.add_parser("malus", help="cos^2(theta/2) curve as CSV")
-    p.add_argument("--n-points", type=_nonnegative_int, default=361)
-    p.add_argument("--theta-max", type=float, default=2.0 * np.pi)
+    p.add_argument("--n-points", type=_bounded(int, 0, MAX_MALUS_POINTS), default=361)
+    p.add_argument("--theta-max", type=_bounded(float, -_MAX_FLOAT), default=2.0 * np.pi)
     p.add_argument("--out", default=None, help="also write a JSON report here")
     p.set_defaults(func=_cmd_malus)
 
@@ -441,12 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and write its report, unless it returned no results.
-    The only error boundary: invalid input (ValueError) exits 2 and an
-    unwritable output path (OSError) exits 3, each with one ``error:`` line
-    on stderr.  Every output path is checked before the command runs, so a
-    target that cannot be opened exits 3 with nothing written anywhere."""
-    args = build_parser().parse_args(argv)
+    The only error boundary: invalid input (ValueError, every parse error
+    included) returns 2 and an unwritable output path (OSError) returns 3,
+    each with one ``error:`` line on stderr; only ``--help`` exits.  Every
+    output path is checked before the command runs, so a target that
+    cannot be opened exits 3 with nothing written anywhere."""
     try:
+        args = build_parser().parse_args(argv)
         for flag, what in (("out_csv", "CSV"), ("out", "report")):
             target = getattr(args, flag, None)
             if target:

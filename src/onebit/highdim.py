@@ -142,8 +142,9 @@ def _check_basis(basis, n: int) -> np.ndarray:
     b = np.asarray(basis, dtype=complex)
     if b.shape != (n, n):
         raise ValueError(f"basis must be {n}x{n}, got shape {b.shape}")
-    gap = float(np.max(np.abs(b.conj().T @ b - np.eye(n))))
-    if gap > HERMITIAN_TOL:
+    with np.errstate(invalid="ignore"):  # an inf entry makes the gap NaN
+        gap = float(np.max(np.abs(b.conj().T @ b - np.eye(n))))
+    if not gap <= HERMITIAN_TOL:  # a NaN gap fails too
         raise ValueError(f"basis columns are not orthonormal (gap {gap:.3g})")
     return b
 
@@ -275,9 +276,18 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
 
 
+def _check_tol(tol: float) -> None:
+    """A NaN ``tol`` would switch a threshold test off and an infinite one
+    would accept every operator, so both raise, like a nonpositive one."""
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def eigen_positivity_oracle(rho: HermitianOperator, tol: float = 1e-9) -> PositivityVerdict:
     """Ground truth for positivity: smallest eigenvalue of the operator,
-    accepted down to -tol relative to the largest diagonal entry."""
+    accepted down to -tol relative to the largest diagonal entry.  Raises
+    ValueError unless ``tol`` is positive and finite."""
+    _check_tol(tol)
     values, vectors = _eigh(rho.matrix)
     threshold = tol * float(np.max(np.real(np.diag(rho.matrix))))
     smallest = float(values[0])
@@ -388,12 +398,13 @@ def info_positivity_check(
     generator; each chunk's QR and conjugation run on the part it was
     handed to (:func:`_check_views`).  Verdict, witness and pair total
     have the same bits for every part count.  Raises ValueError when
-    ``n_bases`` is negative.
+    ``n_bases`` is negative or ``tol`` is not positive and finite.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if n_bases < 0:
         raise ValueError(f"n_bases must be >= 0, got {n_bases}")
+    _check_tol(tol)
     n = rho.n
     n_sampled = 0 if strategy == "fixed-basis" else n_bases
     bases, views = _check_views(rho.matrix, n_sampled, strategy == "eigen-directed", seed)

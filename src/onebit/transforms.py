@@ -574,10 +574,12 @@ def search_norm_preservers(
     permutation.  ``budget`` counts objective evaluations across all
     starts, at most 2000 per start; an exhausted budget with no hits
     returns an empty list.  The output is evidence, not proof.  Raises
-    ValueError unless ``alpha`` is positive and finite.
+    ValueError unless ``alpha`` and ``tol`` are positive and finite.
     """
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (tol > 0 and np.isfinite(tol)):  # a NaN tol would switch the residual filter off
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if budget < 1:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))

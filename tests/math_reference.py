@@ -2,6 +2,7 @@
 the kernel tests in ``test_measures.py`` and ``test_transforms.py``."""
 
 import math
+from fractions import Fraction
 
 
 def math_entropy_sum(entries, alpha, k, count):
@@ -40,3 +41,16 @@ def scan_supremum(alpha):
     act transitively on each sphere |m| = r, and the extremes sit at the
     pure axis and pure diagonal states."""
     return abs(diagonal_minus_axis(alpha))
+
+
+def exact_scan_supremum(alpha):
+    """D(alpha) as an exact Fraction at an integer alpha >= 2.  Here
+    h_alpha(p) = (1 - s_alpha) / (1 - 2**(1 - alpha)) with the power sum
+    s_k = p**k + q**k at p = 1/2 + 1/(2 sqrt 3) and q = 1 - p; since
+    p + q = 1 and p q = 1/6, s_k = s_{k-1} - s_{k-2} / 6 from s_0 = 2 and
+    s_1 = 1, so every s_k is rational."""
+    s = [Fraction(2), Fraction(1)]
+    while len(s) <= alpha:
+        s.append(s[-1] - s[-2] / 6)
+    h = (1 - s[alpha]) / (1 - Fraction(1, 2 ** (alpha - 1)))
+    return abs(3 * h - 2)

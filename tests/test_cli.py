@@ -28,17 +28,6 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_exit(argv):
-    """run_cli that also returns the exit code of an argparse error."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 def write_matrix(path, matrix):
     m = np.asarray(matrix, dtype=complex)
     payload = {"n": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
@@ -142,13 +131,12 @@ class TestInvarianceScanCommand:
         assert not csv_path.exists()
 
     @pytest.mark.parametrize("flag", ["--n-states", "--n-maps"])
-    def test_negative_count_rejected(self, tmp_path, capsys, flag):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["invariance-scan", flag, "-1", "--out-csv", str(tmp_path / "scan.csv")])
-        assert exit_info.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines()[-1].endswith(f"{flag}: count must be nonnegative, got -1")
+    def test_negative_count_rejected(self, tmp_path, flag):
+        code, out, err = run_cli(
+            ["invariance-scan", flag, "-1", "--out-csv", str(tmp_path / "scan.csv")]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {flag}: must be between 0 and 50000, got -1\n"
 
 
 class TestPositivityCommand:
@@ -398,6 +386,15 @@ SCAN = ["invariance-scan", "--alphas", "2", "--n-states", "3", "--n-maps", "1"]
 BAD_INPUTS = {
     "entropy-nan-dist": (["entropy", "--dist", "nan,0.5"], 2),
     "entropy-inf-alpha": (["entropy", "--dist", "0.5,0.5", "--alpha", "inf"], 2),
+    "entropy-unparseable-dist": (["entropy", "--dist", "0.5,zebra"], 2),
+    "entropy-missing-dist": (["entropy"], 2),
+    "no-command": ([], 2),
+    "unknown-command": (["bogus"], 2),
+    "unknown-flag": (["malus", "--bogus", "1"], 2),
+    "malus-non-integer-points": (["malus", "--n-points", "1.5"], 2),
+    # int() and float() accept surrounding whitespace; the message must stay one line
+    "malus-points-over-cap-newline": (["malus", "--n-points", "1000001\n"], 2),
+    "malus-theta-max-newline": (["malus", "--theta-max", "1\nx"], 2),
     "positivity-nan-matrix": (["positivity", "--input", "{tmp}/nan.json"], 2),
     "positivity-list-payload": (["positivity", "--input", "{tmp}/list.json"], 2),
     "positivity-missing-key": (["positivity", "--input", "{tmp}/no-re.json"], 2),
@@ -492,14 +489,13 @@ class TestErrorBoundary:
         (tmp_path / "float-n.json").write_text('{"n": 2.0, "re": [[0.5, 0], [0, 0.5]]}')
         (tmp_path / "re-2x3.json").write_text('{"n": 2, "re": [[0.5, 0, 0], [0, 0.5, 0]]}')
         write_matrix(tmp_path / "mixed.json", np.eye(2) / 2)
-        code, out, err = run_cli_exit([arg.format(tmp=tmp_path) for arg in argv])
+        code, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv])
         assert code == expected
         assert out == ""
-        assert "Traceback" not in err
-        last = err.splitlines()[-1]
-        assert last.startswith("error: ") or last.startswith(f"onebit {argv[0]}: error: ")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert err.startswith("error: ")
         if expected == 3:
-            assert "cannot write" in last
+            assert "cannot write" in err
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -754,7 +750,7 @@ def test_cli_argument_fuzz(data, tmp_path_factory):
             path = output_target(kind, directory, flag.strip("-"))
             targets[flag] = (kind, path)
             argv += [flag, str(path)]
-    code, out, err = run_cli_exit(argv)
+    code, out, err = run_cli(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if command == "malus" and out:
@@ -771,7 +767,7 @@ def test_cli_argument_fuzz(data, tmp_path_factory):
     first = {flag: path.read_bytes() for flag, path in written.items()}
     for path in written.values():
         path.unlink()
-    assert run_cli_exit(argv)[0] == 0
+    assert run_cli(argv)[0] == 0
     assert {flag: path.read_bytes() for flag, path in written.items()} == first
 
 

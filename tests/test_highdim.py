@@ -141,6 +141,16 @@ class TestGptFromDensity:
         with pytest.raises(ValueError, match="orthonormal"):
             conjugate_into_basis(rho, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["everywhere", "one entry"])
+    def test_rejects_a_non_finite_basis(self, bad, where):
+        # a NaN gap fails the orthonormality test, not a later finiteness check
+        basis = np.full((2, 2), bad) if where == "everywhere" else np.eye(2)
+        basis[0, 0] = bad
+        rho = HermitianOperator(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="^basis columns are not orthonormal"):
+            conjugate_into_basis(rho, basis)
+
     def test_component_count(self):
         for n in (2, 3, 4, 6):
             state = gpt_from_density(HermitianOperator(np.eye(n) / n))
@@ -424,6 +434,13 @@ class TestEigenOracle:
             for _ in range(20):
                 assert eigen_positivity_oracle(random_density(rng, n)).positive
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
+        # an infinite tol would accept this indefinite operator
+        rho = HermitianOperator(np.array([[0.5, 0.6], [0.6, 0.5]]))
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            eigen_positivity_oracle(rho, tol=tol)
+
 
 class TestInfoPositivityCheck:
     def test_maximally_mixed_all_strategies(self):
@@ -524,6 +541,14 @@ class TestInfoPositivityCheck:
             info_positivity_check(rho, "exhaustive")
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, strategy, tol):
+        # a NaN tol read this indefinite operator as positive, and so did inf
+        rho = HermitianOperator(np.array([[0.5, 0.6], [0.6, 0.5]]))
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            info_positivity_check(rho, strategy, tol=tol)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rejects_a_negative_basis_count(self, strategy):
         rho = HermitianOperator(np.eye(2) / 2)
         with pytest.raises(ValueError, match="^n_bases must be >= 0, got -1$"):
@@ -542,6 +567,46 @@ class TestInfoPositivityCheck:
         rho = HermitianOperator(np.diag([0.7, 0.7, -0.4]))
         verdict = info_positivity_check(rho, "eigen-directed", seed=seed)
         assert (verdict.witness.basis, verdict.witness.pair) == ("computational", (0, 2))
+
+
+#: Operators detected, of 40 per cell, by fixed-basis and by sampled with 8
+#: Haar bases: (n, lambda_min) -> (fixed-basis, sampled).  Measured by
+#: TestDetectionTable, not assumed; eigen-directed detects all 40 in every cell.
+DETECTION_TABLE = {
+    (4, -1e-1): (25, 39),
+    (4, -1e-2): (2, 2),
+    (8, -1e-1): (9, 39),
+    (8, -1e-2): (0, 0),
+    (16, -1e-1): (6, 34),
+    (16, -1e-2): (0, 0),
+    (64, -1e-1): (10, 38),
+    (64, -1e-2): (0, 0),
+}
+
+
+class TestDetectionTable:
+    """How often each strategy sees a negative eigenvalue: 40 seeded
+    ``random_with_min_eigenvalue`` operators per (n, lambda_min) cell.
+    Random pair planes in high dimension rarely see a small negative
+    direction, so ``sampled`` is one-sided evidence: a negative minor
+    proves non-positivity, and no negative minor proves nothing."""
+
+    def test_counts_per_strategy(self, monkeypatch):
+        # one part: the same bits as any part count (TestPositivityParts),
+        # without OpenBLAS's own thread pool competing with the helper
+        monkeypatch.setattr(_threads, "usable_cores", lambda: 1)
+        measured = {}
+        for n, smallest in DETECTION_TABLE:
+            rng = np.random.default_rng(2009)
+            counts = dict.fromkeys(STRATEGIES, 0)
+            for k in range(40):
+                rho = random_with_min_eigenvalue(rng, n, smallest)
+                for strategy in STRATEGIES:
+                    verdict = info_positivity_check(rho, strategy, n_bases=8, seed=k)
+                    counts[strategy] += not verdict.positive
+            assert counts["eigen-directed"] == 40, (n, smallest)
+            measured[n, smallest] = (counts["fixed-basis"], counts["sampled"])
+        assert measured == DETECTION_TABLE
 
 
 def force_parts(monkeypatch, parts):

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,12 @@ from onebit.transforms import (
     total_uncertainty_p6,
 )
 
-from math_reference import diagonal_minus_axis, scalar_pair_total, scan_supremum
+from math_reference import (
+    diagonal_minus_axis,
+    exact_scan_supremum,
+    scalar_pair_total,
+    scan_supremum,
+)
 
 QUARTER_TURN_MATRIX = np.array(
     [
@@ -546,6 +552,12 @@ class TestSearchNormPreservers:
         with pytest.raises(ValueError, match="positive and finite"):
             search_norm_preservers(alpha, 10, seed=0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
+        # a NaN tol would let every converged map through the residual filter
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            search_norm_preservers(2.0, 10, seed=0, tol=tol)
+
     def test_alpha_two_finds_non_permutation_preservers(self):
         candidates = search_norm_preservers(2.0, 2000, seed=7)
         assert candidates
@@ -645,6 +657,39 @@ class TestScanSupremum:
         assert len(changes) == 2
         assert changes[0][0] < 2.0 < changes[0][1] and changes[1][0] < 3.0 < changes[1][1]
         assert signs[0] and diagonal_minus_axis(2.5) < 0.0
+
+    def test_exact_at_integer_alpha(self):
+        assert exact_scan_supremum(2) == exact_scan_supremum(3) == 0
+        assert exact_scan_supremum(4) == Fraction(2, 21)
+        for alpha in range(2, 11):
+            assert float(exact_scan_supremum(alpha)) == pytest.approx(
+                scan_supremum(float(alpha)), abs=1e-15
+            )
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5, 4.0])
+    def test_simplex_grid_finds_the_extremes(self, alpha):
+        # the total depends on a state only through t_u = m_u**2; on each
+        # sphere sum(t) = r**2 of a coarse grid the widest spread is on the
+        # pure sphere, between the axis state and the diagonal state
+        side = 30  # a multiple of 3: the diagonal state is a grid point
+        weights = [(i, j, side - i - j) for i in range(side + 1) for j in range(side + 1 - i)]
+        spreads = []
+        for r in [k / 10 for k in range(11)]:
+            totals = []
+            for w in weights:
+                p = [0.5 + 0.5 * r * math.sqrt(x / side) for x in w]
+                p6 = (p[0], 1.0 - p[0], p[1], 1.0 - p[1], p[2], 1.0 - p[2])
+                totals.append((scalar_pair_total(p6, alpha), w))
+            (high, high_w), (low, low_w) = max(totals), min(totals)
+            spreads.append((high - low, r, high_w, low_w))
+        spread, r, high_w, low_w = max(spreads)
+        kinds = {(0, 0, side): "axis", (side // 3,) * 3: "diagonal"}
+        found = tuple(kinds.get(tuple(sorted(w))) for w in (high_w, low_w))
+        assert r == 1.0
+        # max and min swap where the diagonal state's total drops below the axis one
+        diagonal_first = diagonal_minus_axis(alpha) > 0.0
+        assert found == (("diagonal", "axis") if diagonal_first else ("axis", "diagonal"))
+        assert spread == pytest.approx(scan_supremum(alpha), abs=1e-12)
 
 
 def fresh_scan_deviations(states, maps, alphas):

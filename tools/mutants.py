@@ -238,6 +238,24 @@ MUTANTS = (
         ("tests/test_highdim.py",),
     ),
     Mutant(
+        "basis-nan-gap",
+        "highdim.py",
+        "    if not gap <= HERMITIAN_TOL:  # a NaN gap fails too",
+        "    if gap > HERMITIAN_TOL:",
+        ("tests/test_highdim.py::TestGptFromDensity",),
+    ),
+    # a library tol must be positive and finite: NaN and inf give a verdict
+    Mutant(
+        "positivity-tol-nan-accepted",
+        "highdim.py",
+        "if not (tol > 0 and np.isfinite(tol)):",
+        "if tol <= 0:",
+        (
+            "tests/test_highdim.py::TestEigenOracle",
+            "tests/test_highdim.py::TestInfoPositivityCheck",
+        ),
+    ),
+    Mutant(
         "qubit-nan-gap",
         "qubit.py",
         "            if not gap <= SECTOR_TOL:",
@@ -252,12 +270,20 @@ MUTANTS = (
         "        pass",
         ("tests/test_cli.py::TestPositivityCommand",),
     ),
-    # CLI input checks
+    # CLI input checks: every flag's range is its parser type's, and every
+    # parse error goes through main's one error line
     Mutant(
         "cli-negative-count-accepted",
         "cli.py",
-        "if value < 0:",
-        "if value < -1:",
+        "if not low <= value <= high:",
+        "if not low - 1 <= value <= high:",
+        ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    Mutant(
+        "cli-parser-error-exits",
+        "cli.py",
+        "        raise ValueError(message)",
+        "        super().error(message)",
         ("tests/test_cli.py::TestErrorBoundary",),
     ),
     # matrix-file entries: isinstance admits booleans (bool subclasses int),
