@@ -1,10 +1,11 @@
 """Command-line front end.
 
 The parser alone checks flags: each flag's argparse type enforces its
-range and cap.  Each ``_cmd_*`` handler returns ``(exit_code, parameters,
-results)`` and :func:`main` writes the run report, the one JSON envelope
-``{command, parameters, seed, results, version}`` (``seed`` is 0 for
-commands without ``--seed``), to stdout or ``--out``.  Its results payload
+range and cap.  Each ``_cmd_*`` handler returns ``(exit_code, results)``
+and :func:`main` writes the run report, the one JSON envelope
+``{command, parameters, seed, results, version}``, to stdout or ``--out``:
+``parameters`` holds every parsed flag but ``--seed`` and ``--out``, and
+``seed`` is 0 for commands without ``--seed``.  Its results payload
 is byte-identical across reruns with the same parameters and seed.
 ``malus`` prints CSV on stdout and returns results only with ``--out``, so
 it writes a report only then.  Human-readable summaries go to stderr.
@@ -20,6 +21,7 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import sys
 from dataclasses import asdict
@@ -62,10 +64,10 @@ MAX_BASES = 1024
 #: (n_maps, 6, 6) float64, 288 B per map, so 14 MiB at the cap (72 MiB
 #: RSS peak).
 MAX_SCAN_COUNT = 50_000
-#: CLI cap on the scan's alpha grid (``--alpha-steps`` or the number of
-#: ``--alphas``): the scan keeps one (n_states,) float64 baseline per alpha,
-#: 8 B per state, so 381 MiB over 50 000 states at the cap (452 MiB RSS
-#: peak with the four probe maps alone).
+#: CLI cap on the scan's alpha grid, the number of ``--alphas``: the scan
+#: keeps one (n_states,) float64 baseline per alpha, 8 B per state, so
+#: 381 MiB over 50 000 states at the cap (452 MiB RSS peak with the four
+#: probe maps alone).
 MAX_ALPHAS = 1000
 #: CLI cap on ``malus --n-points``: the rows, as Python floats, and the CSV
 #: text cost about 300 B per point, so 1 000 000 points peak at 342 MiB RSS.
@@ -77,9 +79,12 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_OUTPUT = 3
 EXIT_DISAGREE = 4
 
-#: What a ``_cmd_*`` handler returns: its exit code, the report's parameters
-#: and its results; ``None`` results mean the run writes no report.
-_Outcome = tuple[int, dict, dict | None]
+#: What a ``_cmd_*`` handler returns: its exit code and its results; ``None``
+#: results mean the run writes no report.
+_Outcome = tuple[int, dict | None]
+#: Parsed names that are not the report's ``parameters``: the envelope holds
+#: ``command`` and ``seed``, ``func`` is the handler and ``out`` the target.
+_NOT_PARAMETERS = frozenset({"command", "func", "seed", "out"})
 
 
 def _fmt(value: float) -> str:
@@ -214,7 +219,13 @@ def _listed(kind: type, cap: int = sys.maxsize):
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose every error, in any subcommand, is a ValueError, so
-    :func:`main` reports it like any other invalid input."""
+    :func:`main` reports it like any other invalid input, and that reads
+    every argument starting with ``-`` and a digit or ``.digit`` as a value
+    (argparse's own pattern misses ``-2e0`` and ``-0.5,1.5``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ValueError(message)
@@ -223,14 +234,11 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_entropy(args) -> _Outcome:
     value = entropy(args.dist, normalized_measure(args.alpha))
     print(f"entropy = {_fmt(value)}", file=sys.stderr)
-    return EXIT_OK, {"dist": args.dist, "alpha": args.alpha}, {"entropy": value}
+    return EXIT_OK, {"entropy": value}
 
 
 def _cmd_invariance_scan(args) -> _Outcome:
-    alphas = args.alphas
-    if alphas is None:
-        alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
-    reports = invariance_scan(alphas, args.n_states, args.n_maps, args.seed)
+    reports = invariance_scan(args.alphas, args.n_states, args.n_maps, args.seed)
     fields = ("alpha", "max_deviation", "argmax_state_id", "argmax_map_id")
     rows = [{field: getattr(rep, field) for field in fields} for rep in reports]
     _write(args.out_csv, _csv(fields, (row.values() for row in rows)), "CSV")
@@ -240,13 +248,7 @@ def _cmd_invariance_scan(args) -> _Outcome:
         f"at alpha={worst.alpha:g}",
         file=sys.stderr,
     )
-    parameters = {
-        "alphas": [float(a) for a in alphas],
-        "n_states": args.n_states,
-        "n_maps": args.n_maps,
-        "out_csv": args.out_csv,
-    }
-    return EXIT_OK, parameters, {"rows": rows}
+    return EXIT_OK, {"rows": rows}
 
 
 def _load_hermitian(path: str) -> HermitianOperator:
@@ -293,12 +295,6 @@ def _cmd_positivity(args) -> _Outcome:
             f"minor {verdict.witness.minor:.6g}",
             file=sys.stderr,
         )
-    parameters = {
-        "input": args.input,
-        "strategy": args.strategy,
-        "n_bases": args.n_bases,
-        "tol": args.tol,
-    }
     results = {
         "verdict": {
             "positive": verdict.positive,
@@ -312,8 +308,8 @@ def _cmd_positivity(args) -> _Outcome:
     }
     if verdict.positive != oracle.positive:
         print("warning: the criterion and the eigenvalue oracle disagree", file=sys.stderr)
-        return EXIT_DISAGREE, parameters, results
-    return (EXIT_OK if verdict.positive else EXIT_NOT_POSITIVE), parameters, results
+        return EXIT_DISAGREE, results
+    return (EXIT_OK if verdict.positive else EXIT_NOT_POSITIVE), results
 
 
 def _cmd_counting(args) -> _Outcome:
@@ -329,8 +325,7 @@ def _cmd_counting(args) -> _Outcome:
         + (", ".join(f"({m}, {r})" for m, r in matches) or "none"),
         file=sys.stderr,
     )
-    parameters = {"n_max": args.n_max, "m_list": args.m_list, "r_max": args.r_max}
-    return EXIT_OK, parameters, {"table": table, "matches": matches}
+    return EXIT_OK, {"table": table, "matches": matches}
 
 
 def _cmd_search_preservers(args) -> _Outcome:
@@ -356,9 +351,7 @@ def _cmd_search_preservers(args) -> _Outcome:
         f"{len(candidates)} candidate(s) below residual {args.tol:g}; {verdict}",
         file=sys.stderr,
     )
-    parameters = {"alpha": args.alpha, "budget": args.budget, "tol": args.tol}
-    results = {"candidates": payload, "all_candidates_permutation_like": all_permutation_like}
-    return EXIT_OK, parameters, results
+    return EXIT_OK, {"candidates": payload, "all_candidates_permutation_like": all_permutation_like}
 
 
 def _cmd_malus(args) -> _Outcome:
@@ -366,8 +359,7 @@ def _cmd_malus(args) -> _Outcome:
     rows = [(float(t), malus_probability(float(t))) for t in thetas]
     sys.stdout.write(_csv(("theta", "probability"), rows))
     print(f"{args.n_points} points over [0, {args.theta_max:g}]", file=sys.stderr)
-    parameters = {"n_points": args.n_points, "theta_max": args.theta_max}
-    return EXIT_OK, parameters, ({"rows": rows} if args.out else None)
+    return EXIT_OK, ({"rows": rows} if args.out else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,10 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
         "invariance-scan",
         help="worst total-uncertainty deviation under rotations, per alpha",
     )
-    p.add_argument("--alpha-min", type=float, default=0.5)
-    p.add_argument("--alpha-max", type=float, default=3.0)
-    p.add_argument("--alpha-steps", type=_bounded(int, 0, MAX_ALPHAS), default=6)
-    p.add_argument("--alphas", type=_listed(float, MAX_ALPHAS), help="comma-separated grid")
+    p.add_argument(
+        "--alphas",
+        type=_listed(float, MAX_ALPHAS),
+        default="0.5,1,1.5,2,2.5,3",
+        help="comma-separated grid",
+    )
     p.add_argument("--n-states", type=_bounded(int, 0, MAX_SCAN_COUNT), default=1000)
     p.add_argument("--n-maps", type=_bounded(int, 0, MAX_SCAN_COUNT), default=200)
     p.add_argument("--seed", type=seed, default=0)
@@ -450,8 +444,9 @@ def main(argv=None) -> int:
             target = getattr(args, flag, None)
             if target:
                 _check_target(target, what)
-        code, parameters, results = args.func(args)
+        code, results = args.func(args)
         if results is not None:
+            parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
             _emit(args.command, parameters, getattr(args, "seed", 0), results, args.out)
         return code
     except (ValueError, OSError) as exc:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _threads
-from .measures import QUADRATIC
+from .measures import QUADRATIC, _check_positive_finite
 from .qubit import QubitState, _haar_q, total_uncertainty_state
 
 #: Tolerance on hermiticity, unit trace, and basis orthonormality.
@@ -276,18 +276,11 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _check_tol(tol: float) -> None:
-    """A NaN ``tol`` would switch a threshold test off and an infinite one
-    would accept every operator, so both raise, like a nonpositive one."""
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
-
 def eigen_positivity_oracle(rho: HermitianOperator, tol: float = 1e-9) -> PositivityVerdict:
     """Ground truth for positivity: smallest eigenvalue of the operator,
     accepted down to -tol relative to the largest diagonal entry.  Raises
     ValueError unless ``tol`` is positive and finite."""
-    _check_tol(tol)
+    _check_positive_finite("tol", tol)
     values, vectors = _eigh(rho.matrix)
     threshold = tol * float(np.max(np.real(np.diag(rho.matrix))))
     smallest = float(values[0])
@@ -404,7 +397,7 @@ def info_positivity_check(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if n_bases < 0:
         raise ValueError(f"n_bases must be >= 0, got {n_bases}")
-    _check_tol(tol)
+    _check_positive_finite("tol", tol)
     n = rho.n
     n_sampled = 0 if strategy == "fixed-basis" else n_bases
     bases, views = _check_views(rho.matrix, n_sampled, strategy == "eigen-directed", seed)

@@ -38,6 +38,14 @@ QUADRATIC = EntropyMeasure(alpha=2.0, k=2.0)
 SHANNON = EntropyMeasure(alpha=1.0, k=1.0)
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is positive and finite.  The test
+    fails on NaN: a NaN tolerance would switch a threshold test off, and an
+    infinite one would pass everything."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def normalized_measure(alpha: float) -> EntropyMeasure:
     """Degree-alpha measure scaled so a fair binary pair scores exactly 1.
 
@@ -45,8 +53,7 @@ def normalized_measure(alpha: float) -> EntropyMeasure:
     when alpha != 1; its alpha -> 1 limit is the base-2 Shannon entropy with
     k = 1, which is what alpha == 1 returns.
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_positive_finite("alpha", alpha)
     if alpha == 1.0:
         return SHANNON
     return EntropyMeasure(alpha=alpha, k=(alpha - 1.0) / (1.0 - 2.0 ** (1.0 - alpha)))

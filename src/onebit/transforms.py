@@ -11,7 +11,13 @@ from itertools import chain, cycle, pairwise, permutations, product
 import numpy as np
 
 from . import _threads
-from .measures import EntropyMeasure, _entropy_sum, entropy_sum, normalized_measure
+from .measures import (
+    EntropyMeasure,
+    _check_positive_finite,
+    _entropy_sum,
+    entropy_sum,
+    normalized_measure,
+)
 from .qubit import SECTOR_TOL, QubitState, _haar_q, _row_norms, p6_from_means, random_mean_vectors
 
 #: Tolerance for orthogonality of rotation inputs.
@@ -576,10 +582,8 @@ def search_norm_preservers(
     returns an empty list.  The output is evidence, not proof.  Raises
     ValueError unless ``alpha`` and ``tol`` are positive and finite.
     """
-    if not (alpha > 0 and np.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if not (tol > 0 and np.isfinite(tol)):  # a NaN tol would switch the residual filter off
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_positive_finite("alpha", alpha)
+    _check_positive_finite("tol", tol)  # a NaN tol would switch the residual filter off
     if budget < 1:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))

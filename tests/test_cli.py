@@ -1,5 +1,6 @@
 """CLI integration tests: exit codes, payload content, and determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from onebit.cli import main
+from onebit.cli import build_parser, main
 from onebit.highdim import random_with_min_eigenvalue
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -379,6 +380,13 @@ class TestMalusCommand:
         _, out_b, _ = run_cli(args)
         assert out_a == out_b
 
+    def test_negative_exponent_value_parses(self):
+        # argparse's own pattern reads -2e0 as an option, though --theta-max=-2e0 runs
+        spaced = run_cli(["malus", "--n-points", "3", "--theta-max", "-2e0"])
+        joined = run_cli(["malus", "--n-points", "3", "--theta-max=-2e0"])
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[1].splitlines()[-1].startswith("-2,")
+
 
 SCAN = ["invariance-scan", "--alphas", "2", "--n-states", "3", "--n-maps", "1"]
 
@@ -435,20 +443,12 @@ BAD_INPUTS = {
         ["invariance-scan", "--seed", str(2**64), "--out-csv", "{tmp}/scan.csv"],
         2,
     ),
-    "scan-negative-alpha-steps": (
-        ["invariance-scan", "--alpha-steps", "-1", "--out-csv", "{tmp}/scan.csv"],
-        2,
-    ),
     "scan-n-states-over-cap": (
         ["invariance-scan", "--n-states", "50001", "--out-csv", "{tmp}/scan.csv"],
         2,
     ),
     "scan-n-maps-over-cap": (
         ["invariance-scan", "--n-maps", "50001", "--out-csv", "{tmp}/scan.csv"],
-        2,
-    ),
-    "scan-alpha-steps-over-cap": (
-        ["invariance-scan", "--alpha-steps", "1001", "--out-csv", "{tmp}/scan.csv"],
         2,
     ),
     "scan-alphas-over-cap": (
@@ -461,6 +461,44 @@ BAD_INPUTS = {
     ),
     "scan-unwritable-csv": (SCAN + ["--out-csv", "{tmp}/missing/scan.csv"], 3),
 }
+
+
+class TestParameters:
+    """The report's ``parameters`` are the parsed flags, less ``--seed`` and ``--out``."""
+
+    MINIMAL = {
+        "entropy": ["--dist", "0.5,0.5"],
+        "invariance-scan": ["--n-states", "3", "--n-maps", "1", "--out-csv", "{tmp}/scan.csv"],
+        "positivity": ["--input", "{tmp}/rho.json"],
+        "counting": ["--n-max", "3"],
+        "search-preservers": ["--alpha", "2", "--budget", "0"],
+        "malus": ["--n-points", "3"],
+    }
+
+    def test_every_command_reports_its_flags(self, tmp_path):
+        write_matrix(tmp_path / "rho.json", np.eye(2) / 2)
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(subparsers.choices) == sorted(self.MINIMAL)
+        for command, flags in self.MINIMAL.items():
+            report_path = tmp_path / f"{command}.json"
+            argv = [command, *(f.format(tmp=tmp_path) for f in flags), "--out", str(report_path)]
+            assert run_cli(argv)[0] == 0, command
+            parameters = json.loads(report_path.read_text())["parameters"]
+            dests = {
+                action.dest for action in subparsers.choices[command]._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            assert set(parameters) == dests - {"seed", "out"}, command
+
+    def test_default_alpha_grid(self, tmp_path):
+        code, out, _ = run_cli(["invariance-scan", "--n-states", "3", "--n-maps", "1",
+                                "--out-csv", str(tmp_path / "scan.csv")])
+        assert code == 0
+        alphas = json.loads(out)["parameters"]["alphas"]
+        assert alphas == np.linspace(0.5, 3.0, 6).tolist()
 
 
 class TestErrorBoundary:
@@ -496,6 +534,13 @@ class TestErrorBoundary:
         assert err.startswith("error: ")
         if expected == 3:
             assert "cannot write" in err
+
+    def test_negative_exponent_value_reaches_the_check(self):
+        # parsed as a value, -1e0 meets the alpha check, not "expected one argument"
+        code, out, err = run_cli(["entropy", "--dist", "0.5,0.5", "--alpha", "-1e0"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alpha must be positive and finite")
+        assert err.count("\n") == 1
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -570,7 +615,7 @@ class TestWriter:
         # a file-size limit below the CSV's length makes the write stop
         # partway with EFBIG; the old file is longer than the limit
         resource = pytest.importorskip("resource")
-        argv = ["invariance-scan", "--alphas", "0.5,1,2,3", "--alpha-steps", "2",
+        argv = ["invariance-scan", "--alphas", "0.5,1,2,3",
                 "--n-states", "3", "--n-maps", "1", "--out-csv"]
         csv_path, fresh = tmp_path / "scan.csv", tmp_path / "fresh.csv"
         assert run_cli(argv + [str(fresh)])[0] == 0
@@ -710,7 +755,6 @@ FUZZ_ARGS = {
     ],
     "invariance-scan": [
         optional("--alphas", st.sampled_from(["1,2", "2", "0.5,3", "", "nan", "0"])),
-        optional("--alpha-steps", st.integers(-1, 3)),
         optional("--n-states", st.integers(-1, 12)),
         optional("--n-maps", st.integers(-1, 4)),
         optional("--seed", st.integers(-1, 3)),

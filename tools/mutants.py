@@ -247,9 +247,9 @@ MUTANTS = (
     # a library tol must be positive and finite: NaN and inf give a verdict
     Mutant(
         "positivity-tol-nan-accepted",
-        "highdim.py",
-        "if not (tol > 0 and np.isfinite(tol)):",
-        "if tol <= 0:",
+        "measures.py",
+        "if not (value > 0 and math.isfinite(value)):",
+        "if value <= 0:",
         (
             "tests/test_highdim.py::TestEigenOracle",
             "tests/test_highdim.py::TestInfoPositivityCheck",
@@ -266,7 +266,7 @@ MUTANTS = (
     Mutant(
         "cli-no-disagreement-exit",
         "cli.py",
-        "        return EXIT_DISAGREE, parameters, results",
+        "        return EXIT_DISAGREE, results",
         "        pass",
         ("tests/test_cli.py::TestPositivityCommand",),
     ),
@@ -285,6 +285,22 @@ MUTANTS = (
         "        raise ValueError(message)",
         "        super().error(message)",
         ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    # argparse's own negative-number pattern reads -1e0 as an option
+    Mutant(
+        "cli-default-negative-pattern",
+        "cli.py",
+        'self._negative_number_matcher = re.compile(r"^-\\.?\\d")',
+        'self._negative_number_matcher = re.compile(r"^-\\d+$|^-\\d*\\.\\d+$")',
+        ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    # the report's parameters are the parsed flags, less the envelope's and --out
+    Mutant(
+        "cli-parameters-keep-out",
+        "cli.py",
+        '_NOT_PARAMETERS = frozenset({"command", "func", "seed", "out"})',
+        '_NOT_PARAMETERS = frozenset({"command", "func", "seed"})',
+        ("tests/test_cli.py::TestMalusCommand::test_golden_report",),
     ),
     # matrix-file entries: isinstance admits booleans (bool subclasses int),
     # and without the check numpy casts strings
