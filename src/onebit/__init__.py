@@ -14,7 +14,6 @@ from .measures import (
     EntropyMeasure,
     entropy,
     entropy_sum,
-    normalized_measure,
     pair_entropy,
     total_uncertainty,
     validate_distribution,

@@ -37,12 +37,20 @@ from .highdim import (
     eigen_positivity_oracle,
     info_positivity_check,
 )
-from .measures import entropy, normalized_measure
+from .measures import EntropyMeasure, entropy
 from .qubit import malus_probability
 from .transforms import PERMUTATION_TOL, invariance_scan, search_norm_preservers
 
 #: CLI cap on operator dimension; dense eigendecompositions stay sub-second.
 MAX_DIMENSION = 64
+#: CLI cap on the magnitude of a matrix file's real and imaginary entries,
+#: so that no product the check forms overflows.  An entry's modulus is
+#: then below 2e100, and a view entry, at most the Frobenius norm, below
+#: 64 x 2e100 = 1.28e102: every pair minor is below 1e205, and a
+#: post-selected pair probability, at most twice that over a weight above
+#: ``POSTSELECT_EPS`` = 1e-12, squares to below 1e230.  An entry of 1e160
+#: would make the minors -inf and the report non-JSON.
+MAX_ENTRY = 1e100
 #: CLI caps on ``counting``'s dimension, hierarchy level and number of m
 #: values; the table holds one row per (N, m), about 1.2 KB each with its
 #: JSON text, so an uncapped --n-max or --m-list exhausts memory (at the
@@ -220,19 +228,21 @@ def _listed(kind: type, cap: int = sys.maxsize):
 class _Parser(argparse.ArgumentParser):
     """A parser whose every error, in any subcommand, is a ValueError, so
     :func:`main` reports it like any other invalid input, and that reads
-    every argument starting with ``-`` and a digit or ``.digit`` as a value
-    (argparse's own pattern misses ``-2e0`` and ``-0.5,1.5``)."""
+    every argument starting with ``-`` and a digit, ``.digit``, ``inf`` or
+    ``nan`` (in any case) as a value, so that it meets its flag's check
+    (argparse's own pattern misses ``-2e0``, ``-0.5,1.5`` and ``-inf``);
+    every flag starts with ``--``, so none matches."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)
 
 
 def _cmd_entropy(args) -> _Outcome:
-    value = entropy(args.dist, normalized_measure(args.alpha))
+    value = entropy(args.dist, EntropyMeasure(args.alpha))
     print(f"entropy = {_fmt(value)}", file=sys.stderr)
     return EXIT_OK, {"entropy": value}
 
@@ -274,6 +284,11 @@ def _load_hermitian(path: str) -> HermitianOperator:
         re, im = (part.astype(float) for part in parts)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"matrix entries must be finite numbers: {exc}") from exc
+    largest = max(np.max(np.abs(re)), np.max(np.abs(im)))
+    if largest > MAX_ENTRY:  # NaN passes here and fails the operator's finite check
+        raise ValueError(
+            f"matrix entries must be finite and at most {MAX_ENTRY:g} in magnitude, got {largest:g}"
+        )
     return HermitianOperator(re + 1j * im)
 
 

@@ -5,37 +5,12 @@ over complete sets of complementary binary experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 #: Absolute tolerance on distribution sums and entries.
 DIST_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EntropyMeasure:
-    """A member (alpha, k) of the degree-alpha entropy family.
-
-    ``alpha != 1`` selects H(p) = k (1 - sum_i p_i**alpha) / (alpha - 1);
-    ``alpha == 1`` selects the Shannon limit -k sum_i p_i log2 p_i.
-    """
-
-    alpha: float
-    k: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
-
-
-#: Quadratic measure with the bit normalization k = 2.
-QUADRATIC = EntropyMeasure(alpha=2.0, k=2.0)
-
-#: Shannon entropy, base-2 logarithm.
-SHANNON = EntropyMeasure(alpha=1.0, k=1.0)
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -46,17 +21,31 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def normalized_measure(alpha: float) -> EntropyMeasure:
-    """Degree-alpha measure scaled so a fair binary pair scores exactly 1.
+@dataclass(frozen=True)
+class EntropyMeasure:
+    """The degree-alpha entropy that gives a fair binary pair exactly one bit.
 
-    Solving H((1/2, 1/2)) = 1 for k gives k = (alpha - 1) / (1 - 2**(1 - alpha))
-    when alpha != 1; its alpha -> 1 limit is the base-2 Shannon entropy with
-    k = 1, which is what alpha == 1 returns.
+    ``alpha != 1`` selects H(p) = k (1 - sum_i p_i**alpha) / (alpha - 1);
+    ``alpha == 1`` selects the Shannon limit -k sum_i p_i log2 p_i.  The
+    degree alone names the measure: solving H((1/2, 1/2)) = 1 for k gives
+    k = (alpha - 1) / (1 - 2**(1 - alpha)), whose alpha -> 1 limit k = 1 is
+    what alpha == 1 gets.
     """
-    _check_positive_finite("alpha", alpha)
-    if alpha == 1.0:
-        return SHANNON
-    return EntropyMeasure(alpha=alpha, k=(alpha - 1.0) / (1.0 - 2.0 ** (1.0 - alpha)))
+
+    alpha: float
+    k: float = field(init=False)
+
+    def __post_init__(self):
+        _check_positive_finite("alpha", self.alpha)
+        a = self.alpha
+        object.__setattr__(self, "k", 1.0 if a == 1.0 else (a - 1.0) / (1.0 - 2.0 ** (1.0 - a)))
+
+
+#: Quadratic measure, k = 2.
+QUADRATIC = EntropyMeasure(2.0)
+
+#: Shannon entropy, base-2 logarithm.
+SHANNON = EntropyMeasure(1.0)
 
 
 def validate_distribution(probs) -> np.ndarray:

@@ -11,13 +11,7 @@ from itertools import chain, cycle, pairwise, permutations, product
 import numpy as np
 
 from . import _threads
-from .measures import (
-    EntropyMeasure,
-    _check_positive_finite,
-    _entropy_sum,
-    entropy_sum,
-    normalized_measure,
-)
+from .measures import EntropyMeasure, _check_positive_finite, _entropy_sum, entropy_sum
 from .qubit import SECTOR_TOL, QubitState, _haar_q, _row_norms, p6_from_means, random_mean_vectors
 
 #: Tolerance for orthogonality of rotation inputs.
@@ -61,8 +55,6 @@ class InvarianceReport:
     """Worst total-uncertainty deviation found for one entropy degree."""
 
     alpha: float
-    n_states: int
-    n_maps: int
     max_deviation: float
     argmax_state_id: str
     argmax_map_id: str
@@ -208,14 +200,15 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return random_rotations(rng, 1)[0]
 
 
-def total_uncertainty_p6(p6: np.ndarray, alpha: float, k: float) -> np.ndarray:
-    """Vectorized total uncertainty over the last axis (six entries).
+def total_uncertainty_p6(p6: np.ndarray, alpha: float) -> np.ndarray:
+    """Vectorized total uncertainty under ``EntropyMeasure(alpha)`` over the
+    last axis (six entries).
 
     Uses sum_u [1 - p_u**a - (1-p_u)**a] = 3 - sum_i p6_i**a.  Entries are
     clipped at [0, 1] to guard sub-ulp excursions before fractional powers.
     """
     p = np.clip(np.asarray(p6, dtype=float), 0.0, 1.0)
-    return entropy_sum(p, EntropyMeasure(alpha, k), 3)
+    return entropy_sum(p, EntropyMeasure(alpha), 3)
 
 
 #: Maps applied per scan block; caps the images held at once at
@@ -295,7 +288,7 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     maps = np.asarray(maps, dtype=float)
     if states.shape[0] == 0 or maps.shape[0] == 0:
         raise ValueError("scan needs at least one state and one map")
-    measures = [normalized_measure(alpha) for alpha in alphas]
+    measures = [EntropyMeasure(alpha) for alpha in alphas]
     rows = min(_SCAN_BLOCK, maps.shape[0])
     n_slabs = _threads.part_count(rows * states.shape[0], _SLAB_CELLS, states.shape[0])
     offsets = [states.shape[0] * k // n_slabs for k in range(n_slabs + 1)]
@@ -399,8 +392,6 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
         reports.append(
             InvarianceReport(
                 alpha=float(alpha),
-                n_states=n_states,
-                n_maps=n_maps,
                 max_deviation=dev,
                 argmax_state_id=state_ids[s_idx],
                 argmax_map_id=map_ids[m_idx],

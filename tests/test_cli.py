@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from onebit.cli import build_parser, main
+from onebit.cli import MAX_ENTRY, build_parser, main
 from onebit.highdim import random_with_min_eigenvalue
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -185,6 +185,21 @@ class TestPositivityCommand:
         code, _, err = run_cli(["positivity", "--input", str(path)])
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("strategy", ["fixed-basis", "sampled", "eigen-directed"])
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_entries_at_the_cap_give_a_finite_witness(self, tmp_path, n, strategy):
+        # every off-diagonal part at the cap: no product the check forms overflows
+        upper = np.triu(np.full((n, n), MAX_ENTRY), 1)
+        m = (upper + upper.T) + 1j * (upper - upper.T) + np.eye(n) / n
+        path = tmp_path / "rho.json"
+        write_matrix(path, m)
+        code, out, err = run_cli(["positivity", "--input", str(path), "--strategy", strategy])
+        assert code == 1
+        assert len(err.splitlines()) == 2
+        report = json.loads(out, parse_constant=reject_constant)
+        witness = report["results"]["verdict"]["witness"]
+        assert -math.inf < witness["minor"] < 0.0
 
     def test_determinism(self, tmp_path):
         path = tmp_path / "rho.json"
@@ -414,6 +429,8 @@ BAD_INPUTS = {
     "positivity-bool-entry": (["positivity", "--input", "{tmp}/bool-entry.json"], 2),
     "positivity-null-entry": (["positivity", "--input", "{tmp}/null-entry.json"], 2),
     "positivity-huge-int-entry": (["positivity", "--input", "{tmp}/huge-int-entry.json"], 2),
+    # beyond MAX_ENTRY the pair minors overflow to -inf and the report is not JSON
+    "positivity-entry-over-cap": (["positivity", "--input", "{tmp}/big-entry.json"], 2),
     "positivity-bool-n": (["positivity", "--input", "{tmp}/bool-n.json"], 2),
     "positivity-float-n": (["positivity", "--input", "{tmp}/float-n.json"], 2),
     "positivity-re-not-square": (["positivity", "--input", "{tmp}/re-2x3.json"], 2),
@@ -523,6 +540,7 @@ class TestErrorBoundary:
         (tmp_path / "huge-int-entry.json").write_text(
             json.dumps({"n": 2, "re": [[0.5, 10**400], [10**400, 0.5]]})
         )
+        (tmp_path / "big-entry.json").write_text('{"n": 2, "re": [[0.5, 1e300], [1e300, 0.5]]}')
         (tmp_path / "bool-n.json").write_text('{"n": true, "re": [[1.0]]}')
         (tmp_path / "float-n.json").write_text('{"n": 2.0, "re": [[0.5, 0], [0, 0.5]]}')
         (tmp_path / "re-2x3.json").write_text('{"n": 2, "re": [[0.5, 0, 0], [0, 0.5, 0]]}')
@@ -541,6 +559,15 @@ class TestErrorBoundary:
         assert (code, out) == (2, "")
         assert err.startswith("error: alpha must be positive and finite")
         assert err.count("\n") == 1
+
+    def test_negative_non_finite_value_reaches_the_check(self):
+        code, out, err = run_cli(["malus", "--n-points", "2", "--theta-max", "-inf"])
+        assert (code, out, err) == (2, "", "error: argument --theta-max: must be finite, got -inf\n")
+        for text in ("-nan", "-Infinity", "-NaN"):
+            code, out, err = run_cli(["entropy", "--dist", "0.5,0.5", "--alpha", text])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: alpha must be positive and finite")
+            assert err.count("\n") == 1
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -15,7 +15,6 @@ from onebit.measures import (
     _entropy_sum,
     entropy,
     entropy_sum,
-    normalized_measure,
     pair_entropy,
     total_uncertainty,
     validate_distribution,
@@ -56,39 +55,37 @@ class TestEntropyValues:
 
 class TestNormalizedMeasure:
     def test_alpha_two_gives_k_two(self):
-        measure = normalized_measure(2.0)
+        measure = EntropyMeasure(2.0)
         assert measure.k == pytest.approx(2.0, abs=1e-15)
 
     def test_alpha_one_is_shannon(self):
-        measure = normalized_measure(1.0)
+        measure = EntropyMeasure(1.0)
         assert measure.alpha == 1.0
         assert measure.k == 1.0
 
     def test_alpha_three_k(self):
         # solve H((1/2, 1/2)) = 1: k = 2 / (1 - 1/4) = 8/3
-        assert normalized_measure(3.0).k == pytest.approx(8.0 / 3.0, rel=1e-15)
+        assert EntropyMeasure(3.0).k == pytest.approx(8.0 / 3.0, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
     def test_fair_pair_scores_exactly_one(self, alpha):
-        measure = normalized_measure(alpha)
+        measure = EntropyMeasure(alpha)
         assert pair_entropy(0.5, measure) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            normalized_measure(0.0)
+            EntropyMeasure(0.0)
         with pytest.raises(ValueError):
-            normalized_measure(-1.0)
+            EntropyMeasure(-1.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValueError, match="finite"):
-            normalized_measure(alpha)
+            EntropyMeasure(alpha)
 
     def test_measure_invariants(self):
         with pytest.raises(ValueError):
-            EntropyMeasure(alpha=2.0, k=0.0)
-        with pytest.raises(ValueError):
-            EntropyMeasure(alpha=-0.5, k=1.0)
+            EntropyMeasure(alpha=-0.5)
 
 
 class TestTotalUncertainty:
@@ -159,7 +156,7 @@ class TestProperties:
         a = np.array(raw_a) / sum(raw_a)
         b = np.array(raw_b) / sum(raw_b)
         joint = np.outer(a, b).ravel()
-        measure = normalized_measure(alpha)
+        measure = EntropyMeasure(alpha)
         ha = entropy(a, measure) / measure.k
         hb = entropy(b, measure) / measure.k
         hab = entropy(joint, measure) / measure.k
@@ -170,11 +167,11 @@ class TestProperties:
     def test_entropy_nonnegative(self, raw):
         p = np.array(raw) / sum(raw)
         for alpha in (0.5, 1.0, 2.0, 3.0):
-            assert entropy(p, normalized_measure(alpha)) >= -1e-12
+            assert entropy(p, EntropyMeasure(alpha)) >= -1e-12
 
     def test_zero_iff_deterministic(self):
         for alpha in (0.5, 1.0, 1.5, 2.0, 3.0):
-            measure = normalized_measure(alpha)
+            measure = EntropyMeasure(alpha)
             for n in (2, 3, 5):
                 det = np.zeros(n)
                 det[0] = 1.0
@@ -186,22 +183,22 @@ class TestProperties:
         rng = np.random.default_rng(42)
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))
-            at_one = entropy(p, normalized_measure(1.0))
+            at_one = entropy(p, EntropyMeasure(1.0))
             for eps in (1e-6, -1e-6):
-                near_one = entropy(p, normalized_measure(1.0 + eps))
+                near_one = entropy(p, EntropyMeasure(1.0 + eps))
                 assert near_one == pytest.approx(at_one, abs=1e-4)
 
     def test_binary_maximum_at_half(self):
         grid = np.linspace(0.0, 1.0, 101)
         for alpha in (0.5, 1.0, 2.0, 3.0):
-            measure = normalized_measure(alpha)
+            measure = EntropyMeasure(alpha)
             values = [pair_entropy(p, measure) for p in grid]
             assert max(values) == pytest.approx(1.0, abs=1e-12)
             assert np.argmax(values) == 50
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_pair_entropy_concave_for_alpha_ge_one(self, alpha):
-        measure = normalized_measure(alpha)
+        measure = EntropyMeasure(alpha)
         grid = np.linspace(0.0, 1.0, 51)
         for i, a in enumerate(grid):
             for b in grid[i:]:
@@ -219,7 +216,7 @@ class TestPairEntropyDiagnostics:
     def test_agrees_with_entropy_on_valid_pairs(self):
         rng = np.random.default_rng(42)
         for alpha in (0.5, 1.0, 2.0, 3.0):
-            measure = normalized_measure(alpha)
+            measure = EntropyMeasure(alpha)
             for _ in range(50):
                 p = float(rng.uniform())
                 assert pair_entropy(p, measure) == pytest.approx(
@@ -259,7 +256,7 @@ class TestOneKernel:
     @pytest.mark.parametrize("layout", sorted(KERNEL_LAYOUTS))
     def test_matches_the_math_reference(self, alpha, layout):
         p, axis = kernel_input(layout, alpha)
-        measure = normalized_measure(alpha)
+        measure = EntropyMeasure(alpha)
         got = entropy_sum(p, measure, 3, axis=axis)
         lanes = np.moveaxis(p, axis, -1).reshape(-1, 6)
         expected = [math_entropy_sum(lane.tolist(), alpha, measure.k, 3) for lane in lanes]
@@ -270,7 +267,7 @@ class TestOneKernel:
     def test_buffers_give_the_allocating_bits(self, alpha, layout):
         # stale NaN in the buffers must not reach the result
         p, axis = kernel_input(layout, alpha)
-        measure = normalized_measure(alpha)
+        measure = EntropyMeasure(alpha)
         expected = entropy_sum(p, measure, 3, axis=axis)
         work = np.full(p.shape, np.nan)
         out = np.full(np.shape(expected), np.nan)
@@ -279,16 +276,16 @@ class TestOneKernel:
 
     def test_fractional_power_of_negative_entry_raises(self):
         with pytest.raises(ValueError, match="no real power"):
-            pair_entropy(1.1, normalized_measure(2.5))
+            pair_entropy(1.1, EntropyMeasure(2.5))
 
     def test_out_of_range_state_raises_at_fractional_alpha(self):
         state = QubitState((1.1, -0.1, 0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="no real power"):
-            total_uncertainty_state(state, normalized_measure(2.5))
+            total_uncertainty_state(state, EntropyMeasure(2.5))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
     def test_every_caller_agrees_on_valid_states(self, alpha):
-        measure = normalized_measure(alpha)
+        measure = EntropyMeasure(alpha)
         rng = np.random.default_rng(31)
         for _ in range(100):
             state = random_state(rng, "mixed" if rng.uniform() < 0.5 else "pure")
@@ -297,7 +294,7 @@ class TestOneKernel:
             by_entropy = sum(entropy(pair, measure) for pair in pairs)
             by_total = total_uncertainty(pairs, measure)
             by_state = total_uncertainty_state(state, measure)
-            by_p6 = float(total_uncertainty_p6(state.as_array, measure.alpha, measure.k))
+            by_p6 = float(total_uncertainty_p6(state.as_array, measure.alpha))
             for value in (by_total, by_state, by_p6):
                 assert value == pytest.approx(by_entropy, abs=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebit.measures import QUADRATIC, SHANNON, normalized_measure, total_uncertainty
+from onebit.measures import QUADRATIC, SHANNON, EntropyMeasure, total_uncertainty
 from onebit.qubit import (
     CANONICAL_FRAME,
     PHYSICAL_TOL,
@@ -234,7 +234,7 @@ class TestTotalUncertainty:
     def test_agrees_with_measures_total(self):
         rng = np.random.default_rng(42)
         for alpha in (0.5, 1.0, 2.0, 3.0):
-            measure = normalized_measure(alpha)
+            measure = EntropyMeasure(alpha)
             for _ in range(50):
                 state = random_state(rng, "mixed")
                 p = state.probs

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from onebit import _threads, transforms
-from onebit.measures import normalized_measure
+from onebit.measures import EntropyMeasure
 from onebit.qubit import (
     SECTOR_TOL,
     QubitState,
@@ -320,8 +320,8 @@ class TestApply:
         for _ in range(100):
             induced = induced_from_rotation(random_rotation(rng))
             state = random_state(rng, "mixed")
-            before = total_uncertainty_p6(state.as_array, 2.0, 2.0)
-            after = total_uncertainty_p6(apply(induced, state).as_array, 2.0, 2.0)
+            before = total_uncertainty_p6(state.as_array, 2.0)
+            after = total_uncertainty_p6(apply(induced, state).as_array, 2.0)
             assert abs(after - before) <= 1e-10
 
     def test_rejects_non_stochastic_map(self):
@@ -438,8 +438,8 @@ class TestInvarianceScan:
         # leave it invariant on physical states
         rng = np.random.default_rng(42)
         states = random_states_array(rng, 500)
-        h3 = total_uncertainty_p6(states, 3.0, 8.0 / 3.0)
-        h2 = total_uncertainty_p6(states, 2.0, 2.0)
+        h3 = total_uncertainty_p6(states, 3.0)
+        h2 = total_uncertainty_p6(states, 2.0)
         np.testing.assert_allclose(h3, h2, atol=1e-12)
         reports = invariance_scan([3.0], 200, 50, seed=42)
         assert reports[0].max_deviation <= 1e-12
@@ -459,7 +459,7 @@ class TestInvarianceScan:
         maps = induced_from_rotations(random_rotations(rng, 130))
         got = scan_deviations(states, maps, SCAN_ALPHAS)
         for alpha, (dev, s_idx, m_idx) in zip(SCAN_ALPHAS, got):
-            measure = normalized_measure(alpha)
+            measure = EntropyMeasure(alpha)
             table = np.array(
                 [
                     [
@@ -706,7 +706,7 @@ def fresh_scan_deviations(states, maps, alphas):
         powers = np.add.reduce(p**measure.alpha, axis=axis)
         return measure.k * (3 - powers) / (measure.alpha - 1.0)
 
-    measures = [normalized_measure(alpha) for alpha in alphas]
+    measures = [EntropyMeasure(alpha) for alpha in alphas]
     best = [(-1.0, 0, 0)] * len(measures)
     for start in range(0, maps.shape[0], 64):
         block = maps[start : start + 64]

@@ -44,6 +44,22 @@ class Mutant:
 
 
 MUTANTS = (
+    # the measure's one-bit constant: a fair pair scores 1 at every degree,
+    # and the Shannon limit has k = 1
+    Mutant(
+        "one-bit-k-exponent-flipped",
+        "measures.py",
+        "2.0 ** (1.0 - a)",
+        "2.0 ** (a - 1.0)",
+        ("tests/test_measures.py::TestNormalizedMeasure::test_fair_pair_scores_exactly_one",),
+    ),
+    Mutant(
+        "one-bit-k-shannon-two",
+        "measures.py",
+        '"k", 1.0 if a == 1.0',
+        '"k", 2.0 if a == 1.0',
+        ("tests/test_measures.py::TestNormalizedMeasure::test_alpha_one_is_shannon",),
+    ),
     # the invariance scan: tie rule, NaN guard, kernel; the one tie key is
     # (largest value, earliest map, earliest state) over every slab's cells
     Mutant(
@@ -286,12 +302,27 @@ MUTANTS = (
         "        super().error(message)",
         ("tests/test_cli.py::TestErrorBoundary",),
     ),
-    # argparse's own negative-number pattern reads -1e0 as an option
+    # argparse's own negative-number pattern reads -1e0 as an option, and
+    # a pattern without inf and nan, in any case, reads -inf and -NaN as one
     Mutant(
         "cli-default-negative-pattern",
         "cli.py",
-        'self._negative_number_matcher = re.compile(r"^-\\.?\\d")',
+        'self._negative_number_matcher = re.compile(r"^-(\\.?\\d|inf|nan)", re.IGNORECASE)',
         'self._negative_number_matcher = re.compile(r"^-\\d+$|^-\\d*\\.\\d+$")',
+        ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    Mutant(
+        "cli-pattern-no-inf-nan",
+        "cli.py",
+        'r"^-(\\.?\\d|inf|nan)"',
+        'r"^-(\\.?\\d)"',
+        ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    Mutant(
+        "cli-pattern-case-sensitive",
+        "cli.py",
+        'r"^-(\\.?\\d|inf|nan)", re.IGNORECASE)',
+        'r"^-(\\.?\\d|inf|nan)")',
         ("tests/test_cli.py::TestErrorBoundary",),
     ),
     # the report's parameters are the parsed flags, less the envelope's and --out
@@ -317,6 +348,14 @@ MUTANTS = (
         "if not all(type(x) in (int, float) for part in parts for x in part.flat):",
         "if False:",
         ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    # matrix-file entries above the cap overflow the pair minors
+    Mutant(
+        "loader-entry-cap-raised",
+        "cli.py",
+        "MAX_ENTRY = 1e100",
+        "MAX_ENTRY = 1e300",
+        ("tests/test_cli.py::TestErrorBoundary", "tests/test_cli.py::TestPositivityCommand"),
     ),
     Mutant(
         "cli-counting-cap-raised",
