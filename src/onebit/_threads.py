@@ -1,6 +1,6 @@
-"""Work split into parts over the usable cores: the calling thread runs
-part 0 and one helper thread each of the others.  numpy's GEMM, LAPACK
-calls, ufuncs and random draws release the interpreter lock, so the parts
+"""The invariance scan's state slabs split over the usable cores: the
+calling thread runs part 0 and one helper thread each of the others.
+numpy's GEMM and ufuncs release the interpreter lock, so the parts
 overlap.  Plain ``threading``: ``concurrent.futures`` would add about 3 ms
 to every CLI start.
 """

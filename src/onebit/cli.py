@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .highdim import (
+    MAX_ENTRY,  # the matrix file's entry cap, which HermitianOperator enforces
     HermitianOperator,
     STRATEGIES,
     counting_consistency,
@@ -43,14 +44,6 @@ from .transforms import PERMUTATION_TOL, invariance_scan, search_norm_preservers
 
 #: CLI cap on operator dimension; dense eigendecompositions stay sub-second.
 MAX_DIMENSION = 64
-#: CLI cap on the magnitude of a matrix file's real and imaginary entries,
-#: so that no product the check forms overflows.  An entry's modulus is
-#: then below 2e100, and a view entry, at most the Frobenius norm, below
-#: 64 x 2e100 = 1.28e102: every pair minor is below 1e205, and a
-#: post-selected pair probability, at most twice that over a weight above
-#: ``POSTSELECT_EPS`` = 1e-12, squares to below 1e230.  An entry of 1e160
-#: would make the minors -inf and the report non-JSON.
-MAX_ENTRY = 1e100
 #: CLI caps on ``counting``'s dimension, hierarchy level and number of m
 #: values; the table holds one row per (N, m), about 1.2 KB each with its
 #: JSON text, so an uncapped --n-max or --m-list exhausts memory (at the
@@ -58,10 +51,10 @@ MAX_ENTRY = 1e100
 MAX_COUNTING_N = 10_000
 MAX_COUNTING_R = 64
 MAX_COUNTING_M = 16
-#: CLI cap on ``positivity --n-bases``: the check stacks the sampled bases
-#: and their views as (n_bases, n, n) complex128 arrays, 64 KiB per basis at
-#: n = 64, so 64 MiB per stack; n = 64 at the cap peaks at 296-329 MiB RSS
-#: on 2 cores (one BLAS thread: the upper end).
+#: CLI cap on ``positivity --n-bases``: ``sampled`` stacks its bases and
+#: their views as (n_bases, n, n) complex128 arrays, 64 KiB per basis at
+#: n = 64, so 64 MiB per stack; n = 64 at the cap peaks at 359 MiB RSS on
+#: 2 cores, with one BLAS thread or OpenBLAS's default pool.
 MAX_BASES = 1024
 #: CLI cap on ``invariance-scan --n-states`` and ``--n-maps``: the scan
 #: holds one 64-map block's images and the entropy kernel's terms in two
@@ -284,12 +277,9 @@ def _load_hermitian(path: str) -> HermitianOperator:
         re, im = (part.astype(float) for part in parts)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"matrix entries must be finite numbers: {exc}") from exc
-    largest = max(np.max(np.abs(re)), np.max(np.abs(im)))
-    if largest > MAX_ENTRY:  # NaN passes here and fails the operator's finite check
-        raise ValueError(
-            f"matrix entries must be finite and at most {MAX_ENTRY:g} in magnitude, got {largest:g}"
-        )
-    return HermitianOperator(re + 1j * im)
+    matrix = re.astype(complex)
+    matrix.imag = im  # not re + 1j * im: 1j * inf warns, and the operator names the fault
+    return HermitianOperator(matrix)
 
 
 def _cmd_positivity(args) -> _Outcome:

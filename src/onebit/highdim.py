@@ -5,12 +5,10 @@ criterion for Hermitian unit-trace operators.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _threads
 from .measures import QUADRATIC, _check_positive_finite
 from .qubit import QubitState, _haar_q, total_uncertainty_state
 
@@ -19,15 +17,16 @@ HERMITIAN_TOL = 1e-9
 #: Below this pair weight a post-selection branch is untestable.
 POSTSELECT_EPS = 1e-12
 
+#: Largest magnitude of an operator entry's real or imaginary part, so that
+#: no product the check forms overflows.  An entry's modulus is then below
+#: 2e100, and a view entry, at most the Frobenius norm, below
+#: 64 x 2e100 = 1.28e102 at the CLI's dimension cap: every pair minor is
+#: below 1e205, and a post-selected pair probability, at most twice that
+#: over a weight above ``POSTSELECT_EPS`` = 1e-12, squares to below 1e230.
+#: An entry of 1e160 would make the minors -inf.
+MAX_ENTRY = 1e100
+
 STRATEGIES = ("fixed-basis", "sampled", "eigen-directed")
-#: Fewest units of view work (n**3 per checked frame) per part of the
-#: positivity check: the frames (sampled bases plus the eigenbasis) of an
-#: n x n operator are built in min(usable cores, frames,
-#: frames n**3 // _VIEW_WORK) parts, at least one.  With 9 frames that is
-#: two parts from n = 31 on.  Timed on 2 cores with one BLAS thread, 9
-#: frames, one part -> two: n = 8 0.12 -> 0.25 ms, n = 16 0.23 -> 0.38 ms,
-#: n = 32 0.58 -> 0.41 ms, n = 64 3.0 -> 1.8 ms.
-_VIEW_WORK = 2**17
 
 
 def degrees_of_freedom(n: int, m: int = 3) -> int:
@@ -64,9 +63,10 @@ def counting_consistency(n_max: int, m_values, r_values) -> list[tuple[int, int]
 class HermitianOperator:
     """N x N Hermitian matrix with unit trace.
 
-    Finite entries, hermiticity and trace are enforced at construction;
-    positivity is deliberately not, since deciding it is what the
-    information criterion and the eigenvalue oracle are for.
+    Entries (real and imaginary parts each finite and at most
+    ``MAX_ENTRY`` in magnitude), hermiticity and trace are enforced at
+    construction; positivity is deliberately not, since deciding it is
+    what the information criterion and the eigenvalue oracle are for.
     """
 
     matrix: np.ndarray
@@ -75,8 +75,12 @@ class HermitianOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("operator entries must be finite")
+        largest = float(np.max(np.abs(m.view(float)), initial=0.0))
+        if not largest <= MAX_ENTRY:  # a NaN fails too
+            raise ValueError(
+                f"operator entries must be finite and at most {MAX_ENTRY:g} in magnitude, "
+                f"got {largest:g}"
+            )
         gap = float(np.max(np.abs(m - m.conj().T)))
         if gap > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian (gap {gap:.3g})")
@@ -295,62 +299,20 @@ def eigen_positivity_oracle(rho: HermitianOperator, tol: float = 1e-9) -> Positi
 def _check_views(m: np.ndarray, n_sampled: int, eigen: bool, seed: int):
     """The check's frames and views of the operator matrix ``m``.
 
-    The frames are one (F, n, n) basis stack: ``n_sampled`` Haar bases
-    drawn from ``seed``, then the eigenbasis when ``eigen``.  The views are
-    one (F + 1, n, n) stack: ``m`` itself, then ``m`` in frame f as view
-    f + 1.  The calling thread allocates both stacks and splits the work
-    into :func:`_threads.part_count` parts (see ``_VIEW_WORK``).  The
-    sampled bases form one contiguous chunk per part, in stream order; the
-    calling thread draws every chunk's normals from the one generator, in
-    chunk order, and hands chunk k to the helper of part k + 1 as soon as
-    it is drawn, and turns the last chunk into bases and views itself.  The
-    first helper (or the calling thread, with one part) computes the
-    eigenbasis view first, overlapping the draws.  Consecutive draws give
-    the bits of one draw, and each frame's QR, phase fix and conjugation
-    are the same calls on the same values in any chunk, so the stacks have
-    the same bits for every part count.  When the calling thread fails, it
-    releases every helper still waiting for its chunk before the join.
+    The frames are one (F, n, n) basis stack: the eigenbasis when
+    ``eigen``, else ``n_sampled`` Haar bases whose normals are one draw
+    from ``seed``.  The views are one (F + 1, n, n) stack: ``m`` itself,
+    then ``m`` in frame f as view f + 1.
     """
     n = m.shape[0]
-    frames = n_sampled + eigen
-    bases = np.empty((frames, n, n), complex)
-    views = np.empty((frames + 1, n, n), complex)
+    if eigen:
+        bases = _eigh(m)[1][None]
+    else:
+        z = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=(n_sampled, 2, n, n))
+        bases = _haar_q((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    views = np.empty((len(bases) + 1, n, n), complex)
     views[0] = m
-    n_parts = _threads.part_count(frames * n**3, _VIEW_WORK, frames)
-    ends = [n_sampled * c // n_parts for c in range(n_parts + 1)]
-    chunks = [None] * (n_parts - 1)
-    handed = [threading.Event() for _ in chunks]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def part(k):
-        if eigen and k == min(1, n_parts - 1):
-            bases[-1] = _eigh(m)[1]
-            if n_parts > 1:
-                _conjugate(bases[-1:], m, out=views[-1:])
-        if k == 0:
-            try:
-                for c in range(n_parts):
-                    z = rng.normal(size=(ends[c + 1] - ends[c], 2, n, n))
-                    if c < n_parts - 1:
-                        chunks[c] = z
-                        handed[c].set()
-            finally:
-                for event in handed:
-                    event.set()
-            c = n_parts - 1
-        else:
-            c = k - 1
-            handed[c].wait()
-            z, chunks[c] = chunks[c], None
-            if z is None:  # the calling thread failed before drawing it
-                return
-        a, b = ends[c], ends[c + 1]
-        _haar_q((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0), out=bases[a:b])
-        if n_parts == 1:  # the eigenbasis follows the only chunk: one conjugation
-            b = frames
-        _conjugate(bases[a:b], m, out=views[a + 1 : b + 1])
-
-    _threads.run_parts(part, n_parts)
+    _conjugate(bases, m, out=views[1:])
     return bases, views
 
 
@@ -368,29 +330,26 @@ def info_positivity_check(
 
     'fixed-basis' checks the computational basis only, a necessary
     condition that misses negativity hidden off the diagonal; 'sampled'
-    adds ``n_bases`` Haar-random bases; 'eigen-directed' additionally
-    checks the eigenbasis, where any intolerable negative eigenvalue pairs
-    against the largest one with a negative minor, making the verdict
-    coincide with :func:`eigen_positivity_oracle` at the shared tolerance.
+    adds ``n_bases`` Haar-random bases drawn from ``seed``;
+    'eigen-directed' checks the eigenbasis instead, where any intolerable
+    negative eigenvalue pairs against the largest one with a negative
+    minor, making the verdict coincide with :func:`eigen_positivity_oracle`
+    at the shared tolerance.  By Cauchy interlacing, when lambda_min < 0 a
+    pair minor in any frame is at least lambda_min * lambda_max, the
+    eigenbasis pair's minor (and when lambda_min >= 0 none is negative),
+    so no further frame can change that verdict: ``n_bases`` and ``seed``
+    affect 'sampled' alone.
 
     The violation threshold is tol times the largest diagonal entry of the
     input times the largest diagonal entry seen across the checked bases:
     the exact minor-scale image of the oracle's eigenvalue tolerance, so
     criterion and oracle are calibrated against each other.
 
-    The views are one (V, n, n) stack: computational, sampled[0..n_bases-1],
-    eigenbasis.  The witness is the smallest minor over every view and pair
-    i < j; ties go to the earliest view, then the first pair in row-major order.
-    Its pair qubit is read off that view of the stack, not conjugated again.
-
-    The stack is built in min(usable cores, frames, frames n**3 // 2**17)
-    parts (2**17 is ``_VIEW_WORK``), at least one, where frames counts the
-    sampled bases and the eigenbasis: with 8 sampled bases, one part below
-    n = 31 and two from there on 2 cores.  A helper thread computes the eigenbasis view while
-    the calling thread draws the normals chunk by chunk from the one
-    generator; each chunk's QR and conjugation run on the part it was
-    handed to (:func:`_check_views`).  Verdict, witness and pair total
-    have the same bits for every part count.  Raises ValueError when
+    The views are one (V, n, n) stack: computational, then
+    sampled[0..n_bases-1] or the eigenbasis.  The witness is the smallest
+    minor over every view and pair i < j; ties go to the earliest view,
+    then the first pair in row-major order.  Its pair qubit is read off
+    that view of the stack, not conjugated again.  Raises ValueError when
     ``n_bases`` is negative or ``tol`` is not positive and finite.
     """
     if strategy not in STRATEGIES:
@@ -399,7 +358,7 @@ def info_positivity_check(
         raise ValueError(f"n_bases must be >= 0, got {n_bases}")
     _check_positive_finite("tol", tol)
     n = rho.n
-    n_sampled = 0 if strategy == "fixed-basis" else n_bases
+    n_sampled = n_bases if strategy == "sampled" else 0
     bases, views = _check_views(rho.matrix, n_sampled, strategy == "eigen-directed", seed)
 
     diag = np.real(np.diagonal(views, axis1=1, axis2=2))

@@ -169,15 +169,14 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt((m[..., None, :] @ m[..., :, None])[..., 0, 0])
 
 
-def _haar_q(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _haar_q(z: np.ndarray) -> np.ndarray:
     """The Q factors of one stacked QR of the square matrices ``z``, column
-    j times R_jj / |R_jj| (Mezzadri 2007), into ``out`` when given: the Q of
-    the QR whose R has a positive diagonal, Haar-distributed for Gaussian
-    ``z``.  LAPACK's R_jj are real, so each factor is +-1 (to rounding for
-    complex ``z``)."""
+    j times R_jj / |R_jj| (Mezzadri 2007): the Q of the QR whose R has a
+    positive diagonal, Haar-distributed for Gaussian ``z``.  LAPACK's R_jj
+    are real, so each factor is +-1 (to rounding for complex ``z``)."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return np.multiply(q, (d / np.abs(d))[..., None, :], out=out)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_mean_vectors(rng: np.random.Generator, count: int, kind: str = "pure") -> np.ndarray:

@@ -198,39 +198,31 @@ MUTANTS = (
         "_read_off(views[0])",
         ("tests/test_highdim.py::TestInfoPositivityCheck",),
     ),
-    # the check's views split into parts: one basis stack and one view
-    # stack in frame order, filled from one generator's stream
+    # the check's frames: the sampled bases are one draw of
+    # (n_bases, 2, n, n) normals, and eigen-directed checks the eigenbasis
+    # alone, drawing nothing
     Mutant(
-        "views-eigen-first",
+        "sampled-draw-axes-swapped",
         "highdim.py",
-        "            bases[-1] = _eigh(m)[1]\n"
-        "            if n_parts > 1:\n"
-        "                _conjugate(bases[-1:], m, out=views[-1:])",
-        "            bases[0] = _eigh(m)[1]\n"
-        "            if n_parts > 1:\n"
-        "                _conjugate(bases[:1], m, out=views[1:2])",
-        ("tests/test_highdim.py::TestPositivityParts",),
+        ".normal(size=(n_sampled, 2, n, n))",
+        ".normal(size=(2, n_sampled, n, n)).swapaxes(0, 1)",
+        ("tests/test_highdim.py::TestGenerators::test_batched_bases_match_sequential_draws_bitwise",),
     ),
     Mutant(
-        "views-chunk-fresh-generator",
+        "eigen-directed-draws-n-bases",
         "highdim.py",
-        "z = rng.normal(size=(ends",
-        "z = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=(ends",
-        ("tests/test_highdim.py::TestPositivityParts",),
-    ),
-    Mutant(
-        "views-chunk-off-by-one",
-        "highdim.py",
-        "out=views[a + 1 : b + 1]",
-        "out=views[a:b]",
-        ("tests/test_highdim.py::TestPositivityParts",),
-    ),
-    Mutant(
-        "views-chunk-draw-one-extra",
-        "highdim.py",
-        "size=(ends[c + 1] - ends[c], 2, n, n)",
-        "size=(ends[c + 1] - ends[c] + (c < n_parts - 1), 2, n, n)",
-        ("tests/test_highdim.py::TestPositivityParts",),
+        '    n_sampled = n_bases if strategy == "sampled" else 0\n'
+        '    bases, views = _check_views(rho.matrix, n_sampled, strategy == "eigen-directed", seed)',
+        '    n_sampled = 0 if strategy == "fixed-basis" else n_bases\n'
+        "    bases, views = _check_views(rho.matrix, n_sampled, False, seed)\n"
+        '    if strategy == "eigen-directed":\n'
+        "        eigen_basis, eigen_view = _check_views(rho.matrix, 0, True, seed)\n"
+        "        bases = np.concatenate([bases, eigen_basis])\n"
+        "        views = np.concatenate([views, eigen_view[1:]])",
+        (
+            "tests/test_highdim.py::TestInfoPositivityCheck::test_eigen_directed_checks_two_views_and_draws_nothing",
+            "tests/test_highdim.py::TestInfoPositivityCheck::test_eigen_directed_witness_does_not_depend_on_n_bases_or_seed",
+        ),
     ),
     Mutant(
         "threshold-100x",
@@ -246,12 +238,28 @@ MUTANTS = (
         "    threshold = 1e-6 * float(np.max(diag[0]))",
         ("tests/test_highdim.py::TestCholeskyOracle",),
     ),
+    # operator entries: each part finite and within MAX_ENTRY, so that no
+    # product the check forms overflows
     Mutant(
         "operator-no-finite-check",
         "highdim.py",
-        "if not np.isfinite(m).all():",
+        "if not largest <= MAX_ENTRY:  # a NaN fails too",
         "if False:",
         ("tests/test_highdim.py",),
+    ),
+    Mutant(
+        "operator-cap-nan-passes",
+        "highdim.py",
+        "if not largest <= MAX_ENTRY:  # a NaN fails too",
+        "if largest > MAX_ENTRY:",
+        ("tests/test_highdim.py::TestHermitianOperator::test_rejects_non_finite_entries",),
+    ),
+    Mutant(
+        "operator-entry-cap-10x",
+        "highdim.py",
+        "MAX_ENTRY = 1e100",
+        "MAX_ENTRY = 1e101",
+        ("tests/test_highdim.py::TestHermitianOperator::test_rejects_entries_above_the_cap",),
     ),
     Mutant(
         "basis-nan-gap",
@@ -352,7 +360,7 @@ MUTANTS = (
     # matrix-file entries above the cap overflow the pair minors
     Mutant(
         "loader-entry-cap-raised",
-        "cli.py",
+        "highdim.py",
         "MAX_ENTRY = 1e100",
         "MAX_ENTRY = 1e300",
         ("tests/test_cli.py::TestErrorBoundary", "tests/test_cli.py::TestPositivityCommand"),
