@@ -183,33 +183,23 @@ def random_mean_vectors(rng: np.random.Generator, count: int, kind: str = "pure"
     """``count`` uniform mean-value vectors, shape (count, 3), on the unit
     sphere (pure) or in the unit ball (mixed).
 
-    Each vector is a normal 3-group scaled to unit length, a group whose
-    norm is below 1e-12 being dropped and redrawn; a mixed one is then
-    scaled by a radius drawn after it.  Returns the vectors, and leaves
-    the generator in the state, of ``count`` draws of one vector at a
-    time.  Pure groups are drawn in one call and topped up, in stream
-    order, until ``count`` are kept; a mixed draw interleaves its normals
-    with its radius, so mixed groups are drawn one at a time.
+    One call draws every normal 3-group; a group whose norm is below 1e-12
+    is redrawn in place.  Each group is scaled to unit length, a uniform
+    direction, and for mixed vectors a second call draws every radius as
+    the cube root of a uniform, so that the radius cubed, the volume
+    fraction, is uniform (Muller 1959).
     """
     if kind not in ("pure", "mixed"):
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-    if kind == "pure":
-        groups = rng.normal(size=(count, 3))
-        norms = _row_norms(groups)
-        while (norms < 1e-12).any():
-            ok = norms >= 1e-12
-            top_up = rng.normal(size=(count - int(ok.sum()), 3))
-            groups = np.concatenate([groups[ok], top_up])
-            norms = np.concatenate([norms[ok], _row_norms(top_up)])
-        return groups / norms[:, None]
-    groups = np.empty((count, 3))
-    radii = np.empty((count, 1))
-    for group, radius in zip(groups, radii):
-        group[:] = rng.normal(size=3)
-        while _row_norms(group) < 1e-12:
-            group[:] = rng.normal(size=3)
-        radius[0] = rng.uniform() ** (1.0 / 3.0)
-    return groups / _row_norms(groups)[:, None] * radii
+    groups = rng.normal(size=(count, 3))
+    norms = _row_norms(groups)
+    while (bad := norms < 1e-12).any():
+        groups[bad] = rng.normal(size=(int(bad.sum()), 3))
+        norms[bad] = _row_norms(groups[bad])
+    groups /= norms[:, None]
+    if kind == "mixed":
+        groups *= rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
+    return groups
 
 
 def random_state(rng: np.random.Generator, kind: str = "pure") -> QubitState:

@@ -1,8 +1,12 @@
-"""Entropy references built from ``math`` alone, one float at a time, for
-the kernel tests in ``test_measures.py`` and ``test_transforms.py``."""
+"""Independent references for the tests: entropies built from ``math``
+alone, one float at a time, for the kernel tests in ``test_measures.py``
+and ``test_transforms.py``, and a Cholesky positivity test with no
+eigensolver for ``test_highdim.py`` and ``test_cli.py``."""
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def math_entropy_sum(entries, alpha, k, count):
@@ -54,3 +58,13 @@ def exact_scan_supremum(alpha):
         s.append(s[-1] - s[-2] / 6)
     h = (1 - s[alpha]) / (1 - Fraction(1, 2 ** (alpha - 1)))
     return abs(3 * h - 2)
+
+
+def cholesky_succeeds(m):
+    """True when numpy finds a Cholesky factor of ``m``: a Hermitian ``m``
+    is then positive definite, up to rounding (Higham, ch. 10)."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True

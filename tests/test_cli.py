@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from onebit.cli import MAX_ENTRY, build_parser, main
 from onebit.highdim import random_with_min_eigenvalue
 
+from math_reference import cholesky_succeeds
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -340,15 +342,22 @@ class TestCrossProcessDeterminism:
     def test_seeded_commands_are_byte_identical_across_processes(self, tmp_path):
         # the determinism contract must hold between interpreter instances,
         # not just between calls in one process
-        rho_path = tmp_path / "rho.json"
+        rho_path, rho40_path = tmp_path / "rho.json", tmp_path / "rho40.json"
         write_matrix(rho_path, [[0.5, 0.6], [0.6, 0.5]])
+        rho40 = random_with_min_eigenvalue(np.random.default_rng(40), 40, -0.2)
+        write_matrix(rho40_path, rho40.matrix)
         csv_path = tmp_path / "scan.csv"
+        sampled = [
+            "positivity", "--input", str(rho40_path), "--strategy", "sampled",
+            "--n-bases", "9", "--seed", "5",
+        ]
         commands = [
             [
                 "invariance-scan", "--alphas", "1,2", "--n-states", "30",
                 "--n-maps", "5", "--seed", "17", "--out-csv", str(csv_path),
             ],
             ["positivity", "--input", str(rho_path), "--seed", "17"],
+            sampled,
             ["search-preservers", "--alpha", "2", "--budget", "1200", "--seed", "17"],
         ]
         for argv in commands:
@@ -362,6 +371,8 @@ class TestCrossProcessDeterminism:
                 extra = csv_path.read_bytes() if argv[0] == "invariance-scan" else b""
                 runs.append((proc.returncode, proc.stdout, extra))
             assert runs[0] == runs[1], f"nondeterministic output for {argv[0]}"
+            if argv is sampled:  # a drawn frame's bits reach the report
+                assert json.loads(runs[0][1])["results"]["verdict"]["witness"]["basis_matrix"]
 
 
 class TestMalusCommand:
@@ -900,11 +911,3 @@ def test_matrix_file_fuzz_against_cholesky_oracle(data, tmp_path_factory):
     positive = json.loads(out)["results"]["verdict"]["positive"]
     assert positive == cholesky_succeeds(rho + t * eye)
     assert code == (0 if positive else 1)
-
-
-def cholesky_succeeds(m):
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True

@@ -1,16 +1,12 @@
 """Tests for counting, post-selection, and the one-bit positivity criterion."""
 
-import contextlib
-import io
-import json
 import math
 from itertools import product
 
 import numpy as np
 import pytest
 
-from onebit import _threads, highdim
-from onebit.cli import main
+from onebit import highdim
 from onebit.highdim import (
     HERMITIAN_TOL,
     MAX_ENTRY,
@@ -36,6 +32,8 @@ from onebit.highdim import (
     random_with_min_eigenvalue,
 )
 from onebit.qubit import is_pure
+
+from math_reference import cholesky_succeeds
 
 
 class TestCounting:
@@ -348,6 +346,13 @@ class TestPostselect:
         with pytest.raises(ValueError, match="distinct"):
             postselect(state, 1, 1)
 
+    @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0)])
+    def test_rejects_indices_out_of_range(self, i, j):
+        # every outcome has weight 1/3, so a wrapped -1 would post-select
+        state = gpt_from_density(HermitianOperator(np.eye(3) / 3))
+        with pytest.raises(ValueError, match="out of range"):
+            postselect(state, i, j)
+
     def test_matches_normalized_block(self):
         # the post-selected qubit's mean values equal those read from the
         # renormalized 2x2 block with the matching pseudo-spin convention
@@ -620,6 +625,30 @@ class TestInfoPositivityCheck:
         assert str(got.value) == "eigendecomposition failed: Eigenvalues did not converge"
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("n_bases", [0, 1, 3, 8, 9])
+    @pytest.mark.parametrize("n", [2, 5, 31, 32, 64])
+    def test_a_witness_names_its_view_of_the_stack(self, n, n_bases, strategy):
+        # by the label rule: computational, then sampled[k], then eigenbasis
+        rng = np.random.default_rng(n * 100 + n_bases)
+        rho = random_with_min_eigenvalue(rng, n, -float(rng.uniform(1e-3, 0.3)))
+        seed = int(rng.integers(1000))
+        n_sampled = n_bases if strategy == "sampled" else 0
+        eigen = strategy == "eigen-directed"
+        bases, views = _check_views(rho.matrix, n_sampled, eigen, seed)
+        w = info_positivity_check(rho, strategy, n_bases, seed).witness
+        if w is None:  # no frame checked sees the negative direction
+            assert not eigen
+            return
+        v = {"computational": 0, "eigenbasis": 1}.get(w.basis)
+        if v is None:
+            v = int(w.basis.removeprefix("sampled[").removesuffix("]")) + 1
+        assert w.minor == _pair_minors(views[v])[w.pair]
+        if v == 0:
+            assert w.basis_matrix is None
+        else:
+            assert np.array_equal(w.basis_matrix, bases[v - 1])
+
 
 class TestEigenbasisBound:
     """The premise of 'eigen-directed': by Cauchy interlacing the
@@ -697,90 +726,6 @@ def witness_bits(verdict):
         None if w.pair_total is None else w.pair_total.hex(),
         None if w.basis_matrix is None else w.basis_matrix.tobytes(),
     )
-
-
-def chunked_views(m, n_sampled, eigen, seed, parts):
-    """The check's bases and views built without its stacked calls: the
-    eigenbasis alone, or ``n_sampled`` Haar bases in ``parts`` contiguous
-    chunks, each chunk's normals drawn in stream order from the one
-    generator and each basis's QR and phase fix written out on its own;
-    then each view conjugated on its own, the computational one first."""
-    n = m.shape[0]
-    if eigen:
-        bases = np.linalg.eigh(m)[1][None]
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        ends = [n_sampled * c // parts for c in range(parts + 1)]
-        bases = []
-        for a, b in zip(ends, ends[1:]):
-            for z in rng.normal(size=(b - a, 2, n, n)):
-                q, r = np.linalg.qr((z[0] + 1j * z[1]) / np.sqrt(2.0))
-                d = np.diag(r)
-                bases.append(q * (d / np.abs(d)))
-        bases = np.array(bases, complex).reshape(n_sampled, n, n)
-    return bases, np.array([m] + [b.conj().T @ m @ b for b in bases])
-
-
-class TestPositivityParts:
-    """The check's frames split into parts: contiguous chunks of the
-    sampled bases, built chunk by chunk and basis by basis.  The check
-    draws every normal in one call and makes one stacked QR and one
-    stacked conjugation, so every part count must give its bits."""
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("n_bases", [0, 1, 3, 8, 9])
-    @pytest.mark.parametrize("n", [2, 5, 31, 32, 64])
-    def test_every_part_count_gives_the_one_part_bits(self, n, n_bases, strategy):
-        rng = np.random.default_rng(n * 100 + n_bases)
-        rho = random_with_min_eigenvalue(rng, n, -float(rng.uniform(1e-3, 0.3)))
-        seed = int(rng.integers(1000))
-        n_sampled = n_bases if strategy == "sampled" else 0
-        eigen = strategy == "eigen-directed"
-        bases, views = _check_views(rho.matrix, n_sampled, eigen, seed)
-        for parts in (1, 2, 3, 4):
-            reference = chunked_views(rho.matrix, n_sampled, eigen, seed, parts)
-            assert np.array_equal(bases, reference[0]) and np.array_equal(views, reference[1])
-        # a witness names its view of the stack by the label rule
-        w = info_positivity_check(rho, strategy, n_bases, seed).witness
-        if w is None:  # no frame checked sees the negative direction
-            assert not eigen
-            return
-        v = {"computational": 0, "eigenbasis": 1}.get(w.basis)
-        if v is None:
-            v = int(w.basis.removeprefix("sampled[").removesuffix("]")) + 1
-        assert w.minor == _pair_minors(views[v])[w.pair]
-        if v == 0:
-            assert w.basis_matrix is None
-        else:
-            assert np.array_equal(w.basis_matrix, bases[v - 1])
-
-    @pytest.mark.parametrize("strategy", ["sampled", "eigen-directed"])
-    def test_cli_report_bytes_do_not_depend_on_the_core_count(
-        self, monkeypatch, tmp_path, strategy
-    ):
-        rho = random_with_min_eigenvalue(np.random.default_rng(40), 40, -0.2)
-        path = tmp_path / "rho.json"
-        m = rho.matrix
-        path.write_text(json.dumps({"n": 40, "re": m.real.tolist(), "im": m.imag.tolist()}))
-        reports = []
-        for cores in (1, 4):
-            monkeypatch.setattr(_threads, "usable_cores", lambda c=cores: c)
-            out = tmp_path / f"report{cores}.json"
-            argv = ["positivity", "--input", str(path), "--n-bases", "9", "--seed", "5"]
-            with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                with contextlib.redirect_stderr(io.StringIO()):
-                    assert main([*argv, "--strategy", strategy, "--out", str(out)]) == 1
-            reports.append((out.read_bytes(), stdout.getvalue()))
-        assert reports[0] == reports[1]
-        assert json.loads(reports[0][0])["results"]["verdict"]["witness"]["basis_matrix"]
-
-
-def cholesky_succeeds(m):
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 class TestCholeskyOracle:

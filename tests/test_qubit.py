@@ -304,74 +304,65 @@ class TestRandomStates:
             random_state(np.random.default_rng(0), "thermal")
 
 
-def sequential_mean_vector(rng, kind):
-    """One mean-value vector drawn a normal 3-group at a time: redraw the
-    group while its norm is below 1e-12, normalize it, and for a mixed
-    vector scale it by the cube root of a uniform drawn after it."""
-    v = rng.normal(size=3)
-    norm = float(np.linalg.norm(v))
-    while norm < 1e-12:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-    v = v / norm
-    if kind == "mixed":
-        v = v * rng.uniform() ** (1.0 / 3.0)
-    return v
-
-
 class ZeroGroupStream:
-    """Generator stand-in with a fixed stream: normal 3-groups 0, 2 and 3
-    are all zeros, and the uniforms come from a list of their own."""
+    """Generator stand-in with a fixed stream: normal 3-groups 0, 2, 3 and
+    5 are all zeros, and the uniforms come from a list of their own."""
 
     def __init__(self):
         rng = np.random.default_rng(5)
         self.groups = rng.normal(size=(8, 3))
-        self.groups[[0, 2, 3]] = 0.0
-        self.normals = list(self.groups.ravel())
-        self.uniforms = list(rng.uniform(size=8))
+        self.groups[[0, 2, 3, 5]] = 0.0
+        self.normals = self.groups.ravel()
+        self.uniforms = rng.uniform(size=8)
 
     def normal(self, size):
         n = int(np.prod(size))
         values, self.normals = self.normals[:n], self.normals[n:]
-        return np.array(values).reshape(size)
+        return values.reshape(size)
 
-    def uniform(self):
-        return self.uniforms.pop(0)
+    def uniform(self, size):
+        n = int(np.prod(size))
+        values, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        return values.reshape(size)
 
 
 class TestBatchedSampler:
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
-    @pytest.mark.parametrize("count", [0, 1, 2, 190])
-    def test_matches_sequential_draws_bitwise(self, count, kind):
-        batch_rng, loop_rng = np.random.default_rng(23), np.random.default_rng(23)
-        got = random_mean_vectors(batch_rng, count, kind)
-        expected = np.array(
-            [sequential_mean_vector(loop_rng, kind) for _ in range(count)]
-        ).reshape(count, 3)
-        assert got.shape == (count, 3)
-        assert got.tobytes() == expected.tobytes()
-        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
-
-    def test_single_draws_match_sequential_draws_bitwise(self):
-        rng, loop_rng = np.random.default_rng(29), np.random.default_rng(29)
-        for kind in ["pure", "mixed", "mixed", "pure"] * 25:
-            got = random_mean_vectors(rng, 1, kind)[0]
-            assert got.tobytes() == sequential_mean_vector(loop_rng, kind).tobytes()
-
-    @pytest.mark.parametrize("kind", ["pure", "mixed"])
-    def test_degenerate_groups_are_skipped_in_stream_order(self, kind):
-        # pure: the first draw of 3 groups keeps group 1, the top-up of 2
-        # keeps group 4 and the top-up of 1 takes group 5
-        stream, loop_stream = ZeroGroupStream(), ZeroGroupStream()
+    def test_degenerate_groups_are_redrawn_in_place(self, kind):
+        # rows 0 and 2 of the first call (groups 0 and 2) are degenerate;
+        # redrawing both gives row 0 group 3 (zero again) and row 2 group 4,
+        # and row 0 then takes group 5 (zero) and group 6
+        stream = ZeroGroupStream()
+        uniforms = stream.uniforms
         got = random_mean_vectors(stream, 3, kind)
-        expected = [sequential_mean_vector(loop_stream, kind) for _ in range(3)]
-        assert got.tobytes() == np.array(expected).tobytes()
-        assert (stream.normals, stream.uniforms) == (loop_stream.normals, loop_stream.uniforms)
-        kept = stream.groups[[1, 4, 5]]
-        directions = got / np.linalg.norm(got, axis=1, keepdims=True)
-        np.testing.assert_allclose(
-            directions, kept / np.linalg.norm(kept, axis=1, keepdims=True), atol=1e-15
-        )
+        kept = stream.groups[[6, 1, 4]]
+        expected = kept / np.linalg.norm(kept, axis=1, keepdims=True)
+        if kind == "mixed":
+            expected *= uniforms[:3, None] ** (1.0 / 3.0)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+        assert len(stream.normals) == 3
+        assert len(stream.uniforms) == (8 if kind == "pure" else 5)
+
+    def test_draws_are_uniform_on_the_sphere_and_in_the_ball(self):
+        # n = 20000 draws per kind, seeded.  Radii: r**3 of a mixed draw is
+        # the volume fraction, uniform on [0, 1]; its empirical CDF stays
+        # within 0.02 of t with probability at least 1 - 2 exp(-2 n 0.02**2)
+        # = 1 - 2.3e-7 (Dvoretzky-Kiefer-Wolfowitz), while r = sqrt(U)
+        # gives r**3 the CDF t**(2/3), 0.148 from t at t = 8/27.
+        # Directions: u u^T averages to I/3 for a uniform direction u; each
+        # entry lies in [-1, 1], so each mean stays within 0.05 of I/3 with
+        # probability at least 1 - 2 exp(-n 0.05**2 / 2) = 1 - 2.8e-11
+        # (Hoeffding).
+        n = 20_000
+        rng = np.random.default_rng(2009)
+        pure = random_mean_vectors(rng, n, "pure")
+        mixed = random_mean_vectors(rng, n, "mixed")
+        volume = np.sort(np.linalg.norm(mixed, axis=1) ** 3)
+        steps = np.arange(n + 1) / n
+        assert np.max(np.maximum(steps[1:] - volume, volume - steps[:-1])) <= 0.02
+        for m in (pure, mixed):
+            u = m / np.linalg.norm(m, axis=1, keepdims=True)
+            np.testing.assert_allclose(u.T @ u / n, np.eye(3) / 3, rtol=0, atol=0.05)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -16,7 +16,8 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run takes about 90 s on two cores.
+testpaths is ``tests``); a full run of the 48 mutants takes about 2 min on
+two cores.
 """
 
 from __future__ import annotations
@@ -159,13 +160,23 @@ MUTANTS = (
             "tests/test_transforms.py::TestInducedFromRotation::test_reflection_requires_flag",
         ),
     ),
-    # the batched pure-state sampler must drop a degenerate normal group
+    # the state sampler: a degenerate normal group is redrawn, and a mixed
+    # radius is the cube root of a uniform, so that the volume fraction
+    # r**3 is uniform; the degenerate mutant selects no row, since one that
+    # selected a row and left it unchanged would loop without end
     Mutant(
         "sampler-keeps-degenerate",
         "qubit.py",
-        "groups = np.concatenate([groups[ok], top_up])",
-        "groups = np.concatenate([groups, top_up])[:count]",
-        ("tests/test_qubit.py::TestBatchedSampler::test_degenerate_groups_are_skipped_in_stream_order",),
+        "while (bad := norms < 1e-12).any():",
+        "while (bad := norms < 0.0).any():",
+        ("tests/test_qubit.py::TestBatchedSampler::test_degenerate_groups_are_redrawn_in_place",),
+    ),
+    Mutant(
+        "sampler-radius-sqrt",
+        "qubit.py",
+        "** (1.0 / 3.0)",
+        "** 0.5",
+        ("tests/test_qubit.py::TestBatchedSampler::test_draws_are_uniform_on_the_sphere_and_in_the_ball",),
     ),
     # tolerance constants: a check 10x looser than its constant
     Mutant(
@@ -182,6 +193,21 @@ MUTANTS = (
         "tol = 10.0 * SECTOR_TOL; "
         "ok = column_gap <= tol and sector_sum_gap <= tol and range_gap <= tol",
         ("tests/test_transforms.py::TestSectorStochasticCheck::test_tolerance_boundary",),
+    ),
+    # post-selection indices: both in [0, n), or -1 wraps to the last outcome
+    Mutant(
+        "postselect-range-le",
+        "highdim.py",
+        "0 <= i < state.n and 0 <= j < state.n",
+        "0 <= i <= state.n and 0 <= j <= state.n",
+        ("tests/test_highdim.py::TestPostselect::test_rejects_indices_out_of_range",),
+    ),
+    Mutant(
+        "postselect-no-lower-bound",
+        "highdim.py",
+        "0 <= i < state.n and 0 <= j < state.n",
+        "i < state.n and j < state.n",
+        ("tests/test_highdim.py::TestPostselect::test_rejects_indices_out_of_range",),
     ),
     # the positivity criterion: tie rule, thresholds, NaN guards
     Mutant(
