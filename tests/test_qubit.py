@@ -304,6 +304,25 @@ class TestRandomStates:
             random_state(np.random.default_rng(0), "thermal")
 
 
+def sequential_mean_vectors(rng, count, kind):
+    """``count`` mean-value vectors drawn a normal 3-group at a time: redraw
+    each group while its norm is below 1e-12 and normalize it; for mixed
+    vectors, then scale every direction by the cube root of a uniform, all
+    uniforms drawn after all the groups."""
+    rows = []
+    for _ in range(count):
+        v = rng.normal(size=3)
+        norm = float(np.linalg.norm(v))
+        while norm < 1e-12:
+            v = rng.normal(size=3)
+            norm = float(np.linalg.norm(v))
+        rows.append(v / norm)
+    vectors = np.array(rows, float).reshape(count, 3)
+    if kind == "mixed":
+        vectors = vectors * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
+    return vectors
+
+
 class ZeroGroupStream:
     """Generator stand-in with a fixed stream: normal 3-groups 0, 2, 3 and
     5 are all zeros, and the uniforms come from a list of their own."""
@@ -327,6 +346,23 @@ class ZeroGroupStream:
 
 
 class TestBatchedSampler:
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 190])
+    def test_matches_sequential_draws_bitwise(self, count, kind):
+        batch_rng, loop_rng = np.random.default_rng(23), np.random.default_rng(23)
+        got = random_mean_vectors(batch_rng, count, kind)
+        expected = sequential_mean_vectors(loop_rng, count, kind)
+        assert got.shape == (count, 3)
+        assert got.tobytes() == expected.tobytes()
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_single_draws_match_sequential_draws_bitwise(self):
+        rng, loop_rng = np.random.default_rng(29), np.random.default_rng(29)
+        for kind in ["pure", "mixed", "mixed", "pure"] * 25:
+            got = random_mean_vectors(rng, 1, kind)
+            assert got.tobytes() == sequential_mean_vectors(loop_rng, 1, kind).tobytes()
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_degenerate_groups_are_redrawn_in_place(self, kind):
         # rows 0 and 2 of the first call (groups 0 and 2) are degenerate;
