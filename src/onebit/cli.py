@@ -61,7 +61,7 @@ MAX_BASES = 1024
 #: (64 x 6, slab width) float64 buffers per state slab, 3 KiB per state
 #: each whatever the slab count, so 293 MiB for both at the cap (a scan of
 #: 50 000 states and 64 maps on the default six-alpha grid peaks at
-#: 386-396 MiB RSS in two slabs, 389 MiB in one); the maps are
+#: 386-387 MiB RSS in two slabs or in one); the maps are
 #: (n_maps, 6, 6) float64, 288 B per map, so 14 MiB at the cap (72 MiB
 #: RSS peak).
 MAX_SCAN_COUNT = 50_000
@@ -149,15 +149,16 @@ def _write(path: str, text: str, what: str) -> None:
 def _check_target(path: str, what: str) -> None:
     """Raise the OSError :func:`_write` would, with its message, when
     ``path`` is a directory, is an existing file that cannot be written,
-    or is a new file in a missing or unwritable directory.  It only asks:
-    it creates, opens and changes nothing, so :func:`main` can check every
-    target before the first output."""
+    or is a new file in a missing or unwritable directory; the empty path
+    names no file, as for ``os.open``.  It only asks: it creates, opens
+    and changes nothing, so :func:`main` can check every target before the
+    first output."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
     elif os.path.exists(path):
         code = 0 if os.access(path, os.W_OK) else errno.EACCES
-    elif os.path.isdir(parent):
+    elif path and os.path.isdir(parent):
         code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
     else:
         code = errno.ENOENT
@@ -178,7 +179,7 @@ def _emit(command: str, parameters: dict, seed: int, results, out_path: str | No
     text = json.dumps(
         report, indent=2, sort_keys=True, allow_nan=False, default=_json_default
     ) + "\n"
-    if out_path:
+    if out_path is not None:
         _write(out_path, text, "report")
     else:
         sys.stdout.write(text)
@@ -364,7 +365,7 @@ def _cmd_malus(args) -> _Outcome:
     rows = [(float(t), malus_probability(float(t))) for t in thetas]
     sys.stdout.write(_csv(("theta", "probability"), rows))
     print(f"{args.n_points} points over [0, {args.theta_max:g}]", file=sys.stderr)
-    return EXIT_OK, ({"rows": rows} if args.out else None)
+    return EXIT_OK, ({"rows": rows} if args.out is not None else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,13 +442,14 @@ def main(argv=None) -> int:
     The only error boundary: invalid input (ValueError, every parse error
     included) returns 2 and an unwritable output path (OSError) returns 3,
     each with one ``error:`` line on stderr; only ``--help`` exits.  Every
-    output path is checked before the command runs, so a target that
-    cannot be opened exits 3 with nothing written anywhere."""
+    output path given, the empty one included, is checked before the
+    command runs, so a target that cannot be opened exits 3 with nothing
+    written anywhere."""
     try:
         args = build_parser().parse_args(argv)
         for flag, what in (("out_csv", "CSV"), ("out", "report")):
             target = getattr(args, flag, None)
-            if target:
+            if target is not None:
                 _check_target(target, what)
         code, results = args.func(args)
         if results is not None:

@@ -5,12 +5,13 @@ alpha-norm preservers.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import chain, cycle, pairwise, permutations, product
 
 import numpy as np
 
-from . import _threads
 from .measures import EntropyMeasure, _check_positive_finite, _entropy_sum, entropy_sum
 from .qubit import SECTOR_TOL, QubitState, _haar_q, _row_norms, p6_from_means, random_mean_vectors
 
@@ -221,6 +222,14 @@ _SCAN_BLOCK = 64
 _SLAB_CELLS = _SCAN_BLOCK * 128
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _slab_buffers(states: np.ndarray, measures, rows: int):
     """One slab's inputs and scratch: its state columns (6, s), the
     per-alpha baselines of its clipped columns, and the image, term and
@@ -260,19 +269,22 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
 
     ``states`` has shape (S, 6) and ``maps`` (M, 6, 6).  The states are
     split into min(usable cores, S min(M, 64) // (64 x 128)) contiguous
-    slabs, at least one, so a full block needs 128 states per slab;
-    the calling thread scans the first and one helper thread each of the
-    others (numpy's GEMM and ufuncs release the interpreter lock).  Within
-    a slab, maps are applied in blocks of 64: each block's images are built
-    once, as ``block @ columns`` in the sector-major layout (maps, 6,
-    states), and clipped once, and every alpha is then reduced from them
-    over the six-entry axis (numpy adds the six terms in entry order along
-    any axis, so this layout gives the bits of the last-axis one).  The
-    calling thread allocates every slab's columns, baselines and image,
-    term and deviation buffers before any slab starts, each as wide as its
-    slab, so together they take the memory of a one-slab scan, and a
-    helper allocates nothing large (what it allocated would come from a
-    malloc arena of its own and raise the peak RSS).
+    slabs, at least one, so a full block needs 128 states per slab.  The
+    calling thread scans the first slab, and one helper thread, started
+    before it, scans each of the others (numpy's GEMM and ufuncs release
+    the interpreter lock).  Within a slab, maps are applied in blocks of
+    64: each block's images are built once, as ``block @ columns`` in the
+    sector-major layout (maps, 6, states), and clipped once, and every
+    alpha is then reduced from them over the six-entry axis (numpy adds
+    the six terms in entry order along any axis, so this layout gives the
+    bits of the last-axis one).  The calling thread allocates every slab's
+    columns, baselines and image, term and deviation buffers before any
+    slab starts, each as wide as its slab, so together they take the
+    memory of a one-slab scan, and a helper allocates nothing large (what
+    it allocated would come from a malloc arena of its own and raise the
+    peak RSS).  Every helper is joined, even when the first slab raises;
+    then the exception of the earliest slab that raised is re-raised here,
+    with its type and message.
 
     A cell's arithmetic is the same whichever slab holds it (a six-term
     dot product, a clip, six terms summed in entry order, the baseline
@@ -280,9 +292,9 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     the argmax cell of each (block, alpha) with indices over the whole scan,
     and each alpha's result is the best of all those cells by the tie rule
     of a row-major argmax over (map, state): the largest value, then the
-    earliest map, then the earliest state.  An exception raised in a helper
-    is re-raised here.  Raises ValueError when a deviation is not finite,
-    naming the alpha of the first such cell in block-major order.
+    earliest map, then the earliest state.  Raises ValueError when a
+    deviation is not finite, naming the alpha of the first such cell in
+    block-major order.
     """
     states = np.asarray(states, dtype=float)
     maps = np.asarray(maps, dtype=float)
@@ -290,10 +302,31 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
         raise ValueError("scan needs at least one state and one map")
     measures = [EntropyMeasure(alpha) for alpha in alphas]
     rows = min(_SCAN_BLOCK, maps.shape[0])
-    n_slabs = _threads.part_count(rows * states.shape[0], _SLAB_CELLS, states.shape[0])
-    offsets = [states.shape[0] * k // n_slabs for k in range(n_slabs + 1)]
+    count = states.shape[0]
+    n_slabs = max(1, min(_usable_cores(), rows * count // _SLAB_CELLS))
+    offsets = [count * k // n_slabs for k in range(n_slabs + 1)]
     slabs = [(a, *_slab_buffers(states[a:b], measures, rows)) for a, b in pairwise(offsets)]
-    results = _threads.run_parts(lambda k: _scan_slab(maps, measures, *slabs[k]), n_slabs)
+    results = [None] * n_slabs
+    errors = [None] * n_slabs
+
+    def run(k):
+        try:
+            results[k] = _scan_slab(maps, measures, *slabs[k])
+        except Exception as exc:  # re-raised below, after every join
+            errors[k] = exc
+
+    # plain threads: importing concurrent.futures adds about 3 ms to every CLI start
+    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, n_slabs)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
     cells = list(zip(*results))  # per (block, alpha), block-major: every slab's cell
     for candidates, measure in zip(cells, cycle(measures)):
@@ -348,15 +381,9 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
     The sampled states are drawn with one :func:`random_mean_vectors` call
     per kind, and the sampled rotations in one batch
     (:func:`random_rotations`) and embedded in one call, probes first.
-    :func:`scan_deviations` then splits the states into one contiguous
-    slab per usable core (at most one per 128 states at 64 maps or more),
-    scans the first in the calling thread and the others in helper threads
-    over buffers the calling thread allocated, and applies each 64-map
-    block once for every alpha.  Each alpha reports the cell a row-major
-    argmax over (map, state) would: the largest deviation, then the
-    earliest map, then the earliest state.  The report has the same bits
-    for any slab count, since a cell's arithmetic does not depend on its
-    slab.
+    :func:`scan_deviations` scans them (its docstring gives the state
+    slabs, the threads and the tie rule); the report has the same bits
+    for any core count.
     """
     alphas = list(alphas)
     if not alphas:

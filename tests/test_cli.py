@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from onebit import cli
 from onebit.cli import MAX_ENTRY, build_parser, main
 from onebit.highdim import random_with_min_eigenvalue
 
@@ -488,6 +489,8 @@ BAD_INPUTS = {
         3,
     ),
     "scan-unwritable-csv": (SCAN + ["--out-csv", "{tmp}/missing/scan.csv"], 3),
+    "scan-empty-csv-path": (SCAN + ["--out-csv", ""], 3),
+    "scan-empty-report-path": (SCAN + ["--out-csv", "{tmp}/scan.csv", "--out", ""], 3),
 }
 
 
@@ -740,6 +743,7 @@ SIDE_EFFECT_CASES = {
     "scan-csv-in-missing-dir-old-report": SCAN
     + ["--out-csv", "{tmp}/missing/scan.csv", "--out", "{tmp}/old.json"],
     "counting-report-in-missing-dir": ["counting", "--n-max", "4", "--out", "{tmp}/missing/c.json"],
+    "scan-new-csv-empty-report-path": SCAN + ["--out-csv", "{tmp}/scan.csv", "--out", ""],
 }
 
 
@@ -759,11 +763,27 @@ class TestUnwritableTargetHasNoSideEffects:
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot write ")
         assert tree_snapshot(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "targets",
+        [["--out-csv", ""], ["--out-csv", "{tmp}/scan.csv", "--out", ""]],
+        ids=["csv", "report"],
+    )
+    def test_an_empty_path_exits_before_the_scan_runs(self, tmp_path, monkeypatch, targets):
+        def scan(*args):
+            raise AssertionError("the scan ran before its output paths were checked")
 
-#: Output targets for the argument fuzz; "missing-dir" and "directory"
-#: cannot be written.
-OUTPUT_KINDS = ("new", "longer", "missing-dir", "directory", "devnull")
-UNWRITABLE = ("missing-dir", "directory")
+        monkeypatch.setattr(cli, "invariance_scan", scan)
+        code, out, err = run_cli(SCAN + [arg.format(tmp=tmp_path) for arg in targets])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot write ")
+        assert "No such file or directory: ''" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+#: Output targets for the argument fuzz; "missing-dir", "directory" and
+#: "empty" cannot be written.
+OUTPUT_KINDS = ("new", "longer", "missing-dir", "directory", "empty", "devnull")
+UNWRITABLE = ("missing-dir", "directory", "empty")
 
 
 def output_target(kind, directory, name):
@@ -777,6 +797,8 @@ def output_target(kind, directory, name):
         return directory / "missing" / name
     if kind == "directory":
         return directory
+    if kind == "empty":
+        return ""
     return Path(os.devnull)
 
 

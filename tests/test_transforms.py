@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onebit import _threads, transforms
+from onebit import transforms
 from onebit.measures import EntropyMeasure
 from onebit.qubit import (
     SECTOR_TOL,
@@ -747,7 +747,7 @@ def force_slabs(monkeypatch, cores):
     """Make the next scans run in ``cores`` slabs (every test scans at
     least ``cores`` states)."""
     monkeypatch.setattr(transforms, "_SLAB_CELLS", 1)
-    monkeypatch.setattr(_threads, "usable_cores", lambda: cores)
+    monkeypatch.setattr(transforms, "_usable_cores", lambda: cores)
 
 
 def sector_depolarizer(sector):
@@ -825,7 +825,7 @@ class TestScanSlabs:
         self, monkeypatch, n_states, n_maps, slabs
     ):
         calls = spy_slabs(monkeypatch)
-        monkeypatch.setattr(_threads, "usable_cores", lambda: 2)
+        monkeypatch.setattr(transforms, "_usable_cores", lambda: 2)
         states = np.full((n_states, 6), 0.5)
         scan_deviations(states, np.repeat(np.eye(6)[None], n_maps, axis=0), [2.0])
         assert len(calls) == slabs
@@ -902,11 +902,11 @@ class TestScanSlabs:
         assert capfd.readouterr().err == ""
 
     def test_core_count_without_an_affinity_call(self, monkeypatch):
-        monkeypatch.delattr(_threads.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(_threads.os, "cpu_count", lambda: None)
-        assert _threads.usable_cores() == 1
-        monkeypatch.setattr(_threads.os, "cpu_count", lambda: 3)
-        assert _threads.usable_cores() == 3
+        monkeypatch.delattr(transforms.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(transforms.os, "cpu_count", lambda: None)
+        assert transforms._usable_cores() == 1
+        monkeypatch.setattr(transforms.os, "cpu_count", lambda: 3)
+        assert transforms._usable_cores() == 3
 
 
 def test_import_leaves_concurrent_futures_unloaded():

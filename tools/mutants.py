@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 48 mutants takes about 2 min on
+testpaths is ``tests``); a full run of the 52 mutants takes about 2 min on
 two cores.
 """
 
@@ -100,6 +100,29 @@ MUTANTS = (
         "for v, _, _ in candidates)",
         "for v, _, _ in candidates[:1])",
         ("tests/test_transforms.py::TestScanSlabs",),
+    ),
+    # the slab threads: the core count caps the slabs, every helper starts,
+    # and a helper's exception reaches the caller
+    Mutant(
+        "scan-slabs-ignore-cores",
+        "transforms.py",
+        "min(_usable_cores(), rows * count // _SLAB_CELLS)",
+        "rows * count // _SLAB_CELLS",
+        ("tests/test_transforms.py::TestScanSlabs::test_a_slab_holds_at_least_a_full_block_over_128_states",),
+    ),
+    Mutant(
+        "scan-last-slab-never-started",
+        "transforms.py",
+        "for k in range(1, n_slabs)]",
+        "for k in range(1, n_slabs - 1)]",
+        ("tests/test_transforms.py::TestScanSlabs::test_caller_scans_the_first_slab_and_one_helper_each_other",),
+    ),
+    Mutant(
+        "scan-helper-error-dropped",
+        "transforms.py",
+        "for exc in errors:",
+        "for exc in errors[:1]:",
+        ("tests/test_transforms.py::TestScanSlabs::test_a_slab_exception_reaches_the_caller",),
     ),
     Mutant(
         "scan-base-added",
@@ -328,6 +351,14 @@ MUTANTS = (
         "if not low <= value <= high:",
         "if not low - 1 <= value <= high:",
         ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    # an output path given as "" is checked too, before the command runs
+    Mutant(
+        "cli-empty-target-unchecked",
+        "cli.py",
+        "if target is not None:",
+        "if target:",
+        ("tests/test_cli.py::TestUnwritableTargetHasNoSideEffects",),
     ),
     Mutant(
         "cli-parser-error-exits",
