@@ -1,12 +1,14 @@
 """Independent references for the tests: entropies built from ``math``
 alone, one float at a time, for the kernel tests in ``test_measures.py``
-and ``test_transforms.py``, and a Cholesky positivity test with no
-eigensolver for ``test_highdim.py`` and ``test_cli.py``."""
+and ``test_transforms.py``, a Cholesky positivity test with no
+eigensolver for ``test_highdim.py`` and ``test_cli.py``, and the
+boundary cases that the tests of every tolerance constant share."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 
 def math_entropy_sum(entries, alpha, k, count):
@@ -68,3 +70,10 @@ def cholesky_succeeds(m):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+#: Boundary cases for a tolerance constant: a violation of half the
+#: constant passes, one of twice the constant is rejected.
+HALF_OR_TWICE = pytest.mark.parametrize(
+    "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
+)

@@ -22,13 +22,7 @@ from onebit.measures import (
 from onebit.qubit import QubitState, random_state, total_uncertainty_state
 from onebit.transforms import total_uncertainty_p6
 
-from math_reference import math_entropy_sum
-
-#: Boundary cases for a tolerance constant: a violation of half the
-#: constant passes, one of twice the constant is rejected.
-HALF_OR_TWICE = pytest.mark.parametrize(
-    "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
-)
+from math_reference import HALF_OR_TWICE, math_entropy_sum
 
 
 class TestEntropyValues:

@@ -23,11 +23,7 @@ from onebit.qubit import (
     total_uncertainty_state,
 )
 
-#: Boundary cases for a tolerance constant: a violation of half the
-#: constant passes, one of twice the constant is rejected.
-HALF_OR_TWICE = pytest.mark.parametrize(
-    "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
-)
+from math_reference import HALF_OR_TWICE
 
 
 def state_with_norm(norm):

@@ -48,6 +48,7 @@ from onebit.transforms import (
 )
 
 from math_reference import (
+    HALF_OR_TWICE,
     diagonal_minus_axis,
     exact_scan_supremum,
     scalar_pair_total,
@@ -68,12 +69,6 @@ QUARTER_TURN_MATRIX = np.array(
 
 # mean-value map m -> (m_y, -m_x, m_z): the rotation behind the quarter turn
 QUARTER_TURN_ROTATION = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1.0]])
-
-#: Boundary cases for a tolerance constant: a violation of half the
-#: constant passes, one of twice the constant is rejected.
-HALF_OR_TWICE = pytest.mark.parametrize(
-    "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
-)
 
 
 def identity_with_block(block):
@@ -1072,35 +1067,6 @@ def sequential_descent(theta0, objective, max_evals):
     return theta, best, evals, converged
 
 
-def descent_charging_every_trial(theta0, objective, max_evals):
-    """A batched descent that charges all trials of a call, hit or not."""
-    theta = theta0.copy()
-    best = float(objective(theta[None])[0])
-    evals = 1
-    step = 0.1
-    while step > 1e-10 and evals < max_evals and best > 1e-14:
-        improved = False
-        i = 0
-        while i < theta.size and evals < max_evals:
-            count = min(2 * (theta.size - i), max_evals - evals)
-            t = np.arange(count)
-            trials = np.repeat(theta[None], count, axis=0)
-            trials[t, i + t // 2] += np.where(t % 2 == 0, step, -step)
-            values = objective(trials)
-            evals += count
-            hits = np.flatnonzero(values < best)
-            if hits.size == 0:
-                break
-            j = int(hits[0])
-            theta, best = trials[j], float(values[j])
-            improved = True
-            i += j // 2 + 1
-        if not improved:
-            step *= 0.5
-    converged = step <= 1e-10 or best <= 1e-14
-    return theta, best, evals, converged
-
-
 def descent_starts(rng):
     rotation = np.concatenate([np.zeros(3), random_rotation(rng).ravel()])
     permutation = np.concatenate([np.zeros(3), _SIGNED_PERMUTATIONS[13].ravel()])
@@ -1137,10 +1103,6 @@ class TestBatchedDescent:
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
     def test_matches_the_sequential_descent(self, alpha):
         assert_descent_matches_sequential(_coordinate_descent, alpha)
-
-    def test_charging_every_trial_is_caught(self):
-        with pytest.raises(AssertionError):
-            assert_descent_matches_sequential(descent_charging_every_trial, 3.0)
 
 
 class TestSearchBudget:
