@@ -432,6 +432,36 @@ BAD_INPUTS = {
     ),
 }
 
+# each capped flag at its cap, the value one below its over-cap row above:
+# (argv, the report's parameter, its parsed value)
+AT_CAP = {
+    "counting-n-max-at-cap": (["counting", "--n-max", "10000", "--m-list", "3"], "n_max", 10000),
+    "counting-m-list-at-cap": (
+        ["counting", "--n-max", "3", "--m-list", ",".join(["3"] * 16)], "m_list", [3] * 16
+    ),
+    "scan-n-states-at-cap": (
+        ["invariance-scan", "--alphas", "2", "--n-states", "50000", "--n-maps", "1",
+         "--out-csv", "{tmp}/scan.csv"],
+        "n_states",
+        50000,
+    ),
+    "scan-n-maps-at-cap": (
+        ["invariance-scan", "--alphas", "2", "--n-states", "1", "--n-maps", "50000",
+         "--out-csv", "{tmp}/scan.csv"],
+        "n_maps",
+        50000,
+    ),
+    "scan-alphas-at-cap": (
+        ["invariance-scan", "--alphas", ",".join(["2"] * 1000), "--n-states", "1",
+         "--n-maps", "1", "--out-csv", "{tmp}/scan.csv"],
+        "alphas",
+        [2.0] * 1000,
+    ),
+    "positivity-n-bases-at-cap": (
+        ["positivity", "--input", "{tmp}/mixed.json", "--n-bases", "1024"], "n_bases", 1024
+    ),
+}
+
 
 class TestParameters:
     """The report's ``parameters`` are the parsed flags, less ``--seed`` and ``--out``."""
@@ -508,6 +538,14 @@ class TestErrorBoundary:
         assert len(err.splitlines()) == 1 and err.endswith("\n")
         assert err.startswith("error: " + start)
         assert tree_snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("argv, name, value", AT_CAP.values(), ids=list(AT_CAP))
+    def test_flag_at_its_cap_is_accepted(self, tmp_path, argv, name, value):
+        write_matrix(tmp_path / "mixed.json", np.eye(2) / 2)
+        code, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv])
+        assert code == 0
+        assert not err.startswith("error:")
+        assert json.loads(out)["parameters"][name] == value
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -1121,3 +1121,27 @@ class TestSearchBudget:
         search_norm_preservers(alpha, budget, seed=11)
         assert sum(spent) == budget
         assert all(used <= 2000 for used in spent)
+
+    def test_starts_cycle_rotation_permutation_generic(self, monkeypatch):
+        starts = []
+
+        def unconverged(theta0, objective, max_evals):
+            starts.append(theta0)
+            return theta0, math.inf, max_evals, False
+
+        monkeypatch.setattr(transforms, "_coordinate_descent", unconverged)
+        assert search_norm_preservers(3.0, 6 * 2000, seed=11) == []
+        assert len(starts) == 6
+        for attempt, theta0 in enumerate(starts):
+            c, m = theta0[:3], theta0[3:].reshape(3, 3)
+            kind = ("rotation", "permutation", "generic")[attempt % 3]
+            if kind == "generic":
+                assert np.all(np.linalg.norm(m, axis=1) < 0.9)
+                assert np.all(np.abs(c) < 0.9)
+                continue
+            assert np.array_equal(c, np.zeros(3))
+            assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
+            is_permutation = any(np.array_equal(m, p) for p in SIGNED_PERMUTATIONS)
+            assert is_permutation == (kind == "permutation"), attempt
+            if kind == "rotation":
+                assert np.linalg.det(m) == pytest.approx(1.0)

@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 54 mutants takes about 100 s on
+testpaths is ``tests``); a full run of the 57 mutants takes about 100 s on
 two cores.
 """
 
@@ -146,6 +146,13 @@ MUTANTS = (
         "min(_EVALS_PER_START, remaining)",
         "remaining",
         ("tests/test_transforms.py::TestSearchBudget",),
+    ),
+    Mutant(
+        "search-start-kinds-swapped",
+        "transforms.py",
+        'elif kind == "permutation":',
+        'elif kind != "permutation":',
+        ("tests/test_transforms.py::TestSearchBudget::test_starts_cycle_rotation_permutation_generic",),
     ),
     # equal to p**alpha at alpha = 2 only, so criterion 2's closed form
     # cannot see it
@@ -375,6 +382,21 @@ MUTANTS = (
         "if target is not None:",
         "if target:",
         ("tests/test_cli.py::TestUnwritableTargetHasNoSideEffects",),
+    ),
+    # a flag at its cap must parse; one past it is a BAD_INPUTS row
+    Mutant(
+        "cli-bound-cap-exclusive",
+        "cli.py",
+        "if not low <= value <= high:",
+        "if not low <= value < high:",
+        ("tests/test_cli.py::TestErrorBoundary::test_flag_at_its_cap_is_accepted",),
+    ),
+    Mutant(
+        "cli-list-cap-exclusive",
+        "cli.py",
+        "if len(values) > cap:",
+        "if len(values) >= cap:",
+        ("tests/test_cli.py::TestErrorBoundary::test_flag_at_its_cap_is_accepted",),
     ),
     Mutant(
         "cli-parser-error-exits",
