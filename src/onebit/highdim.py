@@ -187,6 +187,16 @@ def _read_off(m: np.ndarray) -> GptStateN:
     return GptStateN(n=m.shape[0], z_probs=d, px=half + m.real, py=half + m.imag)
 
 
+def _check_pair(n: int, i: int, j: int) -> None:
+    """Raise ValueError unless i and j are two distinct outcomes of n.
+    Scalar comparisons, no numpy: callers check an operator's every pair
+    one call at a time."""
+    if i == j:
+        raise ValueError("an outcome pair needs two distinct outcomes")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"outcome indices ({i}, {j}) out of range for n={n}")
+
+
 def postselect(state: GptStateN, i: int, j: int) -> QubitState:
     """Pair qubit prepared by conditioning on outcomes i or j.
 
@@ -197,10 +207,7 @@ def postselect(state: GptStateN, i: int, j: int) -> QubitState:
     without physicality checks: detecting unphysical pair qubits is the
     criterion's job.
     """
-    if i == j:
-        raise ValueError("post-selection needs two distinct outcomes")
-    if not (0 <= i < state.n and 0 <= j < state.n):
-        raise ValueError(f"outcome indices ({i}, {j}) out of range for n={state.n}")
+    _check_pair(state.n, i, j)
     p_i = float(state.z_probs[i])
     p_j = float(state.z_probs[j])
     s = p_i + p_j
@@ -226,7 +233,9 @@ def pair_uncertainty(state: GptStateN, i: int, j: int) -> float:
 
 def minor_condition(rho: HermitianOperator, i: int, j: int) -> float:
     """rho_ii rho_jj - |rho_ij|**2.  Nonnegative for every pair in every
-    basis exactly when the operator is positive."""
+    basis exactly when the operator is positive.  Raises ValueError unless
+    i and j are two distinct outcomes, as :func:`postselect` does."""
+    _check_pair(rho.n, i, j)
     m = rho.matrix
     re, im = m[i, j].real, m[i, j].imag
     return float(m[i, i].real * m[j, j].real - (re * re + im * im))

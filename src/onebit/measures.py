@@ -30,6 +30,12 @@ class EntropyMeasure:
     degree alone names the measure: solving H((1/2, 1/2)) = 1 for k gives
     k = (alpha - 1) / (1 - 2**(1 - alpha)), whose alpha -> 1 limit k = 1 is
     what alpha == 1 gets.
+
+    Every degree with 0 < |alpha - 1| < 2**-26 takes the Shannon limit too,
+    with k = 1, because the formula cancels there: 1 - 2**(1 - alpha) is
+    exactly 0 at alpha = 1 - 2**-53, and at 1 + 2**-52 the pair (0.3, 0.7)
+    scores 2 bits, twice the binary maximum.  At the band's edges the
+    formula is within 1.1e-8 of the limit on (0.3, 0.7).
     """
 
     alpha: float
@@ -38,7 +44,14 @@ class EntropyMeasure:
     def __post_init__(self):
         _check_positive_finite("alpha", self.alpha)
         a = self.alpha
-        object.__setattr__(self, "k", 1.0 if a == 1.0 else (a - 1.0) / (1.0 - 2.0 ** (1.0 - a)))
+        k = 1.0 if _is_shannon(a) else (a - 1.0) / (1.0 - 2.0 ** (1.0 - a))
+        object.__setattr__(self, "k", k)
+
+
+def _is_shannon(alpha: float) -> bool:
+    """True for the degrees that take the Shannon limit: alpha = 1 and its
+    neighbours, where the general formula loses its bits to cancellation."""
+    return abs(alpha - 1.0) < 2.0**-26
 
 
 #: Quadratic measure, k = 2.
@@ -78,11 +91,12 @@ def entropy_sum(p, measure: EntropyMeasure, count, axis: int = -1):
     distributions whose entries lie along ``axis`` of ``p``.
 
     Returns k (count - sum_i p_i**alpha) / (alpha - 1) for alpha != 1 and
-    the Shannon limit -k sum_i p_i log2 p_i at alpha = 1, where nonpositive
-    entries contribute 0.  Entries are neither validated nor clipped, so
-    diagnostic callers can score unphysical vectors; the one exception is
-    a negative entry under a fractional degree, which has no real power
-    and raises ValueError instead of producing NaN.
+    the Shannon limit -k sum_i p_i log2 p_i at and next to alpha = 1 (see
+    :class:`EntropyMeasure`), where nonpositive entries contribute 0.
+    Entries are neither validated nor clipped, so diagnostic callers can
+    score unphysical vectors; the one exception is a negative entry under
+    a fractional degree, which has no real power and raises ValueError
+    instead of producing NaN.
     """
     return _entropy_sum(np.asarray(p, dtype=float), measure, count, axis)
 
@@ -99,7 +113,7 @@ def _entropy_sum(p: np.ndarray, measure: EntropyMeasure, count, axis: int, work=
     (``p``'s shape without ``axis``) when they are given; ``None``
     allocates.  Both give the same bits."""
     alpha = measure.alpha
-    if alpha == 1.0:
+    if _is_shannon(alpha):
         if work is None:
             work = np.zeros_like(p)
         else:

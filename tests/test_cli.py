@@ -59,6 +59,15 @@ class TestEntropyCommand:
         assert code == 0
         assert json.loads(out)["results"]["entropy"] == 0.0
 
+    @pytest.mark.parametrize("alpha", ["0.9999999999999999", "1.0000000000000002"])
+    def test_degrees_next_to_one_give_the_shannon_bits(self, alpha):
+        # without the Shannon band: a ZeroDivisionError below 1, 2 bits above
+        argv = ["entropy", "--dist", "0.3,0.7", "--alpha"]
+        code, out, _ = run_cli(argv + [alpha])
+        assert code == 0
+        shannon = json.loads(run_cli(argv + ["1"])[1])["results"]
+        assert json.loads(out)["results"] == shannon
+
 
 class TestInvarianceScanCommand:
     def test_scan_results(self, tmp_path):
@@ -79,6 +88,16 @@ class TestInvarianceScanCommand:
         assert rows[1.0]["max_deviation"] >= 0.19
         header = csv_path.read_text().splitlines()[0]
         assert header == "alpha,max_deviation,argmax_state_id,argmax_map_id"
+
+    def test_degrees_next_to_one_scan_as_shannon(self, tmp_path):
+        argv = ["invariance-scan", "--n-states", "20", "--n-maps", "5",
+                "--out-csv", str(tmp_path / "scan.csv"), "--alphas"]
+        code, out, _ = run_cli(argv + ["0.9999999999999999,1.0000000000000002"])
+        assert code == 0
+        (shannon,) = json.loads(run_cli(argv + ["1"])[1])["results"]["rows"]
+        assert json.loads(out)["results"]["rows"] == [
+            dict(shannon, alpha=0.9999999999999999), dict(shannon, alpha=1.0000000000000002)
+        ]
 
 
 class TestPositivityCommand:
@@ -807,10 +826,21 @@ FUZZ_ARGS = {
         optional(
             "--dist", st.sampled_from(["0.5,0.5", "1,0", "0.2,0.3,0.5", "0.5,0.6", "nan,0.5", "x"])
         ),
-        optional("--alpha", st.sampled_from(["0.5", "1", "2", "3", "0", "-1", "nan", "inf"])),
+        optional(
+            "--alpha",
+            st.sampled_from(
+                ["0.5", "1", "0.9999999999999999", "1.0000000000000002", "2", "3", "0", "-1",
+                 "nan", "inf"]
+            ),
+        ),
     ],
     "invariance-scan": [
-        optional("--alphas", st.sampled_from(["1,2", "2", "0.5,3", "", "nan", "0"])),
+        optional(
+            "--alphas",
+            st.sampled_from(
+                ["1,2", "2", "0.5,3", "0.9999999999999999", "1.0000000000000002", "", "nan", "0"]
+            ),
+        ),
         optional("--n-states", st.integers(-1, 12)),
         optional("--n-maps", st.integers(-1, 4)),
         optional("--seed", st.integers(-1, 3)),

@@ -1,6 +1,7 @@
 """Tests for counting, post-selection, and the one-bit positivity criterion."""
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -33,30 +34,27 @@ from onebit.highdim import (
 )
 from onebit.qubit import is_pure
 
-from math_reference import cholesky_succeeds
+from math_reference import HALF_OR_TWICE, cholesky_succeeds
 
 
 class TestCounting:
-    def test_qubit_with_three_measurements(self):
-        assert degrees_of_freedom(2, 3) == 3
-
-    def test_qutrit_with_three_measurements(self):
-        assert degrees_of_freedom(3, 3) == 8
-
-    def test_classical_bit(self):
-        assert degrees_of_freedom(2, 1) == 1
+    @pytest.mark.parametrize(
+        "n, m, count", [(2, 3, 3), (3, 3, 8), (2, 1, 1)], ids=["qubit", "qutrit", "classical-bit"]
+    )
+    def test_examples(self, n, m, count):
+        assert degrees_of_freedom(n, m) == count
 
     def test_quadratic_scaling_identity(self):
         for n in range(2, 101):
             assert degrees_of_freedom(n, 3) == n * n - 1
 
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            degrees_of_freedom(1, 3)
-
-    def test_rejects_zero_measurements(self):
-        with pytest.raises(ValueError, match="measurement count must be >= 1, got 0"):
-            degrees_of_freedom(3, 0)
+    @pytest.mark.parametrize(
+        "n, m, message",
+        [(1, 3, "dimension must be >= 2, got 1"), (3, 0, "measurement count must be >= 1, got 0")],
+    )
+    def test_rejects(self, n, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            degrees_of_freedom(n, m)
 
     def test_consistency_default_ranges(self):
         assert counting_consistency(50, range(2, 10), range(1, 5)) == [(3, 2)]
@@ -80,19 +78,20 @@ class TestHermitianOperator:
         op = HermitianOperator(np.diag([1.2, -0.2]))
         assert op.n == 2
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            HermitianOperator(np.array([[0.5, 0.1], [0.3, 0.5]]))
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            HermitianOperator(np.diag([0.5, 0.4]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_entries(self, bad):
-        # NaN compares False against every tolerance, so it must be caught first
-        with pytest.raises(ValueError, match="finite"):
-            HermitianOperator(np.array([[bad, 0.0], [0.0, bad]]))
+    # NaN compares False against every tolerance, so it must be caught first
+    @pytest.mark.parametrize(
+        "matrix, start",
+        [
+            ([[0.5, 0.1], [0.3, 0.5]], r"matrix is not Hermitian \(gap 0\.2\)"),
+            (np.diag([0.5, 0.4]), "trace 0.9 differs from 1"),
+            (np.diag([math.nan] * 2), "operator entries must be finite .* got nan"),
+            (np.diag([math.inf] * 2), "operator entries must be finite .* got inf"),
+        ],
+        ids=["non-hermitian", "trace", "nan", "inf"],
+    )
+    def test_rejects(self, matrix, start):
+        with pytest.raises(ValueError, match="^" + start):
+            HermitianOperator(np.array(matrix))
 
     @pytest.mark.parametrize("part", [1.0, 1j])
     @pytest.mark.parametrize("big", [1e101, 1e300])
@@ -292,9 +291,7 @@ class TestGptStateN:
         with pytest.raises(ValueError, match=f"{name} must have shape"):
             GptStateN(n=2, **fields)
 
-    @pytest.mark.parametrize(
-        "factor, ok", [(0.5, True), (2.0, False)], ids=["half-tol", "twice-tol"]
-    )
+    @HALF_OR_TWICE
     @pytest.mark.parametrize(
         "name, values, message",
         [
@@ -341,17 +338,20 @@ class TestPostselect:
         with pytest.raises(ValueError, match="untestable"):
             postselect(gpt_from_density(rho), 1, 2)
 
-    def test_rejects_equal_indices(self):
-        state = gpt_from_density(HermitianOperator(np.eye(3) / 3))
-        with pytest.raises(ValueError, match="distinct"):
-            postselect(state, 1, 1)
-
-    @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0)])
-    def test_rejects_indices_out_of_range(self, i, j):
-        # every outcome has weight 1/3, so a wrapped -1 would post-select
-        state = gpt_from_density(HermitianOperator(np.eye(3) / 3))
-        with pytest.raises(ValueError, match="out of range"):
-            postselect(state, i, j)
+    @pytest.mark.parametrize(
+        "read", [lambda rho, i, j: postselect(gpt_from_density(rho), i, j), minor_condition],
+        ids=["postselect", "minor_condition"],
+    )
+    @pytest.mark.parametrize(
+        "i, j, start",
+        [(1, 1, "an outcome pair needs two distinct outcomes")]
+        + [(i, j, f"outcome indices ({i}, {j}) out of range for n=3")
+           for i, j in [(0, 3), (3, 0), (-1, 0)]],
+    )
+    def test_rejects_a_bad_outcome_pair(self, read, i, j, start):
+        # every outcome has weight 1/3, so a wrapped -1 would read a pair
+        with pytest.raises(ValueError, match="^" + re.escape(start) + "$"):
+            read(HermitianOperator(np.eye(3) / 3), i, j)
 
     def test_matches_normalized_block(self):
         # the post-selected qubit's mean values equal those read from the
@@ -383,37 +383,21 @@ class TestPostselect:
         assert mb[2] == pytest.approx(-mf[2], abs=1e-12)
 
 
-class TestPairUncertainty:
-    def test_pure_plus_state(self):
-        plus = HermitianOperator(np.full((2, 2), 0.5))
-        assert pair_uncertainty(gpt_from_density(plus), 0, 1) == pytest.approx(
-            2.0, abs=1e-12
-        )
-
-    def test_maximally_mixed(self):
-        mixed = gpt_from_density(HermitianOperator(np.eye(2) / 2))
-        assert pair_uncertainty(mixed, 0, 1) == pytest.approx(3.0, abs=1e-12)
-
-    def test_indefinite_operator_scores_below_two(self):
-        rho = HermitianOperator(np.array([[0.5, 0.6], [0.6, 0.5]]))
-        value = pair_uncertainty(gpt_from_density(rho), 0, 1)
-        assert value == pytest.approx(1.56, abs=1e-12)
-        assert value < 2.0
-
-
 class TestMinorCondition:
-    def test_maximally_mixed(self):
-        assert minor_condition(HermitianOperator(np.eye(2) / 2), 0, 1) == pytest.approx(
-            0.25, abs=1e-15
-        )
-
-    def test_pure_plus(self):
-        plus = HermitianOperator(np.full((2, 2), 0.5))
-        assert minor_condition(plus, 0, 1) == pytest.approx(0.0, abs=1e-15)
-
-    def test_indefinite_example(self):
-        rho = HermitianOperator(np.array([[0.5, 0.6], [0.6, 0.5]]))
-        assert minor_condition(rho, 0, 1) == pytest.approx(-0.11, abs=1e-15)
+    @pytest.mark.parametrize(
+        "matrix, total, minor",
+        [
+            (np.eye(2) / 2, 3.0, 0.25),
+            (np.full((2, 2), 0.5), 2.0, 0.0),
+            # indefinite: the pair scores below 2
+            ([[0.5, 0.6], [0.6, 0.5]], 1.56, -0.11),
+        ],
+        ids=["mixed", "plus", "indefinite"],
+    )
+    def test_pair_uncertainty_and_minor(self, matrix, total, minor):
+        rho = HermitianOperator(np.array(matrix))
+        assert pair_uncertainty(gpt_from_density(rho), 0, 1) == pytest.approx(total, abs=1e-12)
+        assert minor_condition(rho, 0, 1) == pytest.approx(minor, abs=1e-15)
 
     def test_slack_identity_with_pair_uncertainty(self):
         # H_total - 2 = 4 (rho_ii rho_jj - |rho_ij|^2) / (rho_ii + rho_jj)^2
@@ -791,9 +775,3 @@ class TestGenerators:
         for n in (2, 5):
             b = random_basis(rng, n)
             np.testing.assert_allclose(b.conj().T @ b, np.eye(n), atol=1e-12)
-
-    def test_structural_validation_of_gpt_state(self):
-        with pytest.raises(ValueError, match="px must have shape"):
-            GptStateN(
-                n=3, z_probs=np.array([0.3, 0.3, 0.4]), px=np.empty((0, 0)), py=np.empty((0, 0))
-            )

@@ -25,102 +25,95 @@ from onebit.transforms import total_uncertainty_p6
 from math_reference import HALF_OR_TWICE, math_entropy_sum
 
 
-class TestEntropyValues:
-    def test_fair_coin_quadratic_is_one_bit(self):
-        assert entropy([0.5, 0.5], QUADRATIC) == pytest.approx(1.0, abs=1e-15)
+#: (distribution, alpha, bits), every one exact: fair coins, certain
+#: outcomes (0 log 0 := 0), 2 (1 - 1/16 - 9/16) and four even outcomes.
+ENTROPY_VALUES = {
+    "fair-quadratic": ([0.5, 0.5], 2.0, 1.0),
+    "certain-quadratic": ([1.0, 0.0], 2.0, 0.0),
+    "fair-shannon": ([0.5, 0.5], 1.0, 1.0),
+    "quarter-quadratic": ([0.25, 0.75], 2.0, 0.75),
+    "certain-shannon": ([0.0, 1.0], 1.0, 0.0),
+    "even-4-shannon": ([0.25] * 4, 1.0, 2.0),
+    "even-4-quadratic": ([0.25] * 4, 2.0, 1.5),
+}
 
-    def test_deterministic_is_zero(self):
-        assert entropy([1.0, 0.0], QUADRATIC) == 0.0
 
-    def test_fair_coin_shannon_is_one_bit(self):
-        assert entropy([0.5, 0.5], SHANNON) == pytest.approx(1.0, abs=1e-15)
+@pytest.mark.parametrize("dist, alpha, bits", ENTROPY_VALUES.values(), ids=list(ENTROPY_VALUES))
+def test_entropy_values(dist, alpha, bits):
+    assert entropy(dist, EntropyMeasure(alpha)) == bits
 
-    def test_quarter_three_quarter_quadratic(self):
-        # 2 (1 - 0.0625 - 0.5625) = 0.75
-        assert entropy([0.25, 0.75], QUADRATIC) == pytest.approx(0.75, abs=1e-15)
 
-    def test_zero_log_zero_convention(self):
-        assert entropy([0.0, 1.0], SHANNON) == 0.0
-
-    def test_longer_distributions(self):
-        assert entropy([0.25] * 4, SHANNON) == pytest.approx(2.0, abs=1e-12)
-        assert entropy([0.25] * 4, QUADRATIC) == pytest.approx(1.5, abs=1e-12)
+#: Degrees next to 1: 1 - 2 * 2**-53 and 1 - 2**-53 below, 1 + k * 2**-52
+#: above, all inside the Shannon band |alpha - 1| < 2**-26; and its edges.
+NEXT_TO_ONE = [1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 1.0 + 3 * 2.0**-52]
+BAND_EDGES = [1.0 - 2.0**-26, 1.0 + 2.0**-26]
 
 
 class TestNormalizedMeasure:
-    def test_alpha_two_gives_k_two(self):
-        measure = EntropyMeasure(2.0)
-        assert measure.k == pytest.approx(2.0, abs=1e-15)
+    @pytest.mark.parametrize(
+        "alpha, k",
+        [(2.0, 2.0), (3.0, 8.0 / 3.0), (1.0, 1.0)]  # at 3: H((1/2, 1/2)) = 1 gives 2 / (3/4)
+        + [(alpha, 1.0) for alpha in NEXT_TO_ONE]
+        + [(a, (a - 1.0) / (1.0 - 2.0 ** (1.0 - a))) for a in BAND_EDGES],
+    )
+    def test_k(self, alpha, k):
+        measure = EntropyMeasure(alpha)
+        assert (measure.alpha, measure.k) == (alpha, k)
 
-    def test_alpha_one_is_shannon(self):
-        measure = EntropyMeasure(1.0)
-        assert measure.alpha == 1.0
-        assert measure.k == 1.0
-
-    def test_alpha_three_k(self):
-        # solve H((1/2, 1/2)) = 1: k = 2 / (1 - 1/4) = 8/3
-        assert EntropyMeasure(3.0).k == pytest.approx(8.0 / 3.0, rel=1e-15)
+    @pytest.mark.parametrize("alpha", NEXT_TO_ONE + BAND_EDGES)
+    def test_degrees_next_to_one_stay_near_shannon(self, alpha):
+        # without the band, 1 - 2**-53 divides by zero and 1 + 2**-52 gives 2 bits
+        p = [0.3, 0.7]
+        assert abs(entropy(p, EntropyMeasure(alpha)) - entropy(p, SHANNON)) <= 1.1e-8
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
     def test_fair_pair_scores_exactly_one(self, alpha):
         measure = EntropyMeasure(alpha)
         assert pair_entropy(0.5, measure) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            EntropyMeasure(0.0)
-        with pytest.raises(ValueError):
-            EntropyMeasure(-1.0)
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-    def test_rejects_non_finite_alpha(self, alpha):
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0, math.nan, math.inf])
+    def test_rejects_alpha_that_is_not_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
             EntropyMeasure(alpha)
 
-    def test_measure_invariants(self):
-        with pytest.raises(ValueError):
-            EntropyMeasure(alpha=-0.5)
+
+#: (pairs, quadratic total): a pure state's one certain sector and two fair
+#: ones, the maximally mixed state, no pairs, and a set of seven.
+TOTALS = {
+    "pure": ([(1.0, 0.0), (0.5, 0.5), (0.5, 0.5)], 2.0),
+    "mixed": ([(0.5, 0.5)] * 3, 3.0),
+    "empty": ([], 0.0),
+    "seven": ([(1.0, 0.0)] + [(0.5, 0.5)] * 6, 6.0),
+}
 
 
 class TestTotalUncertainty:
-    def test_pure_state_pairs_total_two(self):
-        pairs = [(1.0, 0.0), (0.5, 0.5), (0.5, 0.5)]
-        assert total_uncertainty(pairs, QUADRATIC) == pytest.approx(2.0, abs=1e-12)
-
-    def test_maximally_mixed_pairs_total_three(self):
-        pairs = [(0.5, 0.5)] * 3
-        assert total_uncertainty(pairs, QUADRATIC) == pytest.approx(3.0, abs=1e-12)
-
-    def test_empty_sum(self):
-        assert total_uncertainty([], QUADRATIC) == 0.0
+    @pytest.mark.parametrize("pairs, total", TOTALS.values(), ids=list(TOTALS))
+    def test_totals(self, pairs, total):
+        assert total_uncertainty(pairs, QUADRATIC) == total
 
     def test_rejects_a_non_binary_pair(self):
         pairs = [(0.5, 0.5), (0.2, 0.3, 0.5)]
         with pytest.raises(ValueError, match="expected binary pairs, got length 3"):
             total_uncertainty(pairs, QUADRATIC)
 
-    def test_seven_measurement_set(self):
-        # one deterministic measurement, the rest fully random
-        pairs = [(1.0, 0.0)] + [(0.5, 0.5)] * 6
-        assert total_uncertainty(pairs, QUADRATIC) == pytest.approx(6.0, abs=1e-12)
-
 
 class TestValidation:
-    def test_rejects_negative_entry(self):
-        with pytest.raises(ValueError, match="outside"):
-            entropy([-0.1, 1.1], QUADRATIC)
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            entropy([0.5, 0.6], QUADRATIC)
-
-    def test_renormalizes_within_tolerance(self):
-        probs = validate_distribution([0.5 + 4e-10, 0.5 + 4e-10])
-        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_rejects_scalar_and_singleton(self):
-        with pytest.raises(ValueError):
-            validate_distribution([1.0])
+    @pytest.mark.parametrize(
+        "probs, start",
+        [
+            ([-0.1, 1.1], "entries outside"),
+            ([0.5, 0.6], "sum"),
+            ([1.0], "must be a flat sequence"),
+            ([math.nan, 0.5], "entries must be finite"),
+            ([math.inf, 0.5], "entries must be finite"),
+            ([-math.inf, 0.5], "entries must be finite"),
+        ],
+        ids=["negative", "sum", "singleton", "nan", "inf", "minus-inf"],
+    )
+    def test_rejects(self, probs, start):
+        with pytest.raises(ValueError, match="^distribution " + start):
+            entropy(probs, QUADRATIC)
 
     @HALF_OR_TWICE
     @pytest.mark.parametrize(
@@ -207,16 +200,6 @@ class TestPairEntropyDiagnostics:
         value = pair_entropy(1.1, QUADRATIC)
         assert value == pytest.approx(2.0 * (1.0 - 1.21 - 0.01), abs=1e-12)
 
-    def test_agrees_with_entropy_on_valid_pairs(self):
-        rng = np.random.default_rng(42)
-        for alpha in (0.5, 1.0, 2.0, 3.0):
-            measure = EntropyMeasure(alpha)
-            for _ in range(50):
-                p = float(rng.uniform())
-                assert pair_entropy(p, measure) == pytest.approx(
-                    entropy([p, 1.0 - p], measure), abs=1e-12
-                )
-
     def test_shannon_limit_matches_stdlib(self):
         p = 0.8535533905932737
         expected = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
@@ -286,14 +269,10 @@ class TestOneKernel:
             p = state.probs
             pairs = [p[0:2], p[2:4], p[4:6]]
             by_entropy = sum(entropy(pair, measure) for pair in pairs)
+            by_pair = sum(pair_entropy(pair[0], measure) for pair in pairs)
             by_total = total_uncertainty(pairs, measure)
             by_state = total_uncertainty_state(state, measure)
             by_p6 = float(total_uncertainty_p6(state.as_array, measure.alpha))
-            for value in (by_total, by_state, by_p6):
+            for value in (by_pair, by_total, by_state, by_p6):
                 assert value == pytest.approx(by_entropy, abs=1e-12)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_validate_distribution_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        validate_distribution([bad, 0.5])
+            assert by_state == pytest.approx(by_total, abs=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebit.measures import QUADRATIC, SHANNON, EntropyMeasure, total_uncertainty
+from onebit.measures import QUADRATIC, SHANNON
 from onebit.qubit import (
     CANONICAL_FRAME,
     PHYSICAL_TOL,
@@ -40,47 +40,33 @@ class TestFrames:
         frame = ComplementaryFrame(np.diag([1.0, 1.0, -1.0]))
         assert np.linalg.det(frame.axes) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            ComplementaryFrame(np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1.0]]))
+    # a NaN gap compares False against the tolerance, so it must not pass
+    @pytest.mark.parametrize(
+        "axes", [[[1, 0, 0], [1, 0, 0], [0, 0, 1.0]], np.full((3, 3), math.nan)], ids=["gap", "nan"]
+    )
+    def test_rejects_non_orthonormal(self, axes):
+        with pytest.raises(ValueError, match="^frame axes are not orthonormal"):
+            ComplementaryFrame(np.array(axes))
 
-    def test_rejects_nan_axes(self):
-        # a NaN gap compares False against the tolerance, so it must not pass
-        with pytest.raises(ValueError, match="orthonormal"):
-            ComplementaryFrame(np.full((3, 3), math.nan))
+
+C = 1.0 / math.sqrt(2.0)
+DIAGONAL_PAIR = ((1.0 + C) / 2.0, (1.0 - C) / 2.0)
+
+#: (mean values, probabilities), each side exact from the other.
+CONVERSIONS = {
+    "certain-z": ([0.0, 0.0, 1.0], (0.5, 0.5, 0.5, 0.5, 1.0, 0.0)),
+    "certain-x": ([1.0, 0.0, 0.0], (1.0, 0.0, 0.5, 0.5, 0.5, 0.5)),
+    "half-x": ([0.5, 0.0, 0.0], (0.75, 0.25, 0.5, 0.5, 0.5, 0.5)),
+    "mixed": ([0.0, 0.0, 0.0], (0.5,) * 6),
+    "diagonal": ([C, 0.0, C], DIAGONAL_PAIR + (0.5, 0.5) + DIAGONAL_PAIR),
+}
 
 
 class TestProbabilityMeanConversion:
-    def test_certainty_along_z(self):
-        state = probabilities_from_mean([0.0, 0.0, 1.0])
-        assert state.probs == (0.5, 0.5, 0.5, 0.5, 1.0, 0.0)
-
-    def test_maximally_mixed(self):
-        state = probabilities_from_mean([0.0, 0.0, 0.0])
-        assert state.probs == (0.5,) * 6
-
-    def test_diagonal_pure_state(self):
-        c = 1.0 / math.sqrt(2.0)
-        state = probabilities_from_mean([c, 0.0, c])
-        expected = (1.0 + c) / 2.0
-        assert state.probs[0] == pytest.approx(expected, abs=1e-15)
-        assert state.probs[2] == pytest.approx(0.5, abs=1e-15)
-        assert state.probs[4] == pytest.approx(expected, abs=1e-15)
-
-    def test_mean_from_probabilities_examples(self):
-        np.testing.assert_allclose(
-            QubitState((1, 0, 0.5, 0.5, 0.5, 0.5)).mean_values,
-            [1.0, 0.0, 0.0],
-            atol=1e-15,
-        )
-        np.testing.assert_allclose(
-            QubitState((0.5,) * 6).mean_values, [0.0, 0.0, 0.0], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            QubitState((0.75, 0.25, 0.5, 0.5, 0.5, 0.5)).mean_values,
-            [0.5, 0.0, 0.0],
-            atol=1e-15,
-        )
+    @pytest.mark.parametrize("means, probs", CONVERSIONS.values(), ids=list(CONVERSIONS))
+    def test_examples_both_ways(self, means, probs):
+        assert probabilities_from_mean(means).probs == probs
+        assert QubitState(probs).mean_values.tolist() == means
 
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(42)
@@ -155,29 +141,32 @@ class TestHaarPhaseFix:
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert_positive_qr(got, z)
 
-class TestQubitStateValidation:
-    def test_rejects_bad_sector_sum(self):
-        with pytest.raises(ValueError, match="sector"):
-            QubitState((0.5, 0.6, 0.5, 0.5, 0.5, 0.5))
 
-    def test_rejects_nan_entries(self):
-        with pytest.raises(ValueError, match="sector"):
-            QubitState((math.nan,) * 6)
+class TestQubitStateValidation:
+    @pytest.mark.parametrize(
+        "build, probs, pattern",
+        [
+            (QubitState, (0.5, 0.6, 0.5, 0.5, 0.5, 0.5), r"sector x sums to 1\.1, not 1$"),
+            (QubitState, (math.nan,) * 6, "sector x sums to nan, not 1$"),
+            # sectors are fine but |m| = sqrt(3) > 1
+            (QubitState.from_probabilities, (1, 0, 1, 0, 1, 0), "mean-value .*: not a physical"),
+            (
+                QubitState.from_probabilities,
+                (1.1, -0.1, 0.5, 0.5, 0.5, 0.5),
+                r"probabilities outside \[0, 1\]",
+            ),
+        ],
+        ids=["sector-sum", "nan", "unphysical", "out-of-range"],
+    )
+    def test_rejects(self, build, probs, pattern):
+        with pytest.raises(ValueError, match="^" + pattern):
+            build(probs)
 
     def test_from_probabilities_accepts_a_physical_state(self):
         probs = (1.0, 0.0, 0.5, 0.5, 0.5, 0.5)
         state = QubitState.from_probabilities(probs)
         assert state == QubitState(probs)
         assert state.probs == probs
-
-    def test_from_probabilities_rejects_unphysical(self):
-        # sectors are fine but |m| = sqrt(3) > 1
-        with pytest.raises(ValueError, match="not a physical state"):
-            QubitState.from_probabilities((1, 0, 1, 0, 1, 0))
-
-    def test_from_probabilities_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            QubitState.from_probabilities((1.1, -0.1, 0.5, 0.5, 0.5, 0.5))
 
     @HALF_OR_TWICE
     def test_physicality_tolerance_boundary(self, factor, ok):
@@ -196,17 +185,14 @@ class TestQubitStateValidation:
 
 
 class TestTotalUncertainty:
-    def test_pure_state_carries_one_bit(self):
-        state = probabilities_from_mean([0.0, 0.0, 1.0])
-        assert total_uncertainty_state(state, QUADRATIC) == pytest.approx(2.0, abs=1e-12)
-
-    def test_maximally_mixed_is_three(self):
-        state = probabilities_from_mean([0.0, 0.0, 0.0])
-        assert total_uncertainty_state(state, QUADRATIC) == pytest.approx(3.0, abs=1e-12)
-
-    def test_pure_x_shannon(self):
-        state = probabilities_from_mean([1.0, 0.0, 0.0])
-        assert total_uncertainty_state(state, SHANNON) == pytest.approx(2.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "means, measure, total",
+        [([0.0, 0.0, 1.0], QUADRATIC, 2.0), ([0.0, 0.0, 0.0], QUADRATIC, 3.0),
+         ([1.0, 0.0, 0.0], SHANNON, 2.0)],
+        ids=["pure-z", "mixed", "pure-x-shannon"],
+    )
+    def test_examples(self, means, measure, total):
+        assert total_uncertainty_state(probabilities_from_mean(means), measure) == total
 
     def test_quadratic_closed_form(self):
         # H_total(alpha=2, k=2) = 3 - |m|^2, an exact algebraic identity
@@ -227,28 +213,15 @@ class TestTotalUncertainty:
             h = total_uncertainty_state(state, QUADRATIC)
             assert 2.0 - 1e-10 <= h <= 3.0 + 1e-10
 
-    def test_agrees_with_measures_total(self):
-        rng = np.random.default_rng(42)
-        for alpha in (0.5, 1.0, 2.0, 3.0):
-            measure = EntropyMeasure(alpha)
-            for _ in range(50):
-                state = random_state(rng, "mixed")
-                p = state.probs
-                pairs = [(p[0], p[1]), (p[2], p[3]), (p[4], p[5])]
-                assert total_uncertainty_state(state, measure) == pytest.approx(
-                    total_uncertainty(pairs, measure), abs=1e-12
-                )
-
 
 class TestPurity:
-    def test_axis_pure(self):
-        assert is_pure(probabilities_from_mean([0.0, 0.0, 1.0]))
-
-    def test_mixed_not_pure(self):
-        assert not is_pure(probabilities_from_mean([0.0, 0.0, 0.0]))
-
-    def test_three_four_five_vector_is_pure(self):
-        assert is_pure(probabilities_from_mean([0.6, 0.8, 0.0]))
+    @pytest.mark.parametrize(
+        "means, pure",
+        [([0.0, 0.0, 1.0], True), ([0.0, 0.0, 0.0], False), ([0.6, 0.8, 0.0], True)],
+        ids=["axis", "mixed", "three-four-five"],
+    )
+    def test_examples(self, means, pure):
+        assert is_pure(probabilities_from_mean(means)) == pure
 
     @HALF_OR_TWICE
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["outside", "inside"])
@@ -257,14 +230,12 @@ class TestPurity:
 
 
 class TestMalus:
-    def test_aligned(self):
-        assert malus_probability(0.0) == 1.0
-
-    def test_opposite(self):
-        assert malus_probability(math.pi) == pytest.approx(0.0, abs=1e-12)
-
-    def test_complementary_axis(self):
-        assert malus_probability(math.pi / 2.0) == pytest.approx(0.5, abs=1e-12)
+    @pytest.mark.parametrize(
+        "theta, p, tol", [(0.0, 1.0, 0.0), (math.pi, 0.0, 1e-12), (math.pi / 2.0, 0.5, 1e-12)],
+        ids=["aligned", "opposite", "complementary"],
+    )
+    def test_examples(self, theta, p, tol):
+        assert abs(malus_probability(theta) - p) <= tol
 
     def test_matches_rotated_frame_probability(self):
         # measuring a pure-z state along a frame tilted by theta about y
@@ -289,11 +260,6 @@ class TestRandomStates:
         for _ in range(100):
             m = random_state(rng, "mixed").mean_values
             assert float(np.linalg.norm(m)) <= 1.0 + 1e-12
-
-    def test_deterministic_given_seed(self):
-        a = random_state(np.random.default_rng(7), "mixed")
-        b = random_state(np.random.default_rng(7), "mixed")
-        assert a.probs == b.probs
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -13,14 +13,7 @@ import pytest
 
 from onebit import transforms
 from onebit.measures import EntropyMeasure
-from onebit.qubit import (
-    SECTOR_TOL,
-    QubitState,
-    p6_from_means,
-    probabilities_from_mean,
-    random_state,
-    total_uncertainty_state,
-)
+from onebit.qubit import SECTOR_TOL, QubitState, p6_from_means, random_state
 from onebit.transforms import (
     _SIGNED_PERMUTATIONS,
     ORTHO_TOL,
@@ -196,8 +189,7 @@ class TestInducedFromRotation:
             assert images.min() >= -1e-12
             assert images.max() <= 1.0 + 1e-12
 
-    def test_reflection_requires_flag(self):
-        # a reflection embeds, but no sampler option draws one
+    def test_a_reflection_embeds_but_the_sampler_draws_only_rotations(self):
         reflection = np.diag([1.0, 1.0, -1.0])
         induced = induced_from_rotation(reflection)
         assert is_sector_stochastic(induced).ok
@@ -378,24 +370,19 @@ class TestSectorStochasticCheck:
 
     def test_contraction_passes(self):
         # shrinking toward the maximally mixed state is stochastic
-        half = induced_from_rotation(np.eye(3)).matrix * 0.0
         half = 0.5 * np.eye(6) + 0.5 * np.full((6, 6), 1.0 / 6.0)
         assert is_sector_stochastic(InducedMap(half)).ok
 
 
 class TestAlphaNorms:
-    def test_one_norm_of_states_is_three(self):
-        rng = np.random.default_rng(42)
-        states = random_states_array(rng, 100)
-        for row in states:
-            assert alpha_norm(row, 1.0) == pytest.approx(3.0, abs=1e-12)
-
-    def test_rotations_preserve_two_norm(self):
+    @pytest.mark.parametrize("alpha, tol", [(1.0, 1e-12), (2.0, 1e-10)])
+    def test_rotations_preserve_the_one_and_two_norms(self, alpha, tol):
         rng = np.random.default_rng(42)
         for _ in range(100):
             induced = induced_from_rotation(random_rotation(rng))
             state = random_state(rng, "mixed")
-            assert norm_gap(induced, state, 2.0) <= 1e-10
+            assert alpha_norm(state.as_array, 1.0) == pytest.approx(3.0, abs=1e-12)
+            assert norm_gap(induced, state, alpha) <= tol
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0, 5.0])
     def test_quarter_turn_preserves_every_norm(self, alpha):
@@ -404,13 +391,6 @@ class TestAlphaNorms:
         for _ in range(100):
             state = random_state(rng, "mixed")
             assert norm_gap(quarter, state, alpha) <= 1e-12
-
-    def test_one_norm_always_preserved(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            induced = induced_from_rotation(random_rotation(rng))
-            state = random_state(rng, "mixed")
-            assert norm_gap(induced, state, 1.0) <= 1e-12
 
 
 class TestInvarianceScan:
@@ -447,31 +427,6 @@ class TestInvarianceScan:
             dev, _, _ = scan_deviations(states, maps, [alpha])[0]
             assert dev == 0.0
 
-    def test_matches_cellwise_oracle(self):
-        # 130 maps: two full 64-map blocks and a partial third
-        rng = np.random.default_rng(5)
-        states = random_states_array(rng, 10)
-        maps = induced_from_rotations(random_rotations(rng, 130))
-        got = scan_deviations(states, maps, SCAN_ALPHAS)
-        for alpha, (dev, s_idx, m_idx) in zip(SCAN_ALPHAS, got):
-            measure = EntropyMeasure(alpha)
-            table = np.array(
-                [
-                    [
-                        abs(
-                            total_uncertainty_state(QubitState(tuple(a @ p)), measure)
-                            - total_uncertainty_state(QubitState(tuple(p)), measure)
-                        )
-                        for p in states
-                    ]
-                    for a in maps
-                ]
-            )
-            assert dev == pytest.approx(table.max(), abs=1e-12)
-            assert dev == pytest.approx(table[m_idx, s_idx], abs=1e-12)
-            if alpha not in (2.0, 3.0):  # elsewhere every cell is rounding noise
-                assert (m_idx, s_idx) == np.unravel_index(table.argmax(), table.shape)
-
     def test_ties_go_to_the_earliest_map_and_state(self):
         # the depolarizing map sends every state to the maximally mixed one;
         # all entries are dyadic, so every copy of a cell has the same bits
@@ -488,11 +443,6 @@ class TestInvarianceScan:
         states = np.array([[0.5] * 6, [math.nan] * 6])
         with pytest.raises(ValueError, match="not finite"):
             scan_deviations(states, np.eye(6)[None], [2.0])
-
-    def test_deterministic_given_seed(self):
-        a = invariance_scan([1.0, 2.0], 50, 10, seed=11)
-        b = invariance_scan([1.0, 2.0], 50, 10, seed=11)
-        assert a == b
 
     def test_worst_shannon_case_is_the_probe_pair(self):
         # with no sampling at all, the 45-degree probe on a pure state
@@ -519,12 +469,6 @@ class TestPermutationFamily:
             member = InducedMap(a)
             assert is_sector_stochastic(member).ok
             assert permutation_distance(member) == 0.0
-
-    def test_quarter_turn_is_permutation_type(self):
-        assert permutation_distance(example_permutation_map()) == 0.0
-
-    def test_identity_is_permutation_type(self):
-        assert permutation_distance(InducedMap(np.eye(6))) == 0.0
 
     def test_thirty_degree_rotation_is_not(self):
         rot = np.array(
@@ -571,8 +515,6 @@ class TestSearchNormPreservers:
     def test_rotations_deviate_on_the_probe_domain_at_alpha_three(self):
         # the probe set spans the full sector-consistent cube, where the
         # cubic norm does separate rotations from permutations
-        from onebit.transforms import _probe_means
-
         rng = np.random.default_rng(42)
         probes = p6_from_means(_probe_means(rng))
         base = np.sum(np.abs(probes) ** 3.0, axis=1) ** (1.0 / 3.0)
@@ -582,14 +524,6 @@ class TestSearchNormPreservers:
             norms = np.sum(np.abs(probes @ a.T) ** 3.0, axis=1) ** (1.0 / 3.0)
             worst = max(worst, float(np.mean(np.abs(norms - base))))
         assert worst > 1e-4
-
-    def test_deterministic_given_seed(self):
-        a = search_norm_preservers(2.0, 1000, seed=3)
-        b = search_norm_preservers(2.0, 1000, seed=3)
-        assert len(a) == len(b)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.map.matrix, cb.map.matrix)
-            assert ca.residual == cb.residual
 
 
 class TestScanScalarOracle:
@@ -715,25 +649,6 @@ def fresh_scan_deviations(states, maps, alphas):
     return best
 
 
-class TestScanBuffers:
-    @pytest.mark.parametrize("n_states", [1, 5])
-    @pytest.mark.parametrize("n_maps", [1, 63, 64, 65, 130])
-    def test_matches_fresh_allocation_bitwise(self, n_maps, n_states):
-        # the pure +x state and an exact quarter turn put exact zeros and
-        # ones into the images; the last block is partial unless M = 64
-        rng = np.random.default_rng(n_maps * 10 + n_states)
-        states = random_states_array(rng, n_states)
-        states[0] = p6_from_means([1.0, 0.0, 0.0])
-        rotations = random_rotations(rng, n_maps)
-        rotations[n_maps // 2] = QUARTER_TURN_ROTATION
-        maps = induced_from_rotations(rotations)
-        got = scan_deviations(states, maps, SCAN_ALPHAS)
-        expected = fresh_scan_deviations(states, maps, SCAN_ALPHAS)
-        assert [(dev.hex(), s, m) for dev, s, m in got] == [
-            (dev.hex(), s, m) for dev, s, m in expected
-        ]
-
-
 def hexed(scan):
     return [(dev.hex(), s, m) for dev, s, m in scan]
 
@@ -770,20 +685,24 @@ class TestScanSlabs:
     by patching the slab size and the core count, so a one-core machine
     still runs the helpers and the merge."""
 
-    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n_states, n_maps", [(4, 1), (9, 65), (23, 130)])
-    def test_every_slab_count_gives_the_one_slab_bits(self, monkeypatch, cores, n_states, n_maps):
+    @pytest.mark.parametrize("n_states", [1, 5, 8, 9, 23])
+    @pytest.mark.parametrize("n_maps", [1, 63, 64, 65, 130])
+    def test_every_slab_count_gives_the_fresh_bits(self, monkeypatch, n_states, n_maps):
+        # the pure +x state and an exact quarter turn put exact zeros and
+        # ones into the images; the last block is partial unless M = 64.
+        # Slab counts 1 to 4 with two states or more in every slab: a
+        # one-state slab's product is a matrix-vector one, which BLAS may
+        # round differently (a scan splits only into slabs of 128 states)
         rng = np.random.default_rng(n_states * 1000 + n_maps)
         states = random_states_array(rng, n_states)
         states[0] = p6_from_means([1.0, 0.0, 0.0])
         rotations = random_rotations(rng, n_maps)
         rotations[n_maps // 2] = QUARTER_TURN_ROTATION
         maps = induced_from_rotations(rotations)
-        force_slabs(monkeypatch, 1)
-        serial = hexed(scan_deviations(states, maps, SCAN_ALPHAS))
-        force_slabs(monkeypatch, cores)
-        assert hexed(scan_deviations(states, maps, SCAN_ALPHAS)) == serial
-        assert hexed(fresh_scan_deviations(states, maps, SCAN_ALPHAS)) == serial
+        expected = hexed(fresh_scan_deviations(states, maps, SCAN_ALPHAS))
+        for cores in range(1, max(1, min(4, n_states // 2)) + 1):
+            force_slabs(monkeypatch, cores)
+            assert hexed(scan_deviations(states, maps, SCAN_ALPHAS)) == expected, cores
 
     def test_more_helpers_than_cores_under_fast_thread_switching(self, monkeypatch):
         rng = np.random.default_rng(11)

@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 57 mutants takes about 100 s on
+testpaths is ``tests``); a full run of the 60 mutants takes about 110 s on
 two cores.
 """
 
@@ -57,9 +57,25 @@ MUTANTS = (
     Mutant(
         "one-bit-k-shannon-two",
         "measures.py",
-        '"k", 1.0 if a == 1.0',
-        '"k", 2.0 if a == 1.0',
-        ("tests/test_measures.py::TestNormalizedMeasure::test_alpha_one_is_shannon",),
+        "k = 1.0 if _is_shannon(a)",
+        "k = 2.0 if _is_shannon(a)",
+        ("tests/test_measures.py::TestNormalizedMeasure::test_k",),
+    ),
+    # the Shannon band: every degree within 2**-26 of 1 takes the limit,
+    # since the formula cancels there; the band's edges take the formula
+    Mutant(
+        "shannon-band-exact-one",
+        "measures.py",
+        "return abs(alpha - 1.0) < 2.0**-26",
+        "return alpha == 1.0",
+        ("tests/test_measures.py::TestNormalizedMeasure",),
+    ),
+    Mutant(
+        "shannon-band-edges-included",
+        "measures.py",
+        "return abs(alpha - 1.0) < 2.0**-26",
+        "return abs(alpha - 1.0) <= 2.0**-26",
+        ("tests/test_measures.py::TestNormalizedMeasure::test_k",),
     ),
     # the invariance scan: tie rule, NaN guard, kernel; the one tie key is
     # (largest value, earliest map, earliest state) over every slab's cells
@@ -203,7 +219,7 @@ MUTANTS = (
         "q[flip, :, 0] = q[flip, :, 0]",
         (
             "tests/test_transforms.py::TestBatchedConstruction::test_batch_matches_sequential_draws",
-            "tests/test_transforms.py::TestInducedFromRotation::test_reflection_requires_flag",
+            "tests/test_transforms.py::TestInducedFromRotation::test_a_reflection_embeds_but_the_sampler_draws_only_rotations",
         ),
     ),
     # the state sampler: a degenerate normal group is redrawn, and a mixed
@@ -240,20 +256,28 @@ MUTANTS = (
         "ok = column_gap <= tol and sector_sum_gap <= tol and range_gap <= tol",
         ("tests/test_transforms.py::TestSectorStochasticCheck::test_tolerance_boundary",),
     ),
-    # post-selection indices: both in [0, n), or -1 wraps to the last outcome
+    # outcome pairs, the one check of postselect and minor_condition: both
+    # indices in [0, n), or -1 wraps to the last outcome
     Mutant(
         "postselect-range-le",
         "highdim.py",
-        "0 <= i < state.n and 0 <= j < state.n",
-        "0 <= i <= state.n and 0 <= j <= state.n",
-        ("tests/test_highdim.py::TestPostselect::test_rejects_indices_out_of_range",),
+        "0 <= i < n and 0 <= j < n",
+        "0 <= i <= n and 0 <= j <= n",
+        ("tests/test_highdim.py::TestPostselect::test_rejects_a_bad_outcome_pair",),
     ),
     Mutant(
         "postselect-no-lower-bound",
         "highdim.py",
-        "0 <= i < state.n and 0 <= j < state.n",
-        "i < state.n and j < state.n",
-        ("tests/test_highdim.py::TestPostselect::test_rejects_indices_out_of_range",),
+        "0 <= i < n and 0 <= j < n",
+        "i < n and j < n",
+        ("tests/test_highdim.py::TestPostselect::test_rejects_a_bad_outcome_pair",),
+    ),
+    Mutant(
+        "minor-condition-unchecked",
+        "highdim.py",
+        "    _check_pair(rho.n, i, j)\n",
+        "",
+        ("tests/test_highdim.py::TestPostselect::test_rejects_a_bad_outcome_pair",),
     ),
     # the positivity criterion: tie rule, thresholds, NaN guards
     Mutant(
@@ -324,7 +348,7 @@ MUTANTS = (
         "highdim.py",
         "if not largest <= MAX_ENTRY:  # a NaN fails too",
         "if largest > MAX_ENTRY:",
-        ("tests/test_highdim.py::TestHermitianOperator::test_rejects_non_finite_entries",),
+        ("tests/test_highdim.py::TestHermitianOperator::test_rejects",),
     ),
     Mutant(
         "operator-entry-cap-10x",
