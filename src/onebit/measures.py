@@ -35,7 +35,10 @@ class EntropyMeasure:
     with k = 1, because the formula cancels there: 1 - 2**(1 - alpha) is
     exactly 0 at alpha = 1 - 2**-53, and at 1 + 2**-52 the pair (0.3, 0.7)
     scores 2 bits, twice the binary maximum.  At the band's edges the
-    formula is within 1.1e-8 of the limit on (0.3, 0.7).
+    formula's two cancelled differences, 1 - 2**(1 - alpha) and
+    1 - sum_i p_i**alpha, turn each ulp(1) = 2**-52 of rounding into about
+    2**-26 = 1.5e-8 bits, already more than the formula's true distance
+    from the limit (about 1.1e-9 on (0.3, 0.7)).
     """
 
     alpha: float

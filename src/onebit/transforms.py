@@ -286,15 +286,18 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     then the exception of the earliest slab that raised is re-raised here,
     with its type and message.
 
-    A cell's arithmetic is the same whichever slab holds it (a six-term
-    dot product, a clip, six terms summed in entry order, the baseline
-    subtracted), so the slab count cannot change a bit.  Every slab reports
-    the argmax cell of each (block, alpha) with indices over the whole scan,
-    and each alpha's result is the best of all those cells by the tie rule
-    of a row-major argmax over (map, state): the largest value, then the
-    earliest map, then the earliest state.  Raises ValueError when a
-    deviation is not finite, naming the alpha of the first such cell in
-    block-major order.
+    A cell's arithmetic is the same whichever slab of two or more states
+    holds it (a six-term dot product, a clip, six terms summed in entry
+    order, the baseline subtracted), so the slab count cannot change a bit
+    while every slab holds two states or more, as it does unless the slab
+    size is patched (a split gives each slab at least 128 states).  A
+    one-state slab's product is a matrix-vector one, which BLAS may round
+    differently.  Every slab reports the argmax cell of each (block, alpha)
+    with indices over the whole scan, and each alpha's result is the best
+    of all those cells by the tie rule of a row-major argmax over (map,
+    state): the largest value, then the earliest map, then the earliest
+    state.  Raises ValueError when a deviation is not finite, naming the
+    alpha of the first such cell in block-major order.
     """
     states = np.asarray(states, dtype=float)
     maps = np.asarray(maps, dtype=float)

@@ -621,12 +621,15 @@ class TestScanSupremum:
         assert spread == pytest.approx(scan_supremum(alpha), abs=1e-12)
 
 
-def fresh_scan_deviations(states, maps, alphas):
+def fresh_scan_deviations(states, maps, alphas, bounds=None):
     """scan_deviations with every block's images, every alpha's entropy
     terms and every deviation freshly allocated, the entropy written out
-    as p**alpha or p log2 p: the block loop the buffers must reproduce."""
+    as p**alpha or p log2 p: the block loop the buffers must reproduce.
+    ``bounds`` (state offsets, 0 first and S last) takes each block's
+    product over those runs of states instead of all at once."""
     columns = np.ascontiguousarray(states.T)
     clipped = np.clip(columns, 0.0, 1.0)
+    bounds = bounds or [0, states.shape[0]]
 
     def total(p, measure, axis):
         if measure.alpha == 1.0:
@@ -639,7 +642,9 @@ def fresh_scan_deviations(states, maps, alphas):
     best = [(-1.0, 0, 0)] * len(measures)
     for start in range(0, maps.shape[0], 64):
         block = maps[start : start + 64]
-        images = (block.reshape(-1, 6) @ columns).reshape(block.shape[0], 6, -1)
+        flat = block.reshape(-1, 6)
+        runs = [flat @ columns[:, a:b].copy() for a, b in itertools.pairwise(bounds)]
+        images = np.concatenate(runs, axis=1).reshape(block.shape[0], 6, -1)
         images = np.clip(images, 0.0, 1.0)
         for j, measure in enumerate(measures):
             dev = np.abs(total(images, measure, 1) - total(clipped, measure, 0))
@@ -685,22 +690,26 @@ class TestScanSlabs:
     by patching the slab size and the core count, so a one-core machine
     still runs the helpers and the merge."""
 
-    @pytest.mark.parametrize("n_states", [1, 5, 8, 9, 23])
+    @pytest.mark.parametrize("n_states", [1, 4, 5, 8, 9, 23])
     @pytest.mark.parametrize("n_maps", [1, 63, 64, 65, 130])
     def test_every_slab_count_gives_the_fresh_bits(self, monkeypatch, n_states, n_maps):
         # the pure +x state and an exact quarter turn put exact zeros and
         # ones into the images; the last block is partial unless M = 64.
-        # Slab counts 1 to 4 with two states or more in every slab: a
+        # Slabs of two states or more give the one-product bits.  A
         # one-state slab's product is a matrix-vector one, which BLAS may
-        # round differently (a scan splits only into slabs of 128 states)
+        # round differently, so its cells get that product's bits (a scan
+        # the library runs splits only into slabs of 128 states or more)
         rng = np.random.default_rng(n_states * 1000 + n_maps)
         states = random_states_array(rng, n_states)
         states[0] = p6_from_means([1.0, 0.0, 0.0])
         rotations = random_rotations(rng, n_maps)
         rotations[n_maps // 2] = QUARTER_TURN_ROTATION
         maps = induced_from_rotations(rotations)
-        expected = hexed(fresh_scan_deviations(states, maps, SCAN_ALPHAS))
-        for cores in range(1, max(1, min(4, n_states // 2)) + 1):
+        for cores in range(1, min(4, n_states) + 1):
+            slabs = itertools.pairwise([n_states * k // cores for k in range(cores + 1)])
+            singles = {edge for a, b in slabs if b - a == 1 for edge in (a, b)}
+            bounds = sorted({0, n_states} | singles)
+            expected = hexed(fresh_scan_deviations(states, maps, SCAN_ALPHAS, bounds))
             force_slabs(monkeypatch, cores)
             assert hexed(scan_deviations(states, maps, SCAN_ALPHAS)) == expected, cores
 
