@@ -22,7 +22,6 @@ import json
 import math
 import os
 import re
-import stat
 import sys
 from dataclasses import asdict
 
@@ -115,33 +114,13 @@ def _json_default(obj):
 
 
 def _write(path: str, text: str, what: str) -> None:
-    """Rewrite ``path`` in place: write over the old bytes from offset 0,
-    then cut a regular file to the new length; a failed write cuts it to 0.
-
-    ``open(path, "w")`` truncates to zero first, and on an ext4 root
-    (mounted with ``discard``) that truncation took 50-80 ms whenever the
-    file was last written after an earlier truncation, 20 ms or 35 s
-    before.  Like ``open(path, "w")``, this follows symlinks, gives a new
-    file mode 0o666 minus the umask, translates no newlines, and is neither
-    atomic nor durable.  Unlike it, a crash before the cut, or before the
-    overwritten blocks reach the disk, can leave old and new bytes mixed.
-    Device files and FIFOs (``/dev/null``) are never cut.
-    """
-    data = text.encode("utf-8")
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    """Write ``text`` to ``path`` as UTF-8, replacing any old bytes, with no
+    newline translation: symlinks are followed, a new file gets mode 0o666
+    minus the umask, and the write is neither atomic nor durable.  A failed
+    write leaves at most a prefix of the new bytes."""
     try:
-        with open(os.open(path, flags, 0o666), "wb", buffering=0) as handle:
-            regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[handle.write(view) :]
-            except OSError:
-                if regular:
-                    handle.truncate(0)
-                raise
-            if regular:
-                handle.truncate(len(data))
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
@@ -150,7 +129,7 @@ def _check_target(path: str, what: str) -> None:
     """Raise the OSError :func:`_write` would, with its message, when
     ``path`` is a directory, is an existing file that cannot be written,
     or is a new file in a missing or unwritable directory; the empty path
-    names no file, as for ``os.open``.  It only asks: it creates, opens
+    names no file, as for ``open``.  It only asks: it creates, opens
     and changes nothing, so :func:`main` can check every target before the
     first output."""
     parent = os.path.dirname(path) or "."

@@ -272,12 +272,19 @@ class PositivityVerdict:
     strategy: str
 
 
+def _random_bases(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` Haar-random orthonormal bases (columns), shape
+    (count, n, n): the QRs of the complex Gaussian matrices
+    (z[:, 0] + i z[:, 1]) / sqrt(2), normals ``z`` of shape (count, 2, n, n)
+    from one draw, with the phase fix (``qubit._haar_q``)."""
+    z = rng.normal(size=(count, 2, n, n))
+    return _haar_q((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+
+
 def random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-random orthonormal basis (columns): the QR of the complex
-    Gaussian matrix (z[0] + i z[1]) / sqrt(2), normals ``z`` of shape
-    (2, n, n), with the phase fix (``qubit._haar_q``)."""
-    z = rng.normal(size=(2, n, n))
-    return _haar_q((z[0] + 1j * z[1]) / np.sqrt(2.0))
+    """One Haar-random orthonormal basis (columns), as :func:`_random_bases`
+    draws it."""
+    return _random_bases(rng, 1, n)[0]
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +324,7 @@ def _check_views(m: np.ndarray, n_sampled: int, eigen: bool, seed: int):
     if eigen:
         bases = _eigh(m)[1][None]
     else:
-        z = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=(n_sampled, 2, n, n))
-        bases = _haar_q((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+        bases = _random_bases(np.random.default_rng(np.random.SeedSequence(seed)), n_sampled, n)
     views = np.empty((len(bases) + 1, n, n), complex)
     views[0] = m
     _conjugate(bases, m, out=views[1:])

@@ -659,7 +659,7 @@ def test_matrix_file_fuzz(data, tmp_path_factory):
 
 
 class TestWriter:
-    """``--out`` and ``--out-csv`` rewrite their target in place."""
+    """``--out`` and ``--out-csv`` replace their target's bytes."""
 
     def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
         report, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
@@ -728,24 +728,6 @@ class TestWriter:
         assert code == 0
         mode = stat.S_IMODE((tmp_path / "new.json").stat().st_mode)
         assert mode == stat.S_IMODE((tmp_path / "reference.json").stat().st_mode) == 0o640
-
-    def test_opens_without_truncation(self, tmp_path, monkeypatch):
-        # truncating to zero before the write is what makes ext4 flush the
-        # file on close and stall the next rewrite
-        target = tmp_path / "report.json"
-        flags_seen = []
-        real_open = os.open
-
-        def spy(path, flags, *args, **kwargs):
-            if os.fspath(path) == str(target):
-                flags_seen.append(flags)
-            return real_open(path, flags, *args, **kwargs)
-
-        monkeypatch.setattr(os, "open", spy)
-        for _ in range(2):
-            assert run_cli(["entropy", "--dist", "0.5,0.5", "--out", str(target)])[0] == 0
-        assert len(flags_seen) == 2, "the report was not written through os.open"
-        assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for flags in flags_seen)
 
 
 #: Runs with one output target that cannot be opened, and one that can.

@@ -49,12 +49,17 @@ class TestCounting:
             assert degrees_of_freedom(n, 3) == n * n - 1
 
     @pytest.mark.parametrize(
-        "n, m, message",
-        [(1, 3, "dimension must be >= 2, got 1"), (3, 0, "measurement count must be >= 1, got 0")],
+        "call, message",
+        [
+            (lambda: degrees_of_freedom(1, 3), "dimension must be >= 2, got 1"),
+            (lambda: degrees_of_freedom(3, 0), "measurement count must be >= 1, got 0"),
+            (lambda: counting_consistency(1, [3], [2]), "n_max must be >= 2, got 1"),
+        ],
+        ids=["dimension", "measurement-count", "n-max"],
     )
-    def test_rejects(self, n, m, message):
+    def test_rejects(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            degrees_of_freedom(n, m)
+            call()
 
     def test_consistency_default_ranges(self):
         assert counting_consistency(50, range(2, 10), range(1, 5)) == [(3, 2)]
@@ -86,8 +91,9 @@ class TestHermitianOperator:
             (np.diag([0.5, 0.4]), "trace 0.9 differs from 1"),
             (np.diag([math.nan] * 2), "operator entries must be finite .* got nan"),
             (np.diag([math.inf] * 2), "operator entries must be finite .* got inf"),
+            ([[0.5, 0.5]], r"operator must be square, got shape \(1, 2\)$"),
         ],
-        ids=["non-hermitian", "trace", "nan", "inf"],
+        ids=["non-hermitian", "trace", "nan", "inf", "not-square"],
     )
     def test_rejects(self, matrix, start):
         with pytest.raises(ValueError, match="^" + start):
@@ -148,10 +154,18 @@ class TestGptFromDensity:
         expected = [np.vdot(b, rho.matrix @ b).real for b in basis.T]
         np.testing.assert_allclose(state.z_probs, expected, atol=1e-12)
 
-    def test_rejects_non_orthonormal_basis(self):
+    @pytest.mark.parametrize(
+        "basis, start",
+        [
+            ([[1.0, 1.0], [0.0, 0.0]], r"basis columns are not orthonormal \(gap 1\)$"),
+            (np.eye(3), r"basis must be 2x2, got shape \(3, 3\)$"),
+        ],
+        ids=["gap", "shape"],
+    )
+    def test_rejects_a_bad_basis(self, basis, start):
         rho = HermitianOperator(np.eye(2) / 2)
-        with pytest.raises(ValueError, match="orthonormal"):
-            conjugate_into_basis(rho, np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="^" + start):
+            conjugate_into_basis(rho, np.array(basis))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("where", ["everywhere", "one entry"])
@@ -756,9 +770,23 @@ class TestGenerators:
                 smallest = float(np.linalg.eigvalsh(rho.matrix)[0])
                 assert smallest == pytest.approx(target, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, smallest, message",
+        [
+            (2, 0.5, "smallest eigenvalue 0.5 cannot be the minimum of a unit-trace "
+                     "spectrum in dimension 2"),
+            # below 1/n, but above the smallest of this draw's other eigenvalues
+            (10, 0.0999, "requested minimum 0.0999 is not below the bulk spectrum"),
+        ],
+        ids=["above-one-over-n", "above-the-bulk"],
+    )
+    def test_rejects(self, n, smallest, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_with_min_eigenvalue(np.random.default_rng(0), n, smallest)
+
     def test_batched_bases_match_sequential_draws_bitwise(self):
-        # the check's sampled basis stack against one basis at a time with
-        # the phase fix written out
+        # the check's sampled basis stack, and random_basis's draws, against
+        # one basis at a time with the phase fix written out
         def loop_basis(rng, n):
             z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
             q, r = np.linalg.qr(z)
@@ -769,6 +797,9 @@ class TestGenerators:
             batch = _check_views(np.eye(n, dtype=complex) / n, 5, False, n)[0]
             rng = np.random.default_rng(np.random.SeedSequence(n))
             assert np.array_equal(batch, [loop_basis(rng, n) for _ in range(5)])
+            rng, loop_rng = np.random.default_rng(n), np.random.default_rng(n)
+            singles = [random_basis(rng, n) for _ in range(3)]
+            assert np.array_equal(singles, [loop_basis(loop_rng, n) for _ in range(3)])
 
     def test_random_basis_is_unitary(self):
         rng = np.random.default_rng(42)

@@ -74,7 +74,7 @@ class TestNormalizedMeasure:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
     def test_fair_pair_scores_exactly_one(self, alpha):
         measure = EntropyMeasure(alpha)
-        assert pair_entropy(0.5, measure) == pytest.approx(1.0, abs=1e-12)
+        assert entropy_sum([0.5, 0.5], measure, 1) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0, math.nan, math.inf])
     def test_rejects_alpha_that_is_not_positive_and_finite(self, alpha):
@@ -183,32 +183,31 @@ class TestProperties:
     def test_binary_maximum_at_half(self):
         grid = np.linspace(0.0, 1.0, 101)
         for alpha in (0.5, 1.0, 2.0, 3.0):
-            measure = EntropyMeasure(alpha)
-            values = [pair_entropy(p, measure) for p in grid]
+            values = entropy_sum(np.stack([grid, 1.0 - grid]), EntropyMeasure(alpha), 1, axis=0)
             assert max(values) == pytest.approx(1.0, abs=1e-12)
             assert np.argmax(values) == 50
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_pair_entropy_concave_for_alpha_ge_one(self, alpha):
-        measure = EntropyMeasure(alpha)
+        def pair(p):
+            return entropy_sum(np.stack([p, 1.0 - p]), EntropyMeasure(alpha), 1, axis=0)
+
         grid = np.linspace(0.0, 1.0, 51)
-        for i, a in enumerate(grid):
-            for b in grid[i:]:
-                mid = pair_entropy((a + b) / 2.0, measure)
-                avg = (pair_entropy(a, measure) + pair_entropy(b, measure)) / 2.0
-                assert mid >= avg - 1e-12
+        i, j = np.triu_indices(grid.size)
+        a, b = grid[i], grid[j]
+        assert np.all(pair((a + b) / 2.0) >= (pair(a) + pair(b)) / 2.0 - 1e-12)
 
 
 class TestPairEntropyDiagnostics:
     def test_quadratic_accepts_out_of_range(self):
         # the formula extends smoothly; used for unphysical pair qubits
-        value = pair_entropy(1.1, QUADRATIC)
+        value = entropy_sum([1.1, -0.1], QUADRATIC, 1)
         assert value == pytest.approx(2.0 * (1.0 - 1.21 - 0.01), abs=1e-12)
 
     def test_shannon_limit_matches_stdlib(self):
         p = 0.8535533905932737
         expected = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-        assert pair_entropy(p, SHANNON) == pytest.approx(expected, abs=1e-15)
+        assert entropy_sum([p, 1.0 - p], SHANNON, 1) == pytest.approx(expected, abs=1e-15)
 
 
 #: The kernel's layouts, each a (shape, axis) with six entries along the
@@ -258,7 +257,7 @@ class TestOneKernel:
 
     def test_fractional_power_of_negative_entry_raises(self):
         with pytest.raises(ValueError, match="no real power"):
-            pair_entropy(1.1, EntropyMeasure(2.5))
+            entropy_sum([1.1, -0.1], EntropyMeasure(2.5), 1)
 
     def test_out_of_range_state_raises_at_fractional_alpha(self):
         state = QubitState((1.1, -0.1, 0.5, 0.5, 0.5, 0.5))

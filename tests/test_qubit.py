@@ -42,10 +42,16 @@ class TestFrames:
 
     # a NaN gap compares False against the tolerance, so it must not pass
     @pytest.mark.parametrize(
-        "axes", [[[1, 0, 0], [1, 0, 0], [0, 0, 1.0]], np.full((3, 3), math.nan)], ids=["gap", "nan"]
+        "axes, start",
+        [
+            ([[1, 0, 0], [1, 0, 0], [0, 0, 1.0]], r"frame axes are not orthonormal \(gap 1\)$"),
+            (np.full((3, 3), math.nan), r"frame axes are not orthonormal \(gap nan\)$"),
+            (np.eye(2), r"frame needs three 3-vectors, got shape \(2, 2\)$"),
+        ],
+        ids=["gap", "nan", "shape"],
     )
-    def test_rejects_non_orthonormal(self, axes):
-        with pytest.raises(ValueError, match="^frame axes are not orthonormal"):
+    def test_rejects_non_orthonormal(self, axes, start):
+        with pytest.raises(ValueError, match="^" + start):
             ComplementaryFrame(np.array(axes))
 
 
@@ -155,8 +161,14 @@ class TestQubitStateValidation:
                 (1.1, -0.1, 0.5, 0.5, 0.5, 0.5),
                 r"probabilities outside \[0, 1\]",
             ),
+            (QubitState, (0.5,) * 4, "state needs 6 probabilities, got 4$"),
+            (
+                probabilities_from_mean,
+                (0.0, 0.0),
+                r"mean-value vector must have 3 components, got \(2,\)$",
+            ),
         ],
-        ids=["sector-sum", "nan", "unphysical", "out-of-range"],
+        ids=["sector-sum", "nan", "unphysical", "out-of-range", "length", "mean-shape"],
     )
     def test_rejects(self, build, probs, pattern):
         with pytest.raises(ValueError, match="^" + pattern):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from onebit import transforms
-from onebit.measures import EntropyMeasure
+from onebit.measures import QUADRATIC, EntropyMeasure, entropy_sum
 from onebit.qubit import SECTOR_TOL, QubitState, p6_from_means, random_state
 from onebit.transforms import (
     _SIGNED_PERMUTATIONS,
@@ -37,7 +37,6 @@ from onebit.transforms import (
     random_rotations,
     scan_deviations,
     search_norm_preservers,
-    total_uncertainty_p6,
 )
 
 from math_reference import (
@@ -163,9 +162,25 @@ class TestInducedFromRotation:
     def test_identity_rotation_gives_identity_matrix(self):
         assert np.array_equal(induced_from_rotation(np.eye(3)).matrix, np.eye(6))
 
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            induced_from_rotation(np.full((3, 3), 0.5))
+    @pytest.mark.parametrize(
+        "call, start",
+        [
+            (
+                lambda: induced_from_rotation(np.full((3, 3), 0.5)),
+                r"matrix is not orthogonal \(r\^T r gap 0\.75\)$",
+            ),
+            (lambda: induced_from_rotation(np.eye(2)), r"rotation must be 3x3, got shape \(2, 2\)$"),
+            (
+                lambda: induced_from_rotations(np.eye(3)),
+                r"rotations must have shape \(n, 3, 3\), got \(3, 3\)$",
+            ),
+            (lambda: InducedMap(np.eye(5)), r"induced map must be 6x6, got shape \(5, 5\)$"),
+        ],
+        ids=["non-orthogonal", "rotation-shape", "rotations-shape", "map-shape"],
+    )
+    def test_rejects(self, call, start):
+        with pytest.raises(ValueError, match="^" + start):
+            call()
 
     def test_mean_value_equivariance(self):
         rng = np.random.default_rng(42)
@@ -307,8 +322,8 @@ class TestApply:
         for _ in range(100):
             induced = induced_from_rotation(random_rotation(rng))
             state = random_state(rng, "mixed")
-            before = total_uncertainty_p6(state.as_array, 2.0)
-            after = total_uncertainty_p6(apply(induced, state).as_array, 2.0)
+            before = entropy_sum(state.as_array, QUADRATIC, 3)
+            after = entropy_sum(apply(induced, state).as_array, QUADRATIC, 3)
             assert abs(after - before) <= 1e-10
 
     def test_rejects_non_stochastic_map(self):
@@ -413,8 +428,8 @@ class TestInvarianceScan:
         # leave it invariant on physical states
         rng = np.random.default_rng(42)
         states = random_states_array(rng, 500)
-        h3 = total_uncertainty_p6(states, 3.0)
-        h2 = total_uncertainty_p6(states, 2.0)
+        h3 = entropy_sum(states, EntropyMeasure(3.0), 3)
+        h2 = entropy_sum(states, QUADRATIC, 3)
         np.testing.assert_allclose(h3, h2, atol=1e-12)
         reports = invariance_scan([3.0], 200, 50, seed=42)
         assert reports[0].max_deviation <= 1e-12
@@ -453,9 +468,26 @@ class TestInvarianceScan:
         assert reports[0].max_deviation == pytest.approx(2.0 * h - 1.0, abs=1e-12)
         assert reports[0].argmax_map_id.startswith("probe:rot45")
 
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            invariance_scan([], 10, 10, seed=0)
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: invariance_scan([], 10, 10, seed=0), "alpha grid must be nonempty"),
+            (lambda: invariance_scan([2.0], -1, 0, seed=0), "sample counts must be nonnegative"),
+            (lambda: invariance_scan([2.0], 0, -1, seed=0), "sample counts must be nonnegative"),
+            (
+                lambda: scan_deviations(np.empty((0, 6)), np.eye(6)[None], [2.0]),
+                "scan needs at least one state and one map",
+            ),
+            (
+                lambda: scan_deviations(np.full((1, 6), 0.5), np.empty((0, 6, 6)), [2.0]),
+                "scan needs at least one state and one map",
+            ),
+        ],
+        ids=["empty-grid", "negative-states", "negative-maps", "no-states", "no-maps"],
+    )
+    def test_rejects(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestPermutationFamily:

@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 60 mutants takes about 110 s on
+testpaths is ``tests``); a full run of the 72 mutants takes about 110 s on
 two cores.
 """
 
@@ -300,8 +300,8 @@ MUTANTS = (
     Mutant(
         "sampled-draw-axes-swapped",
         "highdim.py",
-        ".normal(size=(n_sampled, 2, n, n))",
-        ".normal(size=(2, n_sampled, n, n)).swapaxes(0, 1)",
+        ".normal(size=(count, 2, n, n))",
+        ".normal(size=(2, count, n, n)).swapaxes(0, 1)",
         ("tests/test_highdim.py::TestGenerators::test_batched_bases_match_sequential_draws_bitwise",),
     ),
     Mutant(
@@ -499,34 +499,120 @@ MUTANTS = (
         "return obj.real.tolist()",
         ("tests/test_cli.py::TestPositivityCommand::test_complex_arrays_are_re_im_objects",),
     ),
-    # the output writer
+    # shape and count checks: each rejection row pins its message, so
+    # dropping the check changes or removes the raise
     Mutant(
-        "writer-no-ftruncate",
-        "cli.py",
-        "handle.truncate(len(data))",
-        "pass",
-        ("tests/test_cli.py::TestWriter",),
+        "operator-shape-unchecked",
+        "highdim.py",
+        "if m.ndim != 2 or m.shape[0] != m.shape[1]:",
+        "if False:",
+        ("tests/test_highdim.py::TestHermitianOperator::test_rejects",),
     ),
     Mutant(
-        "writer-keeps-tail-on-failure",
-        "cli.py",
-        "handle.truncate(0)",
-        "pass",
-        ("tests/test_cli.py::TestWriter",),
+        "basis-shape-unchecked",
+        "highdim.py",
+        "if b.shape != (n, n):",
+        "if False:",
+        ("tests/test_highdim.py::TestGptFromDensity::test_rejects_a_bad_basis",),
     ),
     Mutant(
-        "writer-o-trunc",
-        "cli.py",
-        "os.O_WRONLY | os.O_CREAT |",
-        "os.O_WRONLY | os.O_CREAT | os.O_TRUNC |",
-        ("tests/test_cli.py::TestWriter",),
+        "counting-n-max-unchecked",
+        "highdim.py",
+        "if n_max < 2:",
+        "if False:",
+        ("tests/test_highdim.py::TestCounting::test_rejects",),
     ),
     Mutant(
-        "writer-truncates-devices",
+        "min-eigen-cap-unchecked",
+        "highdim.py",
+        "if smallest >= 1.0 / n:",
+        "if False:",
+        ("tests/test_highdim.py::TestGenerators::test_rejects",),
+    ),
+    Mutant(
+        "min-eigen-bulk-unchecked",
+        "highdim.py",
+        "if float(rest.min()) < smallest:",
+        "if False:",
+        ("tests/test_highdim.py::TestGenerators::test_rejects",),
+    ),
+    Mutant(
+        "frame-shape-unchecked",
+        "qubit.py",
+        "if a.shape != (3, 3):",
+        "if False:",
+        ("tests/test_qubit.py::TestFrames::test_rejects_non_orthonormal",),
+    ),
+    Mutant(
+        "state-length-unchecked",
+        "qubit.py",
+        "if len(probs) != 6:",
+        "if False:",
+        ("tests/test_qubit.py::TestQubitStateValidation::test_rejects",),
+    ),
+    Mutant(
+        "mean-shape-unchecked",
+        "qubit.py",
+        "if m.shape != (3,):",
+        "if False:",
+        ("tests/test_qubit.py::TestQubitStateValidation::test_rejects",),
+    ),
+    Mutant(
+        "induced-map-shape-unchecked",
+        "transforms.py",
+        "if a.shape != (6, 6):",
+        "if False:",
+        ("tests/test_transforms.py::TestInducedFromRotation::test_rejects",),
+    ),
+    Mutant(
+        "rotations-shape-unchecked",
+        "transforms.py",
+        "if r.ndim != 3 or r.shape[1:] != (3, 3):",
+        "if False:",
+        ("tests/test_transforms.py::TestInducedFromRotation::test_rejects",),
+    ),
+    Mutant(
+        "rotation-shape-unchecked",
+        "transforms.py",
+        "if r.shape != (3, 3):",
+        "if False:",
+        ("tests/test_transforms.py::TestInducedFromRotation::test_rejects",),
+    ),
+    Mutant(
+        "scan-no-states-unchecked",
+        "transforms.py",
+        "if states.shape[0] == 0 or maps.shape[0] == 0:",
+        "if maps.shape[0] == 0:",
+        ("tests/test_transforms.py::TestInvarianceScan::test_rejects",),
+    ),
+    Mutant(
+        "scan-no-maps-unchecked",
+        "transforms.py",
+        "if states.shape[0] == 0 or maps.shape[0] == 0:",
+        "if states.shape[0] == 0:",
+        ("tests/test_transforms.py::TestInvarianceScan::test_rejects",),
+    ),
+    Mutant(
+        "scan-states-sign-unchecked",
+        "transforms.py",
+        "if n_states < 0 or n_maps < 0:",
+        "if n_maps < 0:",
+        ("tests/test_transforms.py::TestInvarianceScan::test_rejects",),
+    ),
+    Mutant(
+        "scan-maps-sign-unchecked",
+        "transforms.py",
+        "if n_states < 0 or n_maps < 0:",
+        "if n_states < 0:",
+        ("tests/test_transforms.py::TestInvarianceScan::test_rejects",),
+    ),
+    # the output writer replaces the old bytes; it does not add to them
+    Mutant(
+        "writer-appends",
         "cli.py",
-        "regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)",
-        "regular = True",
-        ("tests/test_cli.py::TestWriter",),
+        'open(path, "w", encoding="utf-8", newline="")',
+        'open(path, "a", encoding="utf-8", newline="")',
+        ("tests/test_cli.py::TestWriter::test_shorter_rewrite_leaves_no_stale_tail",),
     ),
 )
 
