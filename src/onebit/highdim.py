@@ -6,6 +6,7 @@ criterion for Hermitian unit-trace operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,10 @@ def counting_consistency(n_max: int, m_values, r_values) -> list[tuple[int, int]
     """All (m, r) pairs for which the pairwise counting formula equals
     N**r - 1 for every N in 2..n_max.
 
-    With n_max >= 3 the answer is exactly [(3, 2)]; with n_max == 2 a
+    With n_max >= 3 the answer holds at most two pairs, each only when
+    the ranges contain it: (1, 1), the classical count N - 1, and (3, 2),
+    the quantum count N**2 - 1.  (N = 2 and N = 3 force m = 2**r - 1 =
+    3**(r - 1), which only r = 1 and r = 2 solve.)  With n_max == 2 a
     single equation cannot pin both unknowns and spurious pairs appear.
     """
     m_values = list(m_values)
@@ -93,6 +97,17 @@ class HermitianOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only eigenvalues (ascending) and eigenvectors (columns) of
+        the matrix, from one :func:`_eigh` call kept for the operator's
+        lifetime.  A failed decomposition raises RuntimeError and is not
+        kept: the next read tries again."""
+        values, vectors = _eigh(self.matrix)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
 
 
 @dataclass(frozen=True)
@@ -289,7 +304,8 @@ def random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix; a
-    failed decomposition raises RuntimeError."""
+    failed decomposition raises RuntimeError.  The one call of
+    ``np.linalg.eigh``, made through :attr:`HermitianOperator.eigensystem`."""
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -298,10 +314,12 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eigen_positivity_oracle(rho: HermitianOperator, tol: float = 1e-9) -> PositivityVerdict:
     """Ground truth for positivity: smallest eigenvalue of the operator,
-    accepted down to -tol relative to the largest diagonal entry.  Raises
-    ValueError unless ``tol`` is positive and finite."""
+    accepted down to -tol relative to the largest diagonal entry.  Reads
+    the operator's one eigendecomposition, which the 'eigen-directed'
+    check shares.  Raises ValueError unless ``tol`` is positive and
+    finite."""
     _check_positive_finite("tol", tol)
-    values, vectors = _eigh(rho.matrix)
+    values, vectors = rho.eigensystem
     threshold = tol * float(np.max(np.real(np.diag(rho.matrix))))
     smallest = float(values[0])
     if smallest >= -threshold:
@@ -312,17 +330,17 @@ def eigen_positivity_oracle(rho: HermitianOperator, tol: float = 1e-9) -> Positi
     return PositivityVerdict(False, witness, "eigen-oracle")
 
 
-def _check_views(m: np.ndarray, n_sampled: int, eigen: bool, seed: int):
-    """The check's frames and views of the operator matrix ``m``.
+def _check_views(rho: HermitianOperator, n_sampled: int, eigen: bool, seed: int):
+    """The check's frames and views of the operator ``rho``.
 
-    The frames are one (F, n, n) basis stack: the eigenbasis when
-    ``eigen``, else ``n_sampled`` Haar bases whose normals are one draw
-    from ``seed``.  The views are one (F + 1, n, n) stack: ``m`` itself,
-    then ``m`` in frame f as view f + 1.
+    The frames are one (F, n, n) basis stack: the eigenbasis of
+    ``rho.eigensystem`` when ``eigen``, else ``n_sampled`` Haar bases whose
+    normals are one draw from ``seed``.  The views are one (F + 1, n, n)
+    stack: the matrix itself, then the matrix in frame f as view f + 1.
     """
-    n = m.shape[0]
+    m, n = rho.matrix, rho.n
     if eigen:
-        bases = _eigh(m)[1][None]
+        bases = rho.eigensystem[1][None]
     else:
         bases = _random_bases(np.random.default_rng(np.random.SeedSequence(seed)), n_sampled, n)
     views = np.empty((len(bases) + 1, n, n), complex)
@@ -349,7 +367,8 @@ def info_positivity_check(
     'eigen-directed' checks the eigenbasis instead, where any intolerable
     negative eigenvalue pairs against the largest one with a negative
     minor, making the verdict coincide with :func:`eigen_positivity_oracle`
-    at the shared tolerance.  By Cauchy interlacing, when lambda_min < 0 a
+    at the shared tolerance; both read ``rho.eigensystem``, so the
+    operator is decomposed once.  By Cauchy interlacing, when lambda_min < 0 a
     pair minor in any frame is at least lambda_min * lambda_max, the
     eigenbasis pair's minor (and when lambda_min >= 0 none is negative),
     so no further frame can change that verdict: ``n_bases`` and ``seed``
@@ -374,7 +393,7 @@ def info_positivity_check(
     _check_positive_finite("tol", tol)
     n = rho.n
     n_sampled = n_bases if strategy == "sampled" else 0
-    bases, views = _check_views(rho.matrix, n_sampled, strategy == "eigen-directed", seed)
+    bases, views = _check_views(rho, n_sampled, strategy == "eigen-directed", seed)
 
     diag = np.real(np.diagonal(views, axis1=1, axis2=2))
     threshold = tol * float(np.max(diag[0])) * float(np.max(diag))

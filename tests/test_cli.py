@@ -189,6 +189,11 @@ class TestCountingCommand:
         assert code == 0
         assert json.loads(out)["results"]["matches"] == [[3, 2]]
 
+    def test_m_1_adds_the_classical_match(self):
+        code, out, _ = run_cli(["counting", "--m-list", "1,2,3"])
+        assert code == 0
+        assert json.loads(out)["results"]["matches"] == [[1, 1], [3, 2]]
+
     def test_quadratic_column(self):
         code, out, _ = run_cli(["counting", "--n-max", "10", "--m-list", "3"])
         assert code == 0

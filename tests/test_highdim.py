@@ -73,6 +73,12 @@ class TestCounting:
     def test_three_measurement_quadratic_case_matches_everywhere(self):
         assert counting_consistency(100, [3], [2]) == [(3, 2)]
 
+    @pytest.mark.parametrize("n_max", [3, 4, 50])
+    def test_consistency_with_m_1_adds_the_classical_count(self, n_max):
+        # m = 1 gives K(N) = N - 1 = N**1 - 1; N = 2 and 3 already force
+        # m = 2**r - 1 = 3**(r - 1), solved by r = 1 and r = 2 alone
+        assert counting_consistency(n_max, range(1, 10), range(1, 5)) == [(1, 1), (3, 2)]
+
     def test_rejects_empty_ranges(self):
         with pytest.raises(ValueError):
             counting_consistency(10, [], [1, 2])
@@ -578,7 +584,7 @@ class TestInfoPositivityCheck:
         rho = random_with_min_eigenvalue(np.random.default_rng(3), 5, -0.1)
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         monkeypatch.setattr(highdim, "_haar_q", no_draws)
-        bases, views = _check_views(rho.matrix, 0, True, 0)
+        bases, views = _check_views(rho, 0, True, 0)
         assert bases.shape == (1, 5, 5) and views.shape == (2, 5, 5)
         verdict = info_positivity_check(rho, "eigen-directed", n_bases=8, seed=4)
         assert verdict.witness.basis == "eigenbasis"
@@ -598,15 +604,28 @@ class TestInfoPositivityCheck:
                 assert len(bits) == 1, (n, smallest)
 
     def test_an_eigh_failure_is_a_runtime_error(self, monkeypatch, capfd):
+        # and is not cached: a second check and the oracle decompose again
+        calls = []
+
         def failing(m):
+            calls.append(m)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", failing)
         rho = random_density(np.random.default_rng(1), 8)
-        with pytest.raises(RuntimeError) as got:
-            info_positivity_check(rho, "eigen-directed", n_bases=8)
-        assert str(got.value) == "eigendecomposition failed: Eigenvalues did not converge"
+        for call in (
+            lambda: info_positivity_check(rho, "eigen-directed", n_bases=8),
+            lambda: info_positivity_check(rho, "eigen-directed", n_bases=8),
+            lambda: eigen_positivity_oracle(rho),
+        ):
+            with pytest.raises(RuntimeError) as got:
+                call()
+            assert str(got.value) == "eigendecomposition failed: Eigenvalues did not converge"
+        assert len(calls) == 3
         assert capfd.readouterr().err == ""
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        assert eigen_positivity_oracle(rho).positive
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("n_bases", [0, 1, 3, 8, 9])
@@ -618,7 +637,7 @@ class TestInfoPositivityCheck:
         seed = int(rng.integers(1000))
         n_sampled = n_bases if strategy == "sampled" else 0
         eigen = strategy == "eigen-directed"
-        bases, views = _check_views(rho.matrix, n_sampled, eigen, seed)
+        bases, views = _check_views(rho, n_sampled, eigen, seed)
         w = info_positivity_check(rho, strategy, n_bases, seed).witness
         if w is None:  # no frame checked sees the negative direction
             assert not eigen
@@ -631,6 +650,58 @@ class TestInfoPositivityCheck:
             assert w.basis_matrix is None
         else:
             assert np.array_equal(w.basis_matrix, bases[v - 1])
+
+
+class TestSharedEigensystem:
+    """The check and the oracle read one eigendecomposition per operator,
+    ``HermitianOperator.eigensystem``, computed on first use."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_check_and_oracle_make_one_eigh_call(self, monkeypatch, strategy):
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        rho = random_with_min_eigenvalue(np.random.default_rng(5), 16, -0.05)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for _ in range(2):
+            info_positivity_check(rho, strategy, n_bases=3, seed=1)
+            eigen_positivity_oracle(rho)
+        assert len(calls) == 1
+        assert calls[0] is rho.matrix
+
+    def test_cached_arrays_reject_writes(self):
+        rho = random_with_min_eigenvalue(np.random.default_rng(6), 4, -0.1)
+        values, vectors = rho.eigensystem
+        assert rho.eigensystem[0] is values and rho.eigensystem[1] is vectors
+        for array, index in ((values, 0), (vectors, (0, 0))):
+            with pytest.raises(ValueError, match="read-only"):
+                array[index] = 0.0
+        # the oracle's witness vector is a copy, free to change
+        witness = eigen_positivity_oracle(rho).witness
+        witness.vector[0] = 0.0
+        assert vectors[0, 0] != 0.0
+
+    def test_shared_and_fresh_decompositions_give_the_same_bits(self):
+        # the detection table's ensemble plus n = 2: the oracle decomposes a
+        # shared operator first and the check reads its arrays, against one
+        # fresh copy of the operator for each side
+        for n, smallest in [*DETECTION_TABLE, (2, -1e-1), (2, -1e-2)]:
+            rng = np.random.default_rng(2009)
+            for k in range(40):
+                m = random_with_min_eigenvalue(rng, n, smallest).matrix
+                shared = HermitianOperator(m)
+                oracle = eigen_positivity_oracle(shared)
+                check = info_positivity_check(shared, "eigen-directed", seed=k)
+                fresh_check = info_positivity_check(HermitianOperator(m), "eigen-directed", seed=k)
+                fresh_oracle = eigen_positivity_oracle(HermitianOperator(m))
+                assert witness_bits(check) == witness_bits(fresh_check), (n, smallest, k)
+                got, want = oracle.witness, fresh_oracle.witness
+                assert got.eigenvalue.hex() == want.eigenvalue.hex(), (n, smallest, k)
+                assert got.vector.tobytes() == want.vector.tobytes(), (n, smallest, k)
 
 
 class TestEigenbasisBound:
@@ -655,7 +726,7 @@ class TestEigenbasisBound:
             bases = np.array([random_basis(rng, n) for _ in range(16)])
             minors = _pair_minors(_conjugate(bases, rho.matrix))[:, i, j]
             assert float(np.min(minors)) >= floor - 1e-12 * scale, smallest
-            eigen_view = _check_views(rho.matrix, 0, True, 0)[1][1]
+            eigen_view = _check_views(rho, 0, True, 0)[1][1]
             eigen_floor = float(np.min(_pair_minors(eigen_view)[i, j]))
             assert eigen_floor == pytest.approx(floor, abs=1e-12 * scale)
 
@@ -794,7 +865,7 @@ class TestGenerators:
             return q * (d / np.abs(d))
 
         for n in (1, 2, 3, 6, 17):
-            batch = _check_views(np.eye(n, dtype=complex) / n, 5, False, n)[0]
+            batch = _check_views(HermitianOperator(np.eye(n) / n), 5, False, n)[0]
             rng = np.random.default_rng(np.random.SeedSequence(n))
             assert np.array_equal(batch, [loop_basis(rng, n) for _ in range(5)])
             rng, loop_rng = np.random.default_rng(n), np.random.default_rng(n)

@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 72 mutants takes about 110 s on
+testpaths is ``tests``); a full run of the 75 mutants takes about 110 s on
 two cores.
 """
 
@@ -308,17 +308,40 @@ MUTANTS = (
         "eigen-directed-draws-n-bases",
         "highdim.py",
         '    n_sampled = n_bases if strategy == "sampled" else 0\n'
-        '    bases, views = _check_views(rho.matrix, n_sampled, strategy == "eigen-directed", seed)',
+        '    bases, views = _check_views(rho, n_sampled, strategy == "eigen-directed", seed)',
         '    n_sampled = 0 if strategy == "fixed-basis" else n_bases\n'
-        "    bases, views = _check_views(rho.matrix, n_sampled, False, seed)\n"
+        "    bases, views = _check_views(rho, n_sampled, False, seed)\n"
         '    if strategy == "eigen-directed":\n'
-        "        eigen_basis, eigen_view = _check_views(rho.matrix, 0, True, seed)\n"
+        "        eigen_basis, eigen_view = _check_views(rho, 0, True, seed)\n"
         "        bases = np.concatenate([bases, eigen_basis])\n"
         "        views = np.concatenate([views, eigen_view[1:]])",
         (
             "tests/test_highdim.py::TestInfoPositivityCheck::test_eigen_directed_checks_two_views_and_draws_nothing",
             "tests/test_highdim.py::TestInfoPositivityCheck::test_eigen_directed_witness_does_not_depend_on_n_bases_or_seed",
         ),
+    ),
+    # one eigendecomposition per operator, read-only and shared by the
+    # check and the oracle
+    Mutant(
+        "check-decomposes-afresh",
+        "highdim.py",
+        "bases = rho.eigensystem[1][None]",
+        "bases = _eigh(m)[1][None]",
+        ("tests/test_highdim.py::TestSharedEigensystem::test_check_and_oracle_make_one_eigh_call",),
+    ),
+    Mutant(
+        "oracle-decomposes-afresh",
+        "highdim.py",
+        "values, vectors = rho.eigensystem",
+        "values, vectors = _eigh(rho.matrix)",
+        ("tests/test_highdim.py::TestSharedEigensystem::test_check_and_oracle_make_one_eigh_call",),
+    ),
+    Mutant(
+        "eigensystem-writable",
+        "highdim.py",
+        "        values.setflags(write=False)\n        vectors.setflags(write=False)\n",
+        "",
+        ("tests/test_highdim.py::TestSharedEigensystem::test_cached_arrays_reject_writes",),
     ),
     Mutant(
         "threshold-100x",
