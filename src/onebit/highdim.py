@@ -249,7 +249,14 @@ def pair_uncertainty(state: GptStateN, i: int, j: int) -> float:
 def minor_condition(rho: HermitianOperator, i: int, j: int) -> float:
     """rho_ii rho_jj - |rho_ij|**2.  Nonnegative for every pair in every
     basis exactly when the operator is positive.  Raises ValueError unless
-    i and j are two distinct outcomes, as :func:`postselect` does."""
+    i and j are two distinct outcomes, as :func:`postselect` does.
+
+    It keeps its own scalar products, the ones of :func:`_pair_minors`:
+    that kernel on the pair's 2x2 block gives the same bits but took
+    7.6 us a call against 0.9 us, and made perfbench's
+    ``positivity_small``, which calls this about 7 times per operator,
+    run 2440-2480 operators/s against 3310-3380 (2 cores, 4 of 4
+    alternating pairs)."""
     _check_pair(rho.n, i, j)
     m = rho.matrix
     re, im = m[i, j].real, m[i, j].imag

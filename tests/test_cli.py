@@ -393,6 +393,11 @@ BAD_INPUTS = {
     "search-nan-alpha": (["search-preservers", "--alpha", "nan"], 2, ""),
     "search-zero-alpha": (["search-preservers", "--alpha", "0"], 2, ""),
     "search-negative-budget": (["search-preservers", "--alpha", "2", "--budget", "-1"], 2, ""),
+    "search-budget-over-cap": (
+        ["search-preservers", "--alpha", "2", "--budget", "1000001"],
+        2,
+        "argument --budget: must be between 0 and 1000000, got 1000001\n",
+    ),
     "search-nan-tol": (["search-preservers", "--alpha", "2", "--tol", "nan"], 2, ""),
     "malus-negative-points": (["malus", "--n-points", "-1"], 2, ""),
     "malus-n-points-over-cap": (["malus", "--n-points", "1000001"], 2, ""),
@@ -457,7 +462,9 @@ BAD_INPUTS = {
 }
 
 # each capped flag at its cap, the value one below its over-cap row above:
-# (argv, the report's parameter, its parsed value)
+# (argv, the report's parameter, its parsed value); ``malus --n-points`` and
+# ``search-preservers --budget`` are left out, since a run at either cap
+# takes seconds
 AT_CAP = {
     "counting-n-max-at-cap": (["counting", "--n-max", "10000", "--m-list", "3"], "n_max", 10000),
     "counting-m-list-at-cap": (

@@ -538,6 +538,12 @@ class TestSearchNormPreservers:
             assert cand.residual < 1e-6
             assert is_sector_stochastic(cand.map).ok
 
+    def test_a_map_that_fails_the_stochasticity_check_is_dropped(self, monkeypatch):
+        assert search_norm_preservers(2.0, 2000, seed=7)
+        failing = transforms.StochasticityReport(False, 1.0, 1.0, 1.0)
+        monkeypatch.setattr(transforms, "is_sector_stochastic", lambda induced: failing)
+        assert search_norm_preservers(2.0, 2000, seed=7) == []
+
     def test_alpha_three_candidates_are_permutation_like(self):
         candidates = search_norm_preservers(3.0, 10000, seed=7)
         assert candidates
