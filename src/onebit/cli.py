@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -421,6 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command and write its report, unless it returned no results.
     The only error boundary: invalid input (ValueError, every parse error
@@ -428,9 +435,16 @@ def main(argv=None) -> int:
     each with one ``error:`` line on stderr; only ``--help`` exits.  Every
     output path given, the empty one included, is checked before the
     command runs, so a target that cannot be opened exits 3 with nothing
-    written anywhere."""
+    written anywhere.
+
+    Every call parses with one parser, built on the first call: argparse
+    does not change a parser while parsing, every default is a scalar or
+    a string that is converted anew on each parse, and the handlers look
+    up the library functions when they run.  A process that runs one
+    command builds one parser either way; callers that run many in one
+    process skip rebuilding the tree of 7 parsers each time."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         for flag, what in (("out_csv", "CSV"), ("out", "report")):
             target = getattr(args, flag, None)
             if target is not None:

@@ -390,7 +390,10 @@ def info_positivity_check(
     sampled[0..n_bases-1] or the eigenbasis.  The witness is the smallest
     minor over every view and pair i < j; ties go to the earliest view,
     then the first pair in row-major order.  Its pair qubit is read off
-    that view of the stack, not conjugated again.  Raises ValueError when
+    that view of the stack, not conjugated again.  One n x n
+    lower-triangle mask, built per call, sets the diagonal and the lower
+    triangle of every view's minors to inf, and the flat argmin is split
+    into (view, i, j) by divmod.  Raises ValueError when
     ``n_bases`` is negative or ``tol`` is not positive and finite.
     """
     if strategy not in STRATEGIES:
@@ -406,10 +409,10 @@ def info_positivity_check(
     threshold = tol * float(np.max(diag[0])) * float(np.max(diag))
 
     minors = _pair_minors(views)
-    lower_i, lower_j = np.tril_indices(n)
-    minors[:, lower_i, lower_j] = np.inf
+    np.copyto(minors, np.inf, where=np.tri(n, dtype=bool))  # only pairs i < j compete
     # np.argmin takes the first minimum in (view, i, j) order: the tie rule
-    v, i, j = (int(k) for k in np.unravel_index(int(np.argmin(minors)), minors.shape))
+    v, pair = divmod(int(np.argmin(minors)), n * n)
+    i, j = divmod(pair, n)
     minor = float(minors[v, i, j])
     if not minor < -threshold:
         return PositivityVerdict(True, None, strategy)

@@ -101,14 +101,16 @@ class TestInvarianceScanCommand:
 
 
 class TestPositivityCommand:
-    def test_maximally_mixed_positive(self, tmp_path):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_maximally_mixed_positive(self, tmp_path, n):
+        # at n = 1 there is no pair, so no witness either
         path = tmp_path / "rho.json"
-        write_matrix(path, np.eye(2) / 2)
+        write_matrix(path, np.eye(n) / n)
         code, out, _ = run_cli(["positivity", "--input", str(path)])
         assert code == 0
-        report = json.loads(out)
-        assert report["results"]["verdict"]["positive"] is True
-        assert report["results"]["oracle"]["positive"] is True
+        results = json.loads(out)["results"]
+        for side in ("verdict", "oracle"):
+            assert (results[side]["positive"], results[side]["witness"]) == (True, None)
 
     def test_indefinite_operator(self, tmp_path):
         path = tmp_path / "rho.json"
@@ -316,15 +318,20 @@ GOLDENS = {
 }
 
 
+def golden_report(golden):
+    """The report that the golden's argv writes, run in the current directory."""
+    write_matrix(Path("rho.json"), np.eye(2) / 2)
+    _, out, _ = run_cli(GOLDENS[golden])
+    if golden == "malus_report.json":
+        out = Path("m.json").read_text()
+    return out
+
+
 @pytest.mark.parametrize("golden", sorted(GOLDENS))
 def test_golden_report(tmp_path, monkeypatch, golden):
     # relative paths keep the parameters free of the test's directory
     monkeypatch.chdir(tmp_path)
-    write_matrix(tmp_path / "rho.json", np.eye(2) / 2)
-    _, out, _ = run_cli(GOLDENS[golden])
-    if golden == "malus_report.json":
-        out = (tmp_path / "m.json").read_text()
-    assert out == (GOLDEN_DIR / golden).read_text()
+    assert golden_report(golden) == (GOLDEN_DIR / golden).read_text()
 
 
 SCAN = ["invariance-scan", "--alphas", "2", "--n-states", "3", "--n-maps", "1"]
@@ -532,36 +539,41 @@ class TestParameters:
         assert alphas == np.linspace(0.5, 3.0, 6).tolist()
 
 
+def write_bad_input_files(directory):
+    """The matrix files that ``BAD_INPUTS`` rows name under ``{tmp}``."""
+    (directory / "nan.json").write_text('{"n": 2, "re": [[NaN, 0], [0, NaN]]}')
+    (directory / "list.json").write_text("[[0.5, 0], [0, 0.5]]")
+    (directory / "no-re.json").write_text('{"n": 2}')
+    (directory / "re-object.json").write_text('{"n": 2, "re": {"a": 1}}')
+    (directory / "im-object.json").write_text(
+        '{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": {"a": 1}}'
+    )
+    (directory / "object-entry.json").write_text('{"n": 2, "re": [[{"a": 1}, 0], [0, 0.5]]}')
+    # numpy would cast the strings and read the boolean as 0 among numbers
+    (directory / "string-entry.json").write_text(
+        '{"n": 2, "re": [["0.5", "0.6"], ["0.6", "0.5"]]}'
+    )
+    (directory / "bool-entry.json").write_text('{"n": 2, "re": [[0.5, false], [0, 0.5]]}')
+    (directory / "null-entry.json").write_text(
+        '{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, null], [0, 0]]}'
+    )
+    (directory / "huge-int-entry.json").write_text(
+        json.dumps({"n": 2, "re": [[0.5, 10**400], [10**400, 0.5]]})
+    )
+    (directory / "big-entry.json").write_text('{"n": 2, "re": [[0.5, 1e300], [1e300, 0.5]]}')
+    (directory / "bool-n.json").write_text('{"n": true, "re": [[1.0]]}')
+    (directory / "float-n.json").write_text('{"n": 2.0, "re": [[0.5, 0], [0, 0.5]]}')
+    (directory / "re-2x3.json").write_text('{"n": 2, "re": [[0.5, 0, 0], [0, 0.5, 0]]}')
+    write_matrix(directory / "non-hermitian.json", [[0.5, 0.2], [0.0, 0.5]])
+    write_matrix(directory / "trace-0.9.json", np.diag([0.5, 0.4]))
+    write_matrix(directory / "n-65.json", np.eye(65) / 65)
+    write_matrix(directory / "mixed.json", np.eye(2) / 2)
+
+
 class TestErrorBoundary:
     @pytest.mark.parametrize("argv, expected, start", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
     def test_bad_input_exits_with_one_error_line(self, tmp_path, argv, expected, start):
-        (tmp_path / "nan.json").write_text('{"n": 2, "re": [[NaN, 0], [0, NaN]]}')
-        (tmp_path / "list.json").write_text("[[0.5, 0], [0, 0.5]]")
-        (tmp_path / "no-re.json").write_text('{"n": 2}')
-        (tmp_path / "re-object.json").write_text('{"n": 2, "re": {"a": 1}}')
-        (tmp_path / "im-object.json").write_text(
-            '{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": {"a": 1}}'
-        )
-        (tmp_path / "object-entry.json").write_text('{"n": 2, "re": [[{"a": 1}, 0], [0, 0.5]]}')
-        # numpy would cast the strings and read the boolean as 0 among numbers
-        (tmp_path / "string-entry.json").write_text(
-            '{"n": 2, "re": [["0.5", "0.6"], ["0.6", "0.5"]]}'
-        )
-        (tmp_path / "bool-entry.json").write_text('{"n": 2, "re": [[0.5, false], [0, 0.5]]}')
-        (tmp_path / "null-entry.json").write_text(
-            '{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, null], [0, 0]]}'
-        )
-        (tmp_path / "huge-int-entry.json").write_text(
-            json.dumps({"n": 2, "re": [[0.5, 10**400], [10**400, 0.5]]})
-        )
-        (tmp_path / "big-entry.json").write_text('{"n": 2, "re": [[0.5, 1e300], [1e300, 0.5]]}')
-        (tmp_path / "bool-n.json").write_text('{"n": true, "re": [[1.0]]}')
-        (tmp_path / "float-n.json").write_text('{"n": 2.0, "re": [[0.5, 0], [0, 0.5]]}')
-        (tmp_path / "re-2x3.json").write_text('{"n": 2, "re": [[0.5, 0, 0], [0, 0.5, 0]]}')
-        write_matrix(tmp_path / "non-hermitian.json", [[0.5, 0.2], [0.0, 0.5]])
-        write_matrix(tmp_path / "trace-0.9.json", np.diag([0.5, 0.4]))
-        write_matrix(tmp_path / "n-65.json", np.eye(65) / 65)
-        write_matrix(tmp_path / "mixed.json", np.eye(2) / 2)
+        write_bad_input_files(tmp_path)
         before = tree_snapshot(tmp_path)
         code, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv])
         assert code == expected
@@ -577,6 +589,50 @@ class TestErrorBoundary:
         assert code == 0
         assert not err.startswith("error:")
         assert json.loads(out)["parameters"][name] == value
+
+
+class TestReusedParser:
+    """``main`` parses every call with one parser, built on its first call;
+    ``build_parser`` builds a new one each time."""
+
+    def test_main_builds_one_parser_across_calls(self, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["entropy", "--dist", "0.5,0.5"], ["bogus"], ["counting", "--n-max", "3"]):
+                run_cli(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_failed_parses_leave_the_goldens_unchanged(self, tmp_path, monkeypatch):
+        # every rejection first, then every golden, through one parser
+        cli._parser.cache_clear()
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        write_bad_input_files(bad)
+        for argv, expected, _ in BAD_INPUTS.values():
+            assert run_cli([arg.format(tmp=bad) for arg in argv])[0] == expected
+        monkeypatch.chdir(tmp_path)
+        for golden in sorted(GOLDENS):
+            assert golden_report(golden) == (GOLDEN_DIR / golden).read_text(), golden
+        assert cli._parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--alphas", "1,2"]], ids=["default", "given"])
+    def test_each_parse_returns_new_lists(self, flags):
+        argv = ["invariance-scan", "--out-csv", "scan.csv", *flags]
+        first, second = (cli._parser().parse_args(argv) for _ in range(2))
+        assert first.alphas == second.alphas
+        assert first.alphas is not second.alphas
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

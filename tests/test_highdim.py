@@ -467,10 +467,15 @@ class TestEigenOracle:
 
 
 class TestInfoPositivityCheck:
-    def test_maximally_mixed_all_strategies(self):
-        rho = HermitianOperator(np.eye(4) / 4)
-        for strategy in ("fixed-basis", "sampled", "eigen-directed"):
-            assert info_positivity_check(rho, strategy, n_bases=4, seed=1).positive
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_maximally_mixed_all_strategies(self, n):
+        # at n = 1 there is no pair: every minor is masked
+        rho = HermitianOperator(np.eye(n) / n)
+        for strategy in STRATEGIES:
+            verdict = info_positivity_check(rho, strategy, n_bases=4, seed=1)
+            assert (verdict.positive, verdict.witness) == (True, None)
+        oracle = eigen_positivity_oracle(rho)
+        assert (oracle.positive, oracle.witness) == (True, None)
 
     def test_diagonal_negativity_caught_in_fixed_basis(self):
         rho = HermitianOperator(np.diag([1.1, -0.1]))

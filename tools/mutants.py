@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 77 mutants takes about 85 s on
+testpaths is ``tests``); a full run of the 83 mutants takes about 85 s on
 two cores, 12 s of it for ``cli-search-budget-cap-raised``, whose
 over-cap row then runs a search of 1 000 001 evaluations.
 """
@@ -93,6 +93,22 @@ MUTANTS = (
         "if not all(np.isfinite(v) for v, _, _ in candidates):",
         "if False:",
         ("tests/test_transforms.py::TestInvarianceScan",),
+    ),
+    # the scan's labels: probes first, then pure, mixed and rot rows, each
+    # counted from the first sampled row
+    Mutant(
+        "scan-label-kind-boundary",
+        "transforms.py",
+        'kind = "pure" if s_idx < len(_PROBE_STATES) + n_pure else "mixed"',
+        'kind = "pure" if s_idx <= len(_PROBE_STATES) + n_pure else "mixed"',
+        ("tests/test_transforms.py::TestInvarianceScan::test_every_row_gets_its_label",),
+    ),
+    Mutant(
+        "scan-label-counts-the-probes",
+        "transforms.py",
+        'return probes[index][0] if k < 0 else f"{kind}[{k}]"',
+        'return probes[index][0] if k < 0 else f"{kind}[{index}]"',
+        ("tests/test_transforms.py::TestInvarianceScan::test_every_row_gets_its_label",),
     ),
     # the merge of the state slabs: a tie at one map goes to the earlier
     # slab, a tie at an earlier map in a later slab to that map, and a NaN
@@ -296,6 +312,28 @@ MUTANTS = (
         "minors.size - 1 - int(np.argmin(minors.ravel()[::-1]))",
         ("tests/test_highdim.py",),
     ),
+    # the pair mask hides the diagonal and the lower triangle only, and the
+    # flat argmin splits into (view, i, j) with i < j
+    Mutant(
+        "pair-mask-skips-first-superdiagonal",
+        "highdim.py",
+        "np.tri(n, dtype=bool)",
+        "np.tri(n, k=1, dtype=bool)",
+        (
+            "tests/test_highdim.py::TestInfoPositivityCheck::"
+            "test_diagonal_negativity_caught_in_fixed_basis",
+        ),
+    ),
+    Mutant(
+        "pair-index-transposed",
+        "highdim.py",
+        "    i, j = divmod(pair, n)\n",
+        "    j, i = divmod(pair, n)\n",
+        (
+            "tests/test_highdim.py::TestInfoPositivityCheck::"
+            "test_tied_pairs_report_the_first_in_row_major_order",
+        ),
+    ),
     Mutant(
         "witness-reads-first-view",
         "highdim.py",
@@ -483,6 +521,21 @@ MUTANTS = (
         'r"^-(\\.?\\d|inf|nan)", re.IGNORECASE)',
         'r"^-(\\.?\\d|inf|nan)")',
         ("tests/test_cli.py::TestErrorBoundary",),
+    ),
+    # main parses with one parser per process; build_parser stays fresh
+    Mutant(
+        "cli-main-rebuilds-parser",
+        "cli.py",
+        "args = _parser().parse_args(argv)",
+        "args = build_parser().parse_args(argv)",
+        ("tests/test_cli.py::TestReusedParser",),
+    ),
+    Mutant(
+        "cli-build-parser-cached",
+        "cli.py",
+        "def build_parser() -> argparse.ArgumentParser:",
+        "@functools.cache\ndef build_parser() -> argparse.ArgumentParser:",
+        ("tests/test_cli.py::TestReusedParser",),
     ),
     # the report's parameters are the parsed flags, less the envelope's and --out
     Mutant(
