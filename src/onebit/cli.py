@@ -440,9 +440,10 @@ def main(argv=None) -> int:
     Every call parses with one parser, built on the first call: argparse
     does not change a parser while parsing, every default is a scalar or
     a string that is converted anew on each parse, and the handlers look
-    up the library functions when they run.  A process that runs one
-    command builds one parser either way; callers that run many in one
-    process skip rebuilding the tree of 7 parsers each time."""
+    up the library functions when they run.  :func:`run` runs one command
+    per process and builds one parser either way; only a caller that runs
+    many commands in one process, such as the test suite or the benchmark
+    harness, skips the rebuild."""
     try:
         args = _parser().parse_args(argv)
         for flag, what in (("out_csv", "CSV"), ("out", "report")):

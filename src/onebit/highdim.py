@@ -390,10 +390,8 @@ def info_positivity_check(
     sampled[0..n_bases-1] or the eigenbasis.  The witness is the smallest
     minor over every view and pair i < j; ties go to the earliest view,
     then the first pair in row-major order.  Its pair qubit is read off
-    that view of the stack, not conjugated again.  One n x n
-    lower-triangle mask, built per call, sets the diagonal and the lower
-    triangle of every view's minors to inf, and the flat argmin is split
-    into (view, i, j) by divmod.  Raises ValueError when
+    that view of the stack, not conjugated again.  At n = 1 there is no
+    pair: the operator is positive with no witness.  Raises ValueError when
     ``n_bases`` is negative or ``tol`` is not positive and finite.
     """
     if strategy not in STRATEGIES:

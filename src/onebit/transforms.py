@@ -373,14 +373,6 @@ _PROBE_MAPS = (
 )
 
 
-def _row_id(index: int, probes, kind: str) -> str:
-    """The label of row ``index`` on a scan axis that lists ``probes``
-    first: the probe's name, else ``kind[k]`` for the k-th sampled row
-    (pure and mixed states share one count)."""
-    k = index - len(probes)
-    return probes[index][0] if k < 0 else f"{kind}[{k}]"
-
-
 def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[InvarianceReport]:
     """Worst |H_total(A p) - H_total(p)| per entropy degree over sampled
     states and rotation-induced maps.
@@ -397,9 +389,7 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
     (:func:`random_rotations`) and embedded in one call, probes first.
     :func:`scan_deviations` scans them (its docstring gives the state
     slabs, the threads and the tie rule); the report has the same bits
-    for any core count.  Only the argmax cells are labelled, each from its
-    row index (:func:`_row_id`): ``probe:*``, then ``pure[k]`` and
-    ``mixed[k]`` states or ``rot[k]`` maps.
+    for any core count.
     """
     alphas = list(alphas)
     if not alphas:
@@ -411,6 +401,9 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
     map_rng = np.random.default_rng(map_seed)
 
     n_pure = n_states - n_states // 2
+    state_ids = [name for name, _ in _PROBE_STATES]
+    state_ids.extend(f"pure[{idx}]" for idx in range(n_pure))
+    state_ids.extend(f"mixed[{idx}]" for idx in range(n_pure, n_states))
     means = np.concatenate(
         [
             np.array([m for _, m in _PROBE_STATES]),
@@ -420,6 +413,8 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
     )
     states = p6_from_means(means)
 
+    map_ids = [name for name, _ in _PROBE_MAPS]
+    map_ids.extend(f"rot[{idx}]" for idx in range(n_maps))
     rotations = np.concatenate(
         [np.array([r for _, r in _PROBE_MAPS]), random_rotations(map_rng, n_maps)]
     )
@@ -427,13 +422,12 @@ def invariance_scan(alphas, n_states: int, n_maps: int, seed: int) -> list[Invar
 
     reports = []
     for alpha, (dev, s_idx, m_idx) in zip(alphas, scan_deviations(states, maps, alphas)):
-        kind = "pure" if s_idx < len(_PROBE_STATES) + n_pure else "mixed"
         reports.append(
             InvarianceReport(
                 alpha=float(alpha),
                 max_deviation=dev,
-                argmax_state_id=_row_id(s_idx, _PROBE_STATES, kind),
-                argmax_map_id=_row_id(m_idx, _PROBE_MAPS, "rot"),
+                argmax_state_id=state_ids[s_idx],
+                argmax_map_id=map_ids[m_idx],
             )
         )
     return reports

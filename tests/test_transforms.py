@@ -468,27 +468,6 @@ class TestInvarianceScan:
         assert reports[0].max_deviation == pytest.approx(2.0 * h - 1.0, abs=1e-12)
         assert reports[0].argmax_map_id.startswith("probe:rot45")
 
-    @pytest.mark.parametrize("n_states, n_maps", [(0, 0), (1, 2), (2, 1), (5, 3), (6, 0)])
-    def test_every_row_gets_its_label(self, monkeypatch, n_states, n_maps):
-        # a stub scan reports one cell per alpha, every state with every
-        # map; the labels are those of the full per-row lists
-        state_ids = [name for name, _ in transforms._PROBE_STATES]
-        n_pure = n_states - n_states // 2
-        state_ids += [f"pure[{k}]" for k in range(n_pure)]
-        state_ids += [f"mixed[{k}]" for k in range(n_pure, n_states)]
-        map_ids = [name for name, _ in transforms._PROBE_MAPS]
-        map_ids += [f"rot[{k}]" for k in range(n_maps)]
-        cells = list(itertools.product(range(len(state_ids)), range(len(map_ids))))
-
-        def every_cell(states, maps, alphas):
-            assert (len(states), len(maps)) == (len(state_ids), len(map_ids))
-            return [(0.0, s, m) for s, m in cells]
-
-        monkeypatch.setattr(transforms, "scan_deviations", every_cell)
-        reports = invariance_scan([2.0] * len(cells), n_states, n_maps, seed=0)
-        got = [(rep.argmax_state_id, rep.argmax_map_id) for rep in reports]
-        assert got == [(state_ids[s], map_ids[m]) for s, m in cells]
-
     @pytest.mark.parametrize(
         "call, message",
         [

@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 83 mutants takes about 85 s on
+testpaths is ``tests``); a full run of the 81 mutants takes about 85 s on
 two cores, 12 s of it for ``cli-search-budget-cap-raised``, whose
 over-cap row then runs a search of 1 000 001 evaluations.
 """
@@ -93,22 +93,6 @@ MUTANTS = (
         "if not all(np.isfinite(v) for v, _, _ in candidates):",
         "if False:",
         ("tests/test_transforms.py::TestInvarianceScan",),
-    ),
-    # the scan's labels: probes first, then pure, mixed and rot rows, each
-    # counted from the first sampled row
-    Mutant(
-        "scan-label-kind-boundary",
-        "transforms.py",
-        'kind = "pure" if s_idx < len(_PROBE_STATES) + n_pure else "mixed"',
-        'kind = "pure" if s_idx <= len(_PROBE_STATES) + n_pure else "mixed"',
-        ("tests/test_transforms.py::TestInvarianceScan::test_every_row_gets_its_label",),
-    ),
-    Mutant(
-        "scan-label-counts-the-probes",
-        "transforms.py",
-        'return probes[index][0] if k < 0 else f"{kind}[{k}]"',
-        'return probes[index][0] if k < 0 else f"{kind}[{index}]"',
-        ("tests/test_transforms.py::TestInvarianceScan::test_every_row_gets_its_label",),
     ),
     # the merge of the state slabs: a tie at one map goes to the earlier
     # slab, a tie at an earlier map in a later slab to that map, and a NaN
