@@ -73,11 +73,11 @@ MAX_ALPHAS = 1000
 #: CLI cap on ``malus --n-points``: the rows, as Python floats, and the CSV
 #: text cost about 300 B per point, so 1 000 000 points peak at 342 MiB RSS.
 MAX_MALUS_POINTS = 1_000_000
-#: CLI cap on ``search-preservers --budget``: a run takes about 11 us per
+#: CLI cap on ``search-preservers --budget``: a run takes about 10 us per
 #: objective evaluation and returns about one candidate, 1.2 KiB of report,
 #: per 1000 evaluations, so at the cap a run at alpha = 2 and seed 1 takes
-#: 11 s and returns 1014 candidates in a 1.2 MiB report, peaking at
-#: 44 MiB RSS (alpha = 3: 366 candidates, 39 MiB).
+#: 10.5 s and returns 1014 candidates in a 1.2 MiB report, peaking at
+#: 44 MiB RSS (alpha = 3: 9.5 s, 366 candidates, 39 MiB; 2-core Xeon).
 MAX_BUDGET = 1_000_000
 
 EXIT_OK = 0

@@ -126,16 +126,13 @@ def probabilities_from_mean(m, frame: ComplementaryFrame = CANONICAL_FRAME) -> Q
     return QubitState(tuple(np.clip(p6_from_means(frame.axes @ m), 0.0, 1.0)))
 
 
-def p6_from_means(m, axis: int = -1) -> np.ndarray:
+def p6_from_means(m) -> np.ndarray:
     """Probability 6-vectors (p_u, 1 - p_u) with p_u = (1 + m_u) / 2 of
-    mean-value vectors laid out along ``axis``, unclipped; the output has
-    the six entries along that axis."""
+    mean-value vectors along the last axis, unclipped."""
     p = (1.0 + np.asarray(m, dtype=float)) / 2.0
-    axis = range(p.ndim)[axis]
-    out = np.empty(p.shape[:axis] + (6,) + p.shape[axis + 1 :])
-    lead = (slice(None),) * axis
-    out[lead + (slice(0, None, 2),)] = p
-    out[lead + (slice(1, None, 2),)] = 1.0 - p
+    out = np.empty(p.shape[:-1] + (6,))
+    out[..., 0::2] = p
+    out[..., 1::2] = 1.0 - p
     return out
 
 

@@ -171,9 +171,9 @@ def is_sector_stochastic(induced: InducedMap) -> StochasticityReport:
     return StochasticityReport(ok, column_gap, sector_sum_gap, range_gap)
 
 
-def _alpha_norms(v: np.ndarray, alpha: float, axis: int = -1) -> np.ndarray:
-    """(sum_i |v_i|**alpha)**(1/alpha) over ``axis``."""
-    return np.add.reduce(np.abs(v) ** alpha, axis=axis) ** (1.0 / alpha)
+def _alpha_norms(v: np.ndarray, alpha: float) -> np.ndarray:
+    """(sum_i |v_i|**alpha)**(1/alpha) over the last axis."""
+    return np.add.reduce(np.abs(v) ** alpha, axis=-1) ** (1.0 / alpha)
 
 
 def alpha_norm(vec, alpha: float) -> float:
@@ -516,23 +516,45 @@ def _norm_objective(means: np.ndarray, base_norms: np.ndarray, alpha: float):
     row u with excess |c_u| + ||M_u|| - 1 > 0.  It runs in mean-value
     space: the 6x6 map of the parameters sends p6(m) to p6(c + M m), so
     every probe image comes from one GEMM of the stacked M with the probe
-    means, and the alpha-norms reduce over the six-entry axis of the
-    sector-major layout (k, 6, probes).
+    means.  Each norm sums its six terms |p6_i|**alpha in entry order.
+
+    ``objective.score(thetas)`` also returns the term rows, (k, 3, 2 *
+    probes) with sector u's p_u and 1 - p_u terms.  Given each trial's
+    ``sectors`` and the ``cached`` rows of the point the trials move from,
+    it recomputes only that sector's rows and copies the rest.
     """
     columns = np.ascontiguousarray(means.T)
 
-    def objective(thetas: np.ndarray) -> np.ndarray:
+    def terms(images: np.ndarray) -> np.ndarray:
+        p = (1.0 + images) / 2.0
+        return np.abs(np.concatenate([p, 1.0 - p], axis=-1)) ** alpha
+
+    def score(thetas: np.ndarray, sectors=None, cached=None):
         c = thetas[:, :3]
         m = thetas[:, 3:].reshape(-1, 3, 3)
         images = (m.reshape(-1, 3) @ columns).reshape(-1, 3, columns.shape[1])
         images += c[:, :, None]
-        norms = _alpha_norms(p6_from_means(images, axis=1), alpha, axis=1)
-        deviation = np.mean(np.abs(norms - base_norms), axis=-1)
+        if sectors is None:
+            rows = terms(images)
+        else:
+            t = np.arange(len(thetas))
+            rows = np.repeat(cached[None], len(thetas), axis=0)
+            rows[t, sectors] = terms(images[t, sectors])
+        norms = np.add.reduce(rows.reshape(len(thetas), 6, -1), axis=1) ** (1.0 / alpha)
+        deviation = np.add.reduce(np.abs(norms - base_norms), axis=-1) / len(base_norms)
         excess = np.abs(c) + _row_norms(m) - 1.0
         penalty = np.where(excess > 0.0, 10.0 * excess * excess, 0.0)
-        return deviation + np.add.reduce(penalty, axis=-1)
+        return deviation + np.add.reduce(penalty, axis=-1), rows
 
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        return score(thetas)[0]
+
+    objective.score = score
     return objective
+
+
+#: The sector each parameter coordinate moves: c_u, then the rows M_u.
+_COORDINATE_SECTORS = np.array([0, 1, 2, 0, 0, 0, 1, 1, 1, 2, 2, 2])
 
 
 def _coordinate_descent(theta0, objective, max_evals):
@@ -541,20 +563,25 @@ def _coordinate_descent(theta0, objective, max_evals):
     A sweep tries theta_i + step, then theta_i - step, for i = 0..11, and
     accepts the first trial that beats the best value, moving on to
     coordinate i + 1 from there; a sweep with no acceptance halves the
-    step.  ``objective`` scores a (k, 12) stack of trials, and the
-    remaining trials of a sweep (truncated to the evaluations left) go to
-    it in one call.  The first improving trial in sweep order wins and
-    the call is charged index + 1 evaluations, the trials up to and
-    including it; the sweep then re-batches from the next coordinate.  So
-    accounting, acceptance order and budget truncation are those of
-    scoring the trials one at a time.
+    step.  The remaining trials of a sweep (truncated to the evaluations
+    left) are scored in one ``objective.score`` call.  A trial moves c_u
+    or row M_u, so it recomputes only sector u's two term rows and copies
+    the other four from the accepted point, whose rows an acceptance
+    replaces; its image rows still come from the whole batch's GEMM,
+    because BLAS rounds a one-row or row-subset product differently.  The
+    first improving trial in sweep order wins and the call is charged
+    index + 1 evaluations, the trials up to and including it; the sweep
+    then re-batches from the next coordinate.  So accounting, acceptance
+    order, budget truncation and every bit are those of scoring the
+    trials one at a time in full.
 
     Returns (theta, value, evals, converged); converged means the step
     shrank to the floor or the objective reached the numeric floor, rather
     than the evaluation budget running out mid-descent.
     """
     theta = theta0.copy()
-    best = float(objective(theta[None])[0])
+    values, rows = objective.score(theta[None])
+    best, rows = float(values[0]), rows[0]
     evals = 1
     step = 0.1
     while step > _STEP_FLOOR and evals < max_evals and best > _CONVERGED_OBJECTIVE:
@@ -566,14 +593,14 @@ def _coordinate_descent(theta0, objective, max_evals):
             t = np.arange(count)
             trials = np.repeat(theta[None], count, axis=0)
             trials[t, i + t // 2] += np.where(t % 2 == 0, step, -step)
-            values = objective(trials)
+            values, moved = objective.score(trials, _COORDINATE_SECTORS[i + t // 2], rows)
             hits = np.flatnonzero(values < best)
             if hits.size == 0:
                 evals += count
                 break
             j = int(hits[0])
             evals += j + 1
-            theta, best = trials[j], float(values[j])
+            theta, best, rows = trials[j], float(values[j]), moved[j]
             improved = True
             i += j // 2 + 1
         if not improved:
@@ -599,7 +626,11 @@ def search_norm_preservers(
     ±step trials are scored in one batched call; the first improving
     trial in sweep order wins and index + 1 evaluations are charged, as
     if the trials had been scored one at a time
-    (:func:`_coordinate_descent`).  A converged start is projected onto
+    (:func:`_coordinate_descent`).  A trial moves c_u or row M_u, so it
+    recomputes only sector u's two norm terms per probe and copies the
+    other four from the accepted point; its image rows still come from
+    the whole batch's product, whose rounding a one-row product does not
+    share.  A converged start is projected onto
     the validity region and scored by the same objective, its residual;
     only one whose residual falls below ``tol`` is embedded as a 6x6 map,
     and a sector-stochastic one is returned with its distance to the

@@ -7,6 +7,7 @@ import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from onebit import transforms
 from onebit.measures import QUADRATIC, EntropyMeasure, entropy_sum
 from onebit.qubit import SECTOR_TOL, QubitState, p6_from_means, random_state
 from onebit.transforms import (
+    _COORDINATE_SECTORS,
     _SIGNED_PERMUTATIONS,
     ORTHO_TOL,
     PERMUTATION_TOL,
@@ -564,6 +566,59 @@ class TestSearchNormPreservers:
         assert worst > 1e-4
 
 
+def rotation_about_axis(axis, angle):
+    """The rotation by ``angle`` about the unit vector along ``axis``
+    (Rodrigues' formula)."""
+    x, y, z = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def cubic_search_objective(seed=42):
+    """The search's probe means at ``seed`` and its alpha = 3 objective."""
+    means = _probe_means(np.random.default_rng(np.random.SeedSequence(seed)))
+    return means, _norm_objective(means, _alpha_norms(p6_from_means(means), 3.0), 3.0)
+
+
+class TestCubicIdentity:
+    """For a binary pair with x = p - q, p**3 + q**3 = (1 + 3 x**2) / 4, so
+    the signed cubic sum of any sector-consistent 6-vector is
+    3/4 + 3/4 |m|**2 and no rotation moves it: the alpha = 3 search can
+    separate rotations only through the negative entries of images that
+    leave [0, 1]**6, which criterion 1's physical states never have."""
+
+    def test_the_signed_cubic_sum_depends_on_the_radius_alone(self):
+        means = np.random.default_rng(61).uniform(-1.5, 1.5, size=(2000, 3))
+        sums = np.sum(p6_from_means(means) ** 3, axis=-1)
+        assert np.max(np.abs(sums - 0.75 * (1.0 + np.sum(means**2, axis=-1)))) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rotations_move_the_cubic_norm_only_through_negative_entries(self, seed):
+        means, objective = cubic_search_objective()
+        rotation = random_rotation(np.random.default_rng(seed))
+        images = p6_from_means(means @ rotation.T)
+        signed = np.cbrt(np.sum(images**3, axis=-1))
+        assert np.mean(np.abs(signed - np.cbrt(np.sum(p6_from_means(means) ** 3, axis=-1)))) <= 1e-15
+        inside = np.all(images >= 0.0, axis=-1)
+        deviation = np.abs(_alpha_norms(images, 3.0) - _alpha_norms(p6_from_means(means), 3.0))
+        assert np.max(deviation[inside]) <= 1e-15
+        assert np.min(deviation[~inside]) > 0.0
+        assert objective(np.concatenate([np.zeros(3), rotation.ravel()])[None])[0] >= 1e-5
+
+    def test_the_residual_near_a_signed_permutation_grows_as_eps_cubed(self):
+        # each negative entry of a rotated corner is O(eps) and adds 2 |q|**3
+        _, objective = cubic_search_objective()
+        axis = np.random.default_rng(42).normal(size=3)
+        eps = np.array([0.1, 0.03, 0.01, 0.003, 0.001])
+        maps = [_SIGNED_PERMUTATIONS[13] @ rotation_about_axis(axis, e) for e in eps]
+        residuals = objective(np.array([np.concatenate([np.zeros(3), m.ravel()]) for m in maps]))
+        assert 2.9 <= np.polyfit(np.log(eps), np.log(residuals), 1)[0] <= 3.1
+        # at eps = 0.03 a rotation passes the search's tolerance while being
+        # far from every sector permutation
+        assert residuals[1] < PERMUTATION_TOL
+        assert permutation_distance(induced_from_rotation(maps[1])) > 1e-3
+
+
 class TestScanScalarOracle:
     def test_matches_math_only_oracle_cell_by_cell(self):
         # 130 maps: two full 64-map blocks and a partial third
@@ -987,18 +1042,71 @@ class TestMeanValueObjective:
         for theta, value in zip(thetas[:20], values[:20]):
             assert batched(theta[None])[0] == value
 
-    def test_axis_arguments_match_the_default_layout_bitwise(self):
-        rng = np.random.default_rng(47)
-        means = rng.uniform(-1.0, 1.0, size=(5, 96, 3))
-        p6 = p6_from_means(means)
-        assert np.array_equal(p6_from_means(means.swapaxes(1, 2), axis=1), p6.swapaxes(1, 2))
-        assert np.array_equal(p6_from_means(means[0].T, axis=0), p6[0].T)
-        for alpha in (0.5, 1.0, 2.0, 3.0):
-            norms = _alpha_norms(p6, alpha)
-            assert np.array_equal(_alpha_norms(p6.swapaxes(1, 2), alpha, axis=1), norms)
-            assert np.array_equal(
-                _alpha_norms(np.ascontiguousarray(p6.swapaxes(1, 2)), alpha, axis=1), norms
-            )
+
+
+def sector_moves(theta, step):
+    """Every (coordinate, sign) move of ``theta`` in sweep order: trial 2i
+    adds ``step`` to coordinate i, trial 2i + 1 subtracts it."""
+    t = np.arange(2 * theta.size)
+    trials = np.repeat(theta[None], t.size, axis=0)
+    trials[t, t // 2] += np.where(t % 2 == 0, step, -step)
+    return trials, _COORDINATE_SECTORS[t // 2]
+
+
+class TestSectorScoring:
+    def test_a_coordinate_moves_only_its_sector(self):
+        objective, _ = search_objectives(2.0)
+        theta = boundary_thetas(np.random.default_rng(51), 1)[0]
+        rows = objective.score(theta[None])[1][0]
+        for j in range(12):
+            moved = theta.copy()
+            moved[j] += 0.25
+            changed = np.any(objective.score(moved[None])[1][0] != rows, axis=-1)
+            assert np.flatnonzero(changed).tolist() == [_COORDINATE_SECTORS[j]], j
+
+    # inside the validity region, on it, and outside with the penalty active
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_every_move_scores_as_the_full_objective_bitwise(self, alpha):
+        objective, _ = search_objectives(alpha, seed=3)
+        thetas = boundary_thetas(np.random.default_rng(53), 12)
+        thetas[::4] *= 1.7
+        penalized = 0
+        for theta in thetas:
+            base, cached = objective.score(theta[None])
+            assert base.tobytes() == objective(theta[None]).tobytes()
+            for step in (0.1, 2.0**-20):
+                trials, sectors = sector_moves(theta, step)
+                # every batch a sweep makes: the trials from coordinate i on,
+                # and a budget-truncated single trial
+                for lo, hi in [(2 * i, 24) for i in range(12)] + [(5, 6), (23, 24)]:
+                    batch = trials[lo:hi]
+                    values, rows = objective.score(batch, sectors[lo:hi], cached[0])
+                    full, full_rows = objective.score(batch)
+                    assert values.tobytes() == full.tobytes(), (lo, hi, step)
+                    assert rows.tobytes() == full_rows.tobytes(), (lo, hi, step)
+                    penalized += int(np.count_nonzero(full > 1.0))
+                # an accepted trial's rows are the cache of its own full
+                # evaluation, whatever batch scored it
+                for trial, trial_rows in zip(trials, objective.score(trials, sectors, cached[0])[1]):
+                    assert trial_rows.tobytes() == objective.score(trial[None])[1][0].tobytes()
+        assert penalized > 0
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.0])
+    def test_every_descent_batch_scores_as_the_full_objective(self, alpha):
+        objective, _ = search_objectives(alpha, seed=int(alpha))
+        batches = []
+
+        def checked(thetas, sectors=None, cached=None):
+            values, rows = objective.score(thetas, sectors, cached)
+            full, full_rows = objective.score(thetas)
+            assert values.tobytes() == full.tobytes()
+            assert rows.tobytes() == full_rows.tobytes()
+            batches.append(len(thetas))
+            return values, rows
+
+        for theta0 in descent_starts(np.random.default_rng(int(alpha))).values():
+            _coordinate_descent(theta0, SimpleNamespace(score=checked), 400)
+        assert len(batches) > 100 and min(batches) == 1 and max(batches) == 24
 
 
 def sequential_descent(theta0, objective, max_evals):
@@ -1043,11 +1151,15 @@ def descent_starts(rng):
     generic = np.concatenate([offsets, (rows * radii[:, None]).ravel()])
     # descends to the step floor, accepting trials, well inside 2000 evaluations
     perturbed = permutation + rng.normal(size=12) * 1e-3
+    # every row outside the validity region: the penalty is active
+    outside = rotation * 1.05
+    outside[:3] = [0.3, 0.05, -0.2]
     return {
         "rotation": rotation,
         "permutation": permutation,
         "generic": generic,
         "perturbed": perturbed,
+        "outside": outside,
     }
 
 
@@ -1066,7 +1178,7 @@ def assert_descent_matches_sequential(descent, alpha):
 
 
 class TestBatchedDescent:
-    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_matches_the_sequential_descent(self, alpha):
         assert_descent_matches_sequential(_coordinate_descent, alpha)
 

@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 81 mutants takes about 85 s on
+testpaths is ``tests``); a full run of the 84 mutants takes about 90 s on
 two cores, 12 s of it for ``cli-search-budget-cap-raised``, whose
 over-cap row then runs a search of 1 000 001 evaluations.
 """
@@ -156,6 +156,32 @@ MUTANTS = (
         "evals += j + 1",
         "evals += count",
         ("tests/test_transforms.py::TestBatchedDescent",),
+    ),
+    # a descent trial recomputes only the sector its coordinate moves and
+    # copies the other rows from the accepted point's cache
+    Mutant(
+        "descent-cache-not-replaced",
+        "transforms.py",
+        "theta, best, rows = trials[j], float(values[j]), moved[j]",
+        "theta, best, rows = trials[j], float(values[j]), rows",
+        (
+            "tests/test_transforms.py::TestBatchedDescent",
+            "tests/test_transforms.py::TestSectorScoring::test_every_descent_batch_scores_as_the_full_objective",
+        ),
+    ),
+    Mutant(
+        "sector-map-column-major",
+        "transforms.py",
+        "np.array([0, 1, 2, 0, 0, 0, 1, 1, 1, 2, 2, 2])",
+        "np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])",
+        ("tests/test_transforms.py::TestSectorScoring",),
+    ),
+    Mutant(
+        "sector-terms-wrong-row",
+        "transforms.py",
+        "terms(images[t, sectors])",
+        "terms(images[t, (sectors + 1) % 3])",
+        ("tests/test_transforms.py::TestSectorScoring::test_every_move_scores_as_the_full_objective_bitwise",),
     ),
     Mutant(
         "search-start-cap-dropped",
