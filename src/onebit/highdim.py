@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .measures import QUADRATIC, _check_positive_finite
-from .qubit import QubitState, _haar_q, total_uncertainty_state
+from .qubit import QubitState, _haar_q, _orthonormality_gap, total_uncertainty_state
 
 #: Tolerance on hermiticity, unit trace, and basis orthonormality.
 HERMITIAN_TOL = 1e-9
@@ -101,10 +101,13 @@ class HermitianOperator:
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only eigenvalues (ascending) and eigenvectors (columns) of
-        the matrix, from one :func:`_eigh` call kept for the operator's
-        lifetime.  A failed decomposition raises RuntimeError and is not
-        kept: the next read tries again."""
-        values, vectors = _eigh(self.matrix)
+        the matrix, from the package's one ``np.linalg.eigh`` call, kept for
+        the operator's lifetime.  A failed decomposition raises RuntimeError
+        and is not kept: the next read tries again."""
+        try:
+            values, vectors = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
         values.setflags(write=False)
         vectors.setflags(write=False)
         return values, vectors
@@ -161,8 +164,7 @@ def _check_basis(basis, n: int) -> np.ndarray:
     b = np.asarray(basis, dtype=complex)
     if b.shape != (n, n):
         raise ValueError(f"basis must be {n}x{n}, got shape {b.shape}")
-    with np.errstate(invalid="ignore"):  # an inf entry makes the gap NaN
-        gap = float(np.max(np.abs(b.conj().T @ b - np.eye(n))))
+    gap = _orthonormality_gap(b)
     if not gap <= HERMITIAN_TOL:  # a NaN gap fails too
         raise ValueError(f"basis columns are not orthonormal (gap {gap:.3g})")
     return b
@@ -307,16 +309,6 @@ def random_basis(rng: np.random.Generator, n: int) -> np.ndarray:
     """One Haar-random orthonormal basis (columns), as :func:`_random_bases`
     draws it."""
     return _random_bases(rng, 1, n)[0]
-
-
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix; a
-    failed decomposition raises RuntimeError.  The one call of
-    ``np.linalg.eigh``, made through :attr:`HermitianOperator.eigensystem`."""
-    try:
-        return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
 
 
 def eigen_positivity_oracle(rho: HermitianOperator, tol: float = 1e-9) -> PositivityVerdict:

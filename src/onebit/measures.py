@@ -11,6 +11,10 @@ import numpy as np
 
 #: Absolute tolerance on distribution sums and entries.
 DIST_TOL = 1e-9
+#: Largest entropy degree.  k grows like alpha, and a total over ``count``
+#: pairs, k (count - sum_i p_i**alpha) / (alpha - 1), multiplies it by up
+#: to ``count``: over three pairs that overflows from alpha = 6e307 on.
+MAX_ALPHA = 1e300
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -39,14 +43,17 @@ class EntropyMeasure:
     1 - sum_i p_i**alpha, turn each ulp(1) = 2**-52 of rounding into about
     2**-26 = 1.5e-8 bits, already more than the formula's true distance
     from the limit (about 1.1e-9 on (0.3, 0.7)).
+
+    Raises ValueError unless ``alpha`` is positive and at most ``MAX_ALPHA``.
     """
 
     alpha: float
     k: float = field(init=False)
 
     def __post_init__(self):
-        _check_positive_finite("alpha", self.alpha)
         a = self.alpha
+        if not 0.0 < a <= MAX_ALPHA:  # a NaN fails too
+            raise ValueError(f"alpha must be positive and finite, at most {MAX_ALPHA:g}, got {a}")
         k = 1.0 if _is_shannon(a) else (a - 1.0) / (1.0 - 2.0 ** (1.0 - a))
         object.__setattr__(self, "k", k)
 

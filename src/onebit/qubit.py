@@ -23,6 +23,16 @@ PHYSICAL_TOL = 1e-9
 _SECTOR_NAMES = ("x", "y", "z")
 
 
+def _orthonormality_gap(a: np.ndarray) -> float:
+    """max |A^H A - I| over a stack of square matrices, 0 for an empty
+    stack: the one orthonormality check of frames, rotations and bases.
+    An infinite or overflowing entry makes the gap inf or NaN without a
+    warning, and either fails a caller's ``not gap <= tol`` test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(a.conj(), -1, -2) @ a
+        return float(np.max(np.abs(gram - np.eye(a.shape[-1])), initial=0.0))
+
+
 @dataclass(frozen=True)
 class ComplementaryFrame:
     """Three pairwise orthonormal measurement axes in mean-value space.
@@ -38,8 +48,7 @@ class ComplementaryFrame:
         a = np.array(self.axes, dtype=float)
         if a.shape != (3, 3):
             raise ValueError(f"frame needs three 3-vectors, got shape {a.shape}")
-        gram = a @ a.T
-        gap = float(np.max(np.abs(gram - np.eye(3))))
+        gap = _orthonormality_gap(a.T)  # the axes are the rows
         if not gap <= SECTOR_TOL:  # a NaN gap fails too
             raise ValueError(f"frame axes are not orthonormal (gap {gap:.3g})")
         a.setflags(write=False)

@@ -13,7 +13,8 @@ from itertools import chain, cycle, pairwise, permutations, product
 import numpy as np
 
 from .measures import EntropyMeasure, _check_positive_finite, _entropy_sum, entropy_sum
-from .qubit import SECTOR_TOL, QubitState, _haar_q, _row_norms, p6_from_means, random_mean_vectors
+from .qubit import SECTOR_TOL, QubitState, _haar_q, _orthonormality_gap, _row_norms
+from .qubit import p6_from_means, random_mean_vectors
 
 #: Tolerance for orthogonality of rotation inputs.
 ORTHO_TOL = 1e-9
@@ -102,7 +103,7 @@ def induced_from_rotations(rotations) -> np.ndarray:
     r = np.asarray(rotations, dtype=float)
     if r.ndim != 3 or r.shape[1:] != (3, 3):
         raise ValueError(f"rotations must have shape (n, 3, 3), got {r.shape}")
-    gap = float(np.max(np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)), initial=0.0))
+    gap = _orthonormality_gap(r)
     if not gap <= ORTHO_TOL:  # a NaN gap fails too
         raise ValueError(f"matrix is not orthogonal (r^T r gap {gap:.3g})")
     return _embed(r * r, 0.0, r)
@@ -171,14 +172,9 @@ def is_sector_stochastic(induced: InducedMap) -> StochasticityReport:
     return StochasticityReport(ok, column_gap, sector_sum_gap, range_gap)
 
 
-def _alpha_norms(v: np.ndarray, alpha: float) -> np.ndarray:
-    """(sum_i |v_i|**alpha)**(1/alpha) over the last axis."""
-    return np.add.reduce(np.abs(v) ** alpha, axis=-1) ** (1.0 / alpha)
-
-
 def alpha_norm(vec, alpha: float) -> float:
     """(sum_i |v_i|**alpha)**(1/alpha)."""
-    return float(_alpha_norms(np.asarray(vec, dtype=float), alpha))
+    return float(np.add.reduce(np.abs(np.asarray(vec, dtype=float)) ** alpha) ** (1.0 / alpha))
 
 
 def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -306,6 +302,9 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     maps = np.asarray(maps, dtype=float)
     if states.shape[0] == 0 or maps.shape[0] == 0:
         raise ValueError("scan needs at least one state and one map")
+    for name, array in (("state", states), ("map", maps)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} entries are not finite")
     measures = [EntropyMeasure(alpha) for alpha in alphas]
     rows = min(_SCAN_BLOCK, maps.shape[0])
     count = states.shape[0]
@@ -460,10 +459,6 @@ def permutation_distance(induced: InducedMap) -> float:
 # matrices spreads constants through the unit sector sums so orthogonal M
 # with c = 0 reproduces induced_from_rotation and signed permutations come
 # out exact.  Validity on the physical ball is |c_u| + ||M_u|| <= 1 per row.
-# Since the sector sums of every probe are 1, the 6x6 map of (c, M) sends
-# p6(m) to p6(c + M m), so the objective scores parameters in mean-value
-# space, both in the descent and as a converged start's residual, and the
-# 6x6 map is built only for a start whose residual passes the filter.
 #
 # Norm deviations are scored on sector-consistent probe vectors spanning the
 # full mean-value cube, not only the physical ball: the preservation claim
@@ -475,6 +470,11 @@ def permutation_distance(induced: InducedMap) -> float:
 _N_FIXED_PROBES = 64
 _N_SAMPLED_PROBES = 32
 _FIXED_PROBE_SEED = 20260810
+#: The search's domain of alpha.  The probes' baseline norms reach
+#: 6**(1/alpha), which overflows below ln 6 / ln DBL_MAX = 0.0025, and the
+#: trial terms |p|**alpha overflow from alpha = 3000 on.
+SEARCH_ALPHA_MIN = 0.01
+SEARCH_ALPHA_MAX = 1000.0
 
 
 def _map_from_params(c: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -508,26 +508,34 @@ def _probe_means(rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([corners, axes, center, fill, sampled])
 
 
-def _norm_objective(means: np.ndarray, base_norms: np.ndarray, alpha: float):
-    """The search objective over a (k, 12) stack of parameter vectors.
+def _norm_objective(means: np.ndarray, alpha: float):
+    """The search objective ``score(thetas, sectors=None, cached=None)``
+    over a (k, 12) stack of parameter vectors.
 
     Row t scores theta_t = (c, M) as the mean over the probes of
-    | ||p6(c + M m)||_alpha - base_norms |, plus 10 * excess**2 for every
-    row u with excess |c_u| + ||M_u|| - 1 > 0.  It runs in mean-value
-    space: the 6x6 map of the parameters sends p6(m) to p6(c + M m), so
-    every probe image comes from one GEMM of the stacked M with the probe
-    means.  Each norm sums its six terms |p6_i|**alpha in entry order.
+    | ||p6(c + M m)||_alpha - ||p6(m)||_alpha |, plus 10 * excess**2 for
+    every row u with excess |c_u| + ||M_u|| - 1 > 0.  Since the sector
+    sums of every probe are 1, the 6x6 map of the parameters sends p6(m)
+    to p6(c + M m), so scoring runs in mean-value space: every probe image
+    comes from one GEMM of the stacked M with the probe means.  Each norm,
+    the probes' baseline included, sums its six terms |p6_i|**alpha in
+    entry order.
 
-    ``objective.score(thetas)`` also returns the term rows, (k, 3, 2 *
-    probes) with sector u's p_u and 1 - p_u terms.  Given each trial's
-    ``sectors`` and the ``cached`` rows of the point the trials move from,
-    it recomputes only that sector's rows and copies the rest.
+    ``score`` returns the values and the term rows, (k, 3, 2 * probes)
+    with sector u's p_u and 1 - p_u terms.  Given each trial's ``sectors``
+    and the ``cached`` rows of the point the trials move from, it
+    recomputes only that sector's rows and copies the rest: a trial that
+    moves c_u or row M_u changes image row u alone.  The image rows still
+    come from the whole batch's GEMM, because BLAS rounds a one-row or
+    row-subset product differently.
     """
     columns = np.ascontiguousarray(means.T)
 
     def terms(images: np.ndarray) -> np.ndarray:
         p = (1.0 + images) / 2.0
         return np.abs(np.concatenate([p, 1.0 - p], axis=-1)) ** alpha
+
+    base_norms = np.add.reduce(terms(columns).reshape(6, -1), axis=0) ** (1.0 / alpha)
 
     def score(thetas: np.ndarray, sectors=None, cached=None):
         c = thetas[:, :3]
@@ -546,41 +554,34 @@ def _norm_objective(means: np.ndarray, base_norms: np.ndarray, alpha: float):
         penalty = np.where(excess > 0.0, 10.0 * excess * excess, 0.0)
         return deviation + np.add.reduce(penalty, axis=-1), rows
 
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        return score(thetas)[0]
-
-    objective.score = score
-    return objective
+    return score
 
 
 #: The sector each parameter coordinate moves: c_u, then the rows M_u.
 _COORDINATE_SECTORS = np.array([0, 1, 2, 0, 0, 0, 1, 1, 1, 2, 2, 2])
 
 
-def _coordinate_descent(theta0, objective, max_evals):
-    """Derivative-free coordinate descent with a shrinking step.
+def _coordinate_descent(theta0, score, max_evals):
+    """Derivative-free coordinate descent on ``score`` (see
+    :func:`_norm_objective`) with a shrinking step.
 
     A sweep tries theta_i + step, then theta_i - step, for i = 0..11, and
     accepts the first trial that beats the best value, moving on to
     coordinate i + 1 from there; a sweep with no acceptance halves the
-    step.  The remaining trials of a sweep (truncated to the evaluations
-    left) are scored in one ``objective.score`` call.  A trial moves c_u
-    or row M_u, so it recomputes only sector u's two term rows and copies
-    the other four from the accepted point, whose rows an acceptance
-    replaces; its image rows still come from the whole batch's GEMM,
-    because BLAS rounds a one-row or row-subset product differently.  The
-    first improving trial in sweep order wins and the call is charged
-    index + 1 evaluations, the trials up to and including it; the sweep
-    then re-batches from the next coordinate.  So accounting, acceptance
-    order, budget truncation and every bit are those of scoring the
-    trials one at a time in full.
+    step.  The remaining trials of a sweep, truncated to the evaluations
+    left, are scored in one call from the accepted point's term rows.  The
+    first improving trial in sweep order wins, the call is charged index +
+    1 evaluations, the trials up to and including it, and the sweep
+    re-batches from the next coordinate.  So accounting, acceptance order,
+    budget truncation and every bit are those of scoring the trials one at
+    a time in full.
 
     Returns (theta, value, evals, converged); converged means the step
     shrank to the floor or the objective reached the numeric floor, rather
     than the evaluation budget running out mid-descent.
     """
     theta = theta0.copy()
-    values, rows = objective.score(theta[None])
+    values, rows = score(theta[None])
     best, rows = float(values[0]), rows[0]
     evals = 1
     step = 0.1
@@ -593,7 +594,7 @@ def _coordinate_descent(theta0, objective, max_evals):
             t = np.arange(count)
             trials = np.repeat(theta[None], count, axis=0)
             trials[t, i + t // 2] += np.where(t % 2 == 0, step, -step)
-            values, moved = objective.score(trials, _COORDINATE_SECTORS[i + t // 2], rows)
+            values, moved = score(trials, _COORDINATE_SECTORS[i + t // 2], rows)
             hits = np.flatnonzero(values < best)
             if hits.size == 0:
                 evals += count
@@ -618,36 +619,29 @@ def search_norm_preservers(
     """Randomized search for sector-stochastic maps preserving the
     alpha-norm of probability vectors.
 
-    Random starts (rotation-induced maps, sector permutations, and generic
-    sector-stochastic maps, cycled in that order) are refined by
-    derivative-free coordinate descent on the mean alpha-norm deviation
-    over the probe set.  The objective runs in mean-value space (probe
-    images are c + M m, never a 6x6 product), and each sweep's remaining
-    ±step trials are scored in one batched call; the first improving
-    trial in sweep order wins and index + 1 evaluations are charged, as
-    if the trials had been scored one at a time
-    (:func:`_coordinate_descent`).  A trial moves c_u or row M_u, so it
-    recomputes only sector u's two norm terms per probe and copies the
-    other four from the accepted point; its image rows still come from
-    the whole batch's product, whose rounding a one-row product does not
-    share.  A converged start is projected onto
-    the validity region and scored by the same objective, its residual;
-    only one whose residual falls below ``tol`` is embedded as a 6x6 map,
-    and a sector-stochastic one is returned with its distance to the
-    nearest sector-respecting permutation.  ``budget`` counts objective
-    evaluations across all starts, at most 2000 per start; an exhausted
-    budget with no hits returns an empty list.  The output is evidence,
-    not proof.  Raises ValueError unless ``alpha`` and ``tol`` are
-    positive and finite.
+    Starts cycle through rotation-induced maps, sector permutations and
+    generic sector-stochastic maps, in that order, and each is refined by
+    :func:`_coordinate_descent` on the mean alpha-norm deviation over the
+    probe set.  ``budget`` counts objective evaluations across all starts,
+    at most 2000 per start.  A converged start is projected onto the
+    validity region and scored again, its residual; one whose residual
+    falls below ``tol`` and whose map is sector-stochastic is returned
+    with its distance to the nearest sector-respecting permutation.  An
+    exhausted budget with no hits returns an empty list.  The output is
+    evidence, not proof.  Raises ValueError unless ``alpha`` lies in
+    [``SEARCH_ALPHA_MIN``, ``SEARCH_ALPHA_MAX``] and ``tol`` is positive
+    and finite.
     """
-    _check_positive_finite("alpha", alpha)
+    if not SEARCH_ALPHA_MIN <= alpha <= SEARCH_ALPHA_MAX:  # a NaN fails too
+        raise ValueError(
+            f"alpha must lie in [{SEARCH_ALPHA_MIN:g}, {SEARCH_ALPHA_MAX:g}] for the search, "
+            f"got {alpha}"
+        )
     _check_positive_finite("tol", tol)  # a NaN tol would switch the residual filter off
     if budget < 1:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    means = _probe_means(rng)
-    base_norms = _alpha_norms(p6_from_means(means), alpha)
-    objective = _norm_objective(means, base_norms, alpha)
+    score = _norm_objective(_probe_means(rng), alpha)
 
     start_kinds = ("rotation", "permutation", "generic")
     candidates: list[PreserverCandidate] = []
@@ -669,7 +663,7 @@ def search_norm_preservers(
             c0 = rng.uniform(-1.0, 1.0, size=3) * (1.0 - radii) * 0.9
             theta0 = np.concatenate([c0, m0.ravel()])
         theta, _, used, converged = _coordinate_descent(
-            theta0, objective, min(_EVALS_PER_START, remaining)
+            theta0, score, min(_EVALS_PER_START, remaining)
         )
         remaining -= used
         attempt += 1
@@ -678,7 +672,7 @@ def search_norm_preservers(
         theta = _project_params(theta)
         # projected rows have |c_u| + ||M_u|| <= 1 up to rounding, so the
         # penalty adds at most about 1e-29 and the value is the residual
-        final_residual = float(objective(theta[None])[0])
+        final_residual = float(score(theta[None])[0][0])
         if final_residual >= tol:
             continue
         induced = InducedMap(_map_from_params(theta[:3], theta[3:].reshape(3, 3)))

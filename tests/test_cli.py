@@ -356,6 +356,12 @@ BAD_INPUTS = {
         )
         for text in ("1e0", "nan", "Infinity", "NaN")
     },
+    # above MAX_ALPHA a total's k * (count - powers) overflows
+    "entropy-alpha-over-cap": (
+        ["entropy", "--dist", "0.5,0.5", "--alpha", "1.0000000000000002e300"],
+        2,
+        "alpha must be positive and finite, at most 1e+300, got 1.0000000000000002e+300\n",
+    ),
     "no-command": ([], 2, ""),
     "unknown-command": (["bogus"], 2, ""),
     "unknown-flag": (["malus", "--bogus", "1"], 2, ""),
@@ -406,6 +412,15 @@ BAD_INPUTS = {
         "argument --budget: must be between 0 and 1000000, got 1000001\n",
     ),
     "search-nan-tol": (["search-preservers", "--alpha", "2", "--tol", "nan"], 2, ""),
+    # outside [0.01, 1000] the baseline norms or the trial terms overflow
+    **{
+        f"search-alpha-{side}-domain": (
+            ["search-preservers", "--alpha", text],
+            2,
+            f"alpha must lie in [0.01, 1000] for the search, got {text}\n",
+        )
+        for side, text in (("under", "0.009999999999999998"), ("over", "1000.0000000000001"))
+    },
     "malus-negative-points": (["malus", "--n-points", "-1"], 2, ""),
     "malus-n-points-over-cap": (["malus", "--n-points", "1000001"], 2, ""),
     "malus-nan-theta-max": (["malus", "--n-points", "3", "--theta-max", "nan"], 2, ""),
@@ -454,7 +469,7 @@ BAD_INPUTS = {
             2,
             BAD_ALPHA,
         )
-        for alphas in ("nan", "0", "-1", "inf", "1,nan")
+        for alphas in ("nan", "0", "-1", "inf", "1,nan", "7e307")
     },
     "entropy-unwritable-report": (
         ["entropy", "--dist", "0.5,0.5", "--out", "{tmp}/missing/report.json"],
@@ -468,10 +483,11 @@ BAD_INPUTS = {
     ),
 }
 
-# each capped flag at its cap, the value one below its over-cap row above:
-# (argv, the report's parameter, its parsed value); ``malus --n-points`` and
-# ``search-preservers --budget`` are left out, since a run at either cap
-# takes seconds
+# each capped flag at its cap, the value one below its over-cap row above,
+# and each alpha at the bounds of its domain, where no RuntimeWarning may
+# leak: (argv, the report's parameter, its parsed value); ``malus
+# --n-points`` and ``search-preservers --budget`` are left out, since a run
+# at either cap takes seconds
 AT_CAP = {
     "counting-n-max-at-cap": (["counting", "--n-max", "10000", "--m-list", "3"], "n_max", 10000),
     "counting-m-list-at-cap": (
@@ -498,6 +514,19 @@ AT_CAP = {
     "positivity-n-bases-at-cap": (
         ["positivity", "--input", "{tmp}/mixed.json", "--n-bases", "1024"], "n_bases", 1024
     ),
+    "entropy-alpha-at-cap": (["entropy", "--dist", "0.3,0.7", "--alpha", "1e300"], "alpha", 1e300),
+    "scan-alpha-at-cap": (
+        ["invariance-scan", "--alphas", "1e300", "--n-states", "4", "--n-maps", "4",
+         "--out-csv", "{tmp}/scan.csv"],
+        "alphas",
+        [1e300],
+    ),
+    **{
+        f"search-alpha-at-{side}": (
+            ["search-preservers", "--alpha", text, "--budget", "2100"], "alpha", float(text)
+        )
+        for side, text in (("min", "0.01"), ("max", "1000"))
+    },
 }
 
 

@@ -164,9 +164,13 @@ class TestGptFromDensity:
         "basis, start",
         [
             ([[1.0, 1.0], [0.0, 0.0]], r"basis columns are not orthonormal \(gap 1\)$"),
+            # no RuntimeWarning (an error under pytest) from the gap's product
+            (np.diag([math.inf, 1.0]), r"basis columns are not orthonormal \(gap nan\)$"),
+            (np.diag([1e200, 1.0]), r"basis columns are not orthonormal \(gap inf\)$"),
+            (np.diag([1e200j, 1.0]), r"basis columns are not orthonormal \(gap inf\)$"),
             (np.eye(3), r"basis must be 2x2, got shape \(3, 3\)$"),
         ],
-        ids=["gap", "shape"],
+        ids=["gap", "inf", "1e200", "1e200j", "shape"],
     )
     def test_rejects_a_bad_basis(self, basis, start):
         rho = HermitianOperator(np.eye(2) / 2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from onebit.measures import (
     DIST_TOL,
+    MAX_ALPHA,
     QUADRATIC,
     SHANNON,
     EntropyMeasure,
@@ -76,9 +77,13 @@ class TestNormalizedMeasure:
         measure = EntropyMeasure(alpha)
         assert entropy_sum([0.5, 0.5], measure, 1) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0, math.nan, math.inf])
+    # above MAX_ALPHA, k times a three-pair total overflows (from 6e307 on)
+    @pytest.mark.parametrize(
+        "alpha", [0.0, -0.5, -1.0, math.nan, math.inf, math.nextafter(MAX_ALPHA, math.inf), 7e307]
+    )
     def test_rejects_alpha_that_is_not_positive_and_finite(self, alpha):
-        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+        message = r"^alpha must be positive and finite, at most 1e\+300, got "
+        with pytest.raises(ValueError, match=message):
             EntropyMeasure(alpha)
 
 

@@ -40,15 +40,19 @@ class TestFrames:
         frame = ComplementaryFrame(np.diag([1.0, 1.0, -1.0]))
         assert np.linalg.det(frame.axes) == pytest.approx(-1.0, abs=1e-12)
 
-    # a NaN gap compares False against the tolerance, so it must not pass
+    # a NaN gap compares False against the tolerance, so it must not pass;
+    # an inf entry makes the gap NaN and a 1e200 one overflows it to inf,
+    # both without a RuntimeWarning (an error under pytest)
     @pytest.mark.parametrize(
         "axes, start",
         [
             ([[1, 0, 0], [1, 0, 0], [0, 0, 1.0]], r"frame axes are not orthonormal \(gap 1\)$"),
             (np.full((3, 3), math.nan), r"frame axes are not orthonormal \(gap nan\)$"),
+            (np.diag([math.inf, 1.0, 1.0]), r"frame axes are not orthonormal \(gap nan\)$"),
+            (np.diag([1e200, 1.0, 1.0]), r"frame axes are not orthonormal \(gap inf\)$"),
             (np.eye(2), r"frame needs three 3-vectors, got shape \(2, 2\)$"),
         ],
-        ids=["gap", "nan", "shape"],
+        ids=["gap", "nan", "inf", "1e200", "shape"],
     )
     def test_rejects_non_orthonormal(self, axes, start):
         with pytest.raises(ValueError, match="^" + start):

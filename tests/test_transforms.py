@@ -7,7 +7,6 @@ import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from onebit.transforms import (
     ORTHO_TOL,
     PERMUTATION_TOL,
     InducedMap,
-    _alpha_norms,
     _coordinate_descent,
     _map_from_params,
     _norm_objective,
@@ -121,6 +119,11 @@ SIGNED_PERMUTATIONS = np.array(
 )
 
 
+def alpha_norms(v, alpha):
+    """(sum_i |v_i|**alpha)**(1/alpha) over the last axis."""
+    return np.sum(np.abs(v) ** alpha, axis=-1) ** (1.0 / alpha)
+
+
 def norm_gap(induced, state, alpha):
     """| ||A p||_alpha - ||p||_alpha | for one state."""
     p = state.as_array
@@ -171,6 +174,15 @@ class TestInducedFromRotation:
                 lambda: induced_from_rotation(np.full((3, 3), 0.5)),
                 r"matrix is not orthogonal \(r\^T r gap 0\.75\)$",
             ),
+            # no RuntimeWarning (an error under pytest) from the gap's product
+            (
+                lambda: induced_from_rotation(np.diag([math.inf, 1.0, 1.0])),
+                r"matrix is not orthogonal \(r\^T r gap nan\)$",
+            ),
+            (
+                lambda: induced_from_rotation(np.diag([1e200, 1.0, 1.0])),
+                r"matrix is not orthogonal \(r\^T r gap inf\)$",
+            ),
             (lambda: induced_from_rotation(np.eye(2)), r"rotation must be 3x3, got shape \(2, 2\)$"),
             (
                 lambda: induced_from_rotations(np.eye(3)),
@@ -178,7 +190,7 @@ class TestInducedFromRotation:
             ),
             (lambda: InducedMap(np.eye(5)), r"induced map must be 6x6, got shape \(5, 5\)$"),
         ],
-        ids=["non-orthogonal", "rotation-shape", "rotations-shape", "map-shape"],
+        ids=["non-orthogonal", "inf", "1e200", "rotation-shape", "rotations-shape", "map-shape"],
     )
     def test_rejects(self, call, start):
         with pytest.raises(ValueError, match="^" + start):
@@ -456,10 +468,12 @@ class TestInvarianceScan:
             assert dev == pytest.approx(1.0, abs=1e-12)
             assert (s_idx, m_idx) == (1, 5)
 
-    def test_non_finite_deviation_raises(self):
-        states = np.array([[0.5] * 6, [math.nan] * 6])
-        with pytest.raises(ValueError, match="not finite"):
-            scan_deviations(states, np.eye(6)[None], [2.0])
+    def test_non_finite_deviation_raises(self, monkeypatch):
+        states = random_states_array(np.random.default_rng(7), 4)
+        poison_last_state(monkeypatch, len(states))
+        message = "^total-uncertainty deviation is not finite at alpha=2.0$"
+        with pytest.raises(ValueError, match=message):
+            scan_deviations(states, np.eye(6)[None], [2.0, 0.5])
 
     def test_worst_shannon_case_is_the_probe_pair(self):
         # with no sampling at all, the 45-degree probe on a pure state
@@ -484,8 +498,22 @@ class TestInvarianceScan:
                 lambda: scan_deviations(np.full((1, 6), 0.5), np.empty((0, 6, 6)), [2.0]),
                 "scan needs at least one state and one map",
             ),
+            # before any product: an inf map entry would warn in the GEMM
+            (
+                lambda: scan_deviations(
+                    np.full((2, 6), 0.5), np.diag([math.inf] + [1.0] * 5)[None], [2.0]
+                ),
+                "map entries are not finite",
+            ),
+            (
+                lambda: scan_deviations(
+                    np.array([[0.5] * 6, [math.nan] * 6]), np.eye(6)[None], [2.0]
+                ),
+                "state entries are not finite",
+            ),
         ],
-        ids=["empty-grid", "negative-states", "negative-maps", "no-states", "no-maps"],
+        ids=["empty-grid", "negative-states", "negative-maps", "no-states", "no-maps",
+             "inf-map", "nan-state"],
     )
     def test_rejects(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -520,9 +548,15 @@ class TestSearchNormPreservers:
     def test_zero_budget_returns_empty(self):
         assert search_norm_preservers(3.0, 0, seed=0) == []
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_alpha_that_is_not_positive_and_finite(self, alpha):
-        with pytest.raises(ValueError, match="positive and finite"):
+    # outside [0.01, 1000] the baseline norms or the trial terms overflow
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.0, -1.0, math.nan, math.inf]
+        + [math.nextafter(0.01, 0.0), math.nextafter(1000.0, math.inf)],
+    )
+    def test_rejects_alpha_outside_the_search_domain(self, alpha):
+        message = r"^alpha must lie in \[0\.01, 1000\] for the search, got "
+        with pytest.raises(ValueError, match=message):
             search_norm_preservers(alpha, 10, seed=0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
@@ -577,7 +611,7 @@ def rotation_about_axis(axis, angle):
 def cubic_search_objective(seed=42):
     """The search's probe means at ``seed`` and its alpha = 3 objective."""
     means = _probe_means(np.random.default_rng(np.random.SeedSequence(seed)))
-    return means, _norm_objective(means, _alpha_norms(p6_from_means(means), 3.0), 3.0)
+    return means, _norm_objective(means, 3.0)
 
 
 class TestCubicIdentity:
@@ -600,10 +634,10 @@ class TestCubicIdentity:
         signed = np.cbrt(np.sum(images**3, axis=-1))
         assert np.mean(np.abs(signed - np.cbrt(np.sum(p6_from_means(means) ** 3, axis=-1)))) <= 1e-15
         inside = np.all(images >= 0.0, axis=-1)
-        deviation = np.abs(_alpha_norms(images, 3.0) - _alpha_norms(p6_from_means(means), 3.0))
+        deviation = np.abs(alpha_norms(images, 3.0) - alpha_norms(p6_from_means(means), 3.0))
         assert np.max(deviation[inside]) <= 1e-15
         assert np.min(deviation[~inside]) > 0.0
-        assert objective(np.concatenate([np.zeros(3), rotation.ravel()])[None])[0] >= 1e-5
+        assert objective(np.concatenate([np.zeros(3), rotation.ravel()])[None])[0][0] >= 1e-5
 
     def test_the_residual_near_a_signed_permutation_grows_as_eps_cubed(self):
         # each negative entry of a rotated corner is O(eps) and adds 2 |q|**3
@@ -611,7 +645,7 @@ class TestCubicIdentity:
         axis = np.random.default_rng(42).normal(size=3)
         eps = np.array([0.1, 0.03, 0.01, 0.003, 0.001])
         maps = [_SIGNED_PERMUTATIONS[13] @ rotation_about_axis(axis, e) for e in eps]
-        residuals = objective(np.array([np.concatenate([np.zeros(3), m.ravel()]) for m in maps]))
+        residuals = objective(np.array([np.concatenate([np.zeros(3), m.ravel()]) for m in maps]))[0]
         assert 2.9 <= np.polyfit(np.log(eps), np.log(residuals), 1)[0] <= 3.1
         # at eps = 0.03 a rotation passes the search's tolerance while being
         # far from every sector permutation
@@ -758,6 +792,22 @@ def force_slabs(monkeypatch, cores):
     monkeypatch.setattr(transforms, "_usable_cores", lambda: cores)
 
 
+def poison_last_state(monkeypatch, count):
+    """Make the next scans of ``count`` states report a NaN deviation for
+    the first block and alpha of the slab that holds the last state.  The
+    inputs are checked to be finite, so this stands for a NaN the kernel
+    itself would make (an image product that overflows both ways)."""
+    scan_slab = transforms._scan_slab
+
+    def poisoned(maps, measures, offset, columns, *buffers):
+        cells = scan_slab(maps, measures, offset, columns, *buffers)
+        if offset + columns.shape[1] == count:
+            cells[0] = (math.nan, *cells[0][1:])
+        return cells
+
+    monkeypatch.setattr(transforms, "_scan_slab", poisoned)
+
+
 def sector_depolarizer(sector):
     """Sends one sector's outcome pair to (1/2, 1/2), fixes the others."""
     a = np.eye(6)
@@ -885,8 +935,8 @@ class TestScanSlabs:
     def test_a_nan_in_the_last_slab_raises_the_serial_message(self, monkeypatch, cores):
         rng = np.random.default_rng(cores)
         states = random_states_array(rng, 8)
-        states[-1] = math.nan
         maps = induced_from_rotations(random_rotations(rng, 70))
+        poison_last_state(monkeypatch, len(states))
         force_slabs(monkeypatch, 1)
         with pytest.raises(ValueError, match="not finite") as serial:
             scan_deviations(states, maps, [2.0, 0.5])
@@ -1010,10 +1060,9 @@ def search_objectives(alpha, seed=0):
     """The batched objective and the 6x6-route reference on one probe set."""
     means = _probe_means(np.random.default_rng(seed))
     probes = p6_from_means(means)
-    base_norms = _alpha_norms(probes, alpha)
     return (
-        _norm_objective(means, base_norms, alpha),
-        scalar_objective(probes, base_norms, alpha),
+        _norm_objective(means, alpha),
+        scalar_objective(probes, alpha_norms(probes, alpha), alpha),
     )
 
 
@@ -1034,13 +1083,23 @@ class TestMeanValueObjective:
         batched, scalar = search_objectives(alpha)
         thetas = boundary_thetas(np.random.default_rng(43), 300)
         thetas[::3] *= 1.7  # deep outside the validity region: penalty active
-        values = batched(thetas)
+        values = batched(thetas)[0]
         assert values.shape == (300,)
         expected = np.array([scalar(theta) for theta in thetas])
         assert np.any(expected > 1.0)  # some penalties dominate
         assert np.all(np.abs(values - expected) <= 1e-14 * np.maximum(1.0, expected))
         for theta, value in zip(thetas[:20], values[:20]):
-            assert batched(theta[None])[0] == value
+            assert batched(theta[None])[0][0] == value
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 1.5, 2.0, 3.0, 1000.0])
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_the_identity_scores_exactly_zero(self, alpha, seed):
+        # the baseline norms come from the same term kernel and entry order
+        # as every trial's, so the identity's images reproduce them bitwise
+        score = _norm_objective(_probe_means(np.random.default_rng(seed)), alpha)
+        values, rows = score(np.concatenate([np.zeros(3), np.eye(3).ravel()])[None])
+        assert values[0] == 0.0
+        assert rows.shape == (1, 3, 2 * 96)
 
 
 
@@ -1057,11 +1116,11 @@ class TestSectorScoring:
     def test_a_coordinate_moves_only_its_sector(self):
         objective, _ = search_objectives(2.0)
         theta = boundary_thetas(np.random.default_rng(51), 1)[0]
-        rows = objective.score(theta[None])[1][0]
+        rows = objective(theta[None])[1][0]
         for j in range(12):
             moved = theta.copy()
             moved[j] += 0.25
-            changed = np.any(objective.score(moved[None])[1][0] != rows, axis=-1)
+            changed = np.any(objective(moved[None])[1][0] != rows, axis=-1)
             assert np.flatnonzero(changed).tolist() == [_COORDINATE_SECTORS[j]], j
 
     # inside the validity region, on it, and outside with the penalty active
@@ -1072,23 +1131,22 @@ class TestSectorScoring:
         thetas[::4] *= 1.7
         penalized = 0
         for theta in thetas:
-            base, cached = objective.score(theta[None])
-            assert base.tobytes() == objective(theta[None]).tobytes()
+            cached = objective(theta[None])[1]
             for step in (0.1, 2.0**-20):
                 trials, sectors = sector_moves(theta, step)
                 # every batch a sweep makes: the trials from coordinate i on,
                 # and a budget-truncated single trial
                 for lo, hi in [(2 * i, 24) for i in range(12)] + [(5, 6), (23, 24)]:
                     batch = trials[lo:hi]
-                    values, rows = objective.score(batch, sectors[lo:hi], cached[0])
-                    full, full_rows = objective.score(batch)
+                    values, rows = objective(batch, sectors[lo:hi], cached[0])
+                    full, full_rows = objective(batch)
                     assert values.tobytes() == full.tobytes(), (lo, hi, step)
                     assert rows.tobytes() == full_rows.tobytes(), (lo, hi, step)
                     penalized += int(np.count_nonzero(full > 1.0))
                 # an accepted trial's rows are the cache of its own full
                 # evaluation, whatever batch scored it
-                for trial, trial_rows in zip(trials, objective.score(trials, sectors, cached[0])[1]):
-                    assert trial_rows.tobytes() == objective.score(trial[None])[1][0].tobytes()
+                for trial, trial_rows in zip(trials, objective(trials, sectors, cached[0])[1]):
+                    assert trial_rows.tobytes() == objective(trial[None])[1][0].tobytes()
         assert penalized > 0
 
     @pytest.mark.parametrize("alpha", [1.5, 3.0])
@@ -1097,15 +1155,15 @@ class TestSectorScoring:
         batches = []
 
         def checked(thetas, sectors=None, cached=None):
-            values, rows = objective.score(thetas, sectors, cached)
-            full, full_rows = objective.score(thetas)
+            values, rows = objective(thetas, sectors, cached)
+            full, full_rows = objective(thetas)
             assert values.tobytes() == full.tobytes()
             assert rows.tobytes() == full_rows.tobytes()
             batches.append(len(thetas))
             return values, rows
 
         for theta0 in descent_starts(np.random.default_rng(int(alpha))).values():
-            _coordinate_descent(theta0, SimpleNamespace(score=checked), 400)
+            _coordinate_descent(theta0, checked, 400)
         assert len(batches) > 100 and min(batches) == 1 and max(batches) == 24
 
 
@@ -1115,7 +1173,7 @@ def sequential_descent(theta0, objective, max_evals):
     sweep moves to the next coordinate; a sweep without one halves the
     step."""
     def score(theta):
-        return float(objective(theta[None])[0])
+        return float(objective(theta[None])[0][0])
 
     theta = theta0.copy()
     best = score(theta)

@@ -16,7 +16,7 @@ reported as an error.  Hypothesis runs with a fixed seed so that a result
 repeats.  The exit status is 0 when every mutant is killed and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 84 mutants takes about 90 s on
+testpaths is ``tests``); a full run of the 92 mutants takes about 95 s on
 two cores, 12 s of it for ``cli-search-budget-cap-raised``, whose
 over-cap row then runs a search of 1 000 001 evaluations.
 """
@@ -78,6 +78,24 @@ MUTANTS = (
         "return abs(alpha - 1.0) <= 2.0**-26",
         ("tests/test_measures.py::TestNormalizedMeasure::test_k",),
     ),
+    # the degree's cap: above it k times a three-pair total overflows
+    Mutant(
+        "entropy-alpha-cap-dropped",
+        "measures.py",
+        "if not 0.0 < a <= MAX_ALPHA:",
+        "if not 0.0 < a < math.inf:",
+        ("tests/test_measures.py::TestNormalizedMeasure::test_rejects_alpha_that_is_not_positive_and_finite",),
+    ),
+    Mutant(
+        "entropy-alpha-cap-exclusive",
+        "measures.py",
+        "if not 0.0 < a <= MAX_ALPHA:",
+        "if not 0.0 < a < MAX_ALPHA:",
+        (
+            "tests/test_cli.py::TestErrorBoundary::test_flag_at_its_cap_is_accepted[entropy-alpha-at-cap]",
+            "tests/test_cli.py::TestErrorBoundary::test_flag_at_its_cap_is_accepted[scan-alpha-at-cap]",
+        ),
+    ),
     # the invariance scan: tie rule, NaN guard, kernel; the one tie key is
     # (largest value, earliest map, earliest state) over every slab's cells
     Mutant(
@@ -93,6 +111,14 @@ MUTANTS = (
         "if not all(np.isfinite(v) for v, _, _ in candidates):",
         "if False:",
         ("tests/test_transforms.py::TestInvarianceScan",),
+    ),
+    # a non-finite state or map is rejected before any product
+    Mutant(
+        "scan-inputs-unchecked",
+        "transforms.py",
+        "        if not np.isfinite(array).all():",
+        "        if False:",
+        ("tests/test_transforms.py::TestInvarianceScan::test_rejects",),
     ),
     # the merge of the state slabs: a tie at one map goes to the earlier
     # slab, a tie at an earlier map in a later slab to that map, and a NaN
@@ -204,6 +230,41 @@ MUTANTS = (
         "if not is_sector_stochastic(induced).ok:",
         "if False:",
         ("tests/test_transforms.py::TestSearchNormPreservers::test_a_map_that_fails_the_stochasticity_check_is_dropped",),
+    ),
+    # the probes' baseline norms come from the trials' term kernel, in entry
+    # order, so the identity scores exactly 0
+    Mutant(
+        "search-baseline-reordered",
+        "transforms.py",
+        "np.add.reduce(terms(columns).reshape(6, -1), axis=0)",
+        "np.add.reduce(terms(columns).reshape(6, -1)[::-1], axis=0)",
+        ("tests/test_transforms.py::TestMeanValueObjective::test_the_identity_scores_exactly_zero",),
+    ),
+    # the search's alpha domain, [0.01, 1000]: each bound rejects just past
+    # it and runs at it
+    Mutant(
+        "search-alpha-min-dropped",
+        "transforms.py",
+        "if not SEARCH_ALPHA_MIN <= alpha <= SEARCH_ALPHA_MAX:",
+        "if not 0.0 < alpha <= SEARCH_ALPHA_MAX:",
+        ("tests/test_transforms.py::TestSearchNormPreservers::test_rejects_alpha_outside_the_search_domain",),
+    ),
+    Mutant(
+        "search-alpha-max-dropped",
+        "transforms.py",
+        "if not SEARCH_ALPHA_MIN <= alpha <= SEARCH_ALPHA_MAX:",
+        "if not SEARCH_ALPHA_MIN <= alpha <= 1e308:",
+        ("tests/test_transforms.py::TestSearchNormPreservers::test_rejects_alpha_outside_the_search_domain",),
+    ),
+    Mutant(
+        "search-alpha-bounds-exclusive",
+        "transforms.py",
+        "if not SEARCH_ALPHA_MIN <= alpha <= SEARCH_ALPHA_MAX:",
+        "if not SEARCH_ALPHA_MIN < alpha < SEARCH_ALPHA_MAX:",
+        (
+            "tests/test_cli.py::TestErrorBoundary::test_flag_at_its_cap_is_accepted[search-alpha-at-min]",
+            "tests/test_cli.py::TestErrorBoundary::test_flag_at_its_cap_is_accepted[search-alpha-at-max]",
+        ),
     ),
     # equal to p**alpha at alpha = 2 only, so criterion 2's closed form
     # cannot see it
@@ -383,14 +444,14 @@ MUTANTS = (
         "check-decomposes-afresh",
         "highdim.py",
         "bases = rho.eigensystem[1][None]",
-        "bases = _eigh(m)[1][None]",
+        "bases = np.linalg.eigh(m)[1][None]",
         ("tests/test_highdim.py::TestSharedEigensystem::test_check_and_oracle_make_one_eigh_call",),
     ),
     Mutant(
         "oracle-decomposes-afresh",
         "highdim.py",
         "values, vectors = rho.eigensystem",
-        "values, vectors = _eigh(rho.matrix)",
+        "values, vectors = np.linalg.eigh(rho.matrix)",
         ("tests/test_highdim.py::TestSharedEigensystem::test_check_and_oracle_make_one_eigh_call",),
     ),
     Mutant(
@@ -443,6 +504,19 @@ MUTANTS = (
         "    if not gap <= HERMITIAN_TOL:  # a NaN gap fails too",
         "    if gap > HERMITIAN_TOL:",
         ("tests/test_highdim.py::TestGptFromDensity",),
+    ),
+    # the one orthonormality gap: an inf or 1e200 entry must reach the
+    # callers' ValueError, not a RuntimeWarning from the product
+    Mutant(
+        "ortho-gap-unguarded",
+        "qubit.py",
+        'with np.errstate(over="ignore", invalid="ignore"):',
+        "with np.errstate():",
+        (
+            "tests/test_qubit.py::TestFrames::test_rejects_non_orthonormal",
+            "tests/test_transforms.py::TestInducedFromRotation::test_rejects",
+            "tests/test_highdim.py::TestGptFromDensity::test_rejects_a_bad_basis",
+        ),
     ),
     # a library tol must be positive and finite: NaN and inf give a verdict
     Mutant(
