@@ -251,8 +251,8 @@ def _load_hermitian(path: str) -> HermitianOperator:
     if not isinstance(payload, dict) or "n" not in payload or "re" not in payload:
         raise ValueError(f"{path} must hold a JSON object with keys n, re and optionally im")
     n = payload["n"]
-    if type(n) is not int or n > MAX_DIMENSION:
-        raise ValueError(f"n must be an integer within the CLI cap of {MAX_DIMENSION}, got {n!r}")
+    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"n must be an integer in [1, {MAX_DIMENSION}] (the CLI cap), got {n!r}")
     parts = [np.array(payload.get(key, [[0.0] * n] * n), dtype=object) for key in ("re", "im")]
     if any(part.shape != (n, n) for part in parts):
         raise ValueError(f"matrix parts must be {n}x{n} arrays")

@@ -216,6 +216,9 @@ _SCAN_BLOCK = 64
 #: slabs, at least one.  With smaller slabs the numpy calls are too short
 #: for a helper thread to gain (timed on 2 cores at B = 1 to 64).
 _SLAB_CELLS = _SCAN_BLOCK * 128
+#: Largest state or map entry magnitude the scan accepts: an image entry
+#: sums six products, so it stays finite while 6 x cap**2 < DBL_MAX.
+MAX_SCAN_ENTRY = 1e150
 
 
 def _usable_cores() -> int:
@@ -276,12 +279,9 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     bits of the last-axis one).  The calling thread allocates every slab's
     columns, baselines and image, term and deviation buffers before any
     slab starts, each as wide as its slab, so together they take the
-    memory of a one-slab scan, and a helper allocates nothing large.  A
-    variant whose helpers allocated their own slab's buffers kept every
-    bit, but on 2 cores it raised the peak RSS of perfbench's ``scan``
-    from 43.9-44.1 to 45.0-45.3 MiB and its median operation from
-    10.6-10.7 to 11.2-11.5 ms (4 of 4 alternating pairs), and that of a
-    50 000 x 64 scan from 386 to 389 MiB.  Every helper is joined, even
+    memory of a one-slab scan, and a helper allocates nothing large
+    (helpers that allocated their own slab measured slower and larger;
+    ROADMAP, "Measured and not pursued").  Every helper is joined, even
     when the first slab raises; then the exception of the earliest slab
     that raised is re-raised here, with its type and message.
 
@@ -295,16 +295,20 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     with indices over the whole scan, and each alpha's result is the best
     of all those cells by the tie rule of a row-major argmax over (map,
     state): the largest value, then the earliest map, then the earliest
-    state.  Raises ValueError when a deviation is not finite, naming the
-    alpha of the first such cell in block-major order.
+    state.  Raises ValueError, before any slab starts, when a state or map
+    entry is NaN or above ``MAX_SCAN_ENTRY`` in magnitude, and when a
+    deviation is not finite, naming the alpha of the first such cell in
+    block-major order.
     """
     states = np.asarray(states, dtype=float)
     maps = np.asarray(maps, dtype=float)
     if states.shape[0] == 0 or maps.shape[0] == 0:
         raise ValueError("scan needs at least one state and one map")
     for name, array in (("state", states), ("map", maps)):
-        if not np.isfinite(array).all():
-            raise ValueError(f"{name} entries are not finite")
+        if not np.abs(array).max() <= MAX_SCAN_ENTRY:  # a NaN fails too
+            raise ValueError(
+                f"{name} entries must be finite and at most {MAX_SCAN_ENTRY:g} in magnitude"
+            )
     measures = [EntropyMeasure(alpha) for alpha in alphas]
     rows = min(_SCAN_BLOCK, maps.shape[0])
     count = states.shape[0]

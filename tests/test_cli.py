@@ -394,8 +394,17 @@ BAD_INPUTS = {
     "positivity-n-over-cap": (
         ["positivity", "--input", "{tmp}/n-65.json"],
         2,
-        "n must be an integer within the CLI cap of 64,",
+        "n must be an integer in [1, 64] (the CLI cap), got 65\n",
     ),
+    # no matrix file has a dimension below 1
+    **{
+        f"positivity-n-{name}": (
+            ["positivity", "--input", f"{{tmp}}/n-{n}.json"],
+            2,
+            f"n must be an integer in [1, 64] (the CLI cap), got {n}\n",
+        )
+        for name, n in (("zero", 0), ("negative", -1))
+    },
     "positivity-nan-tol": (["positivity", "--input", "{tmp}/mixed.json", "--tol", "nan"], 2, ""),
     "positivity-negative-bases": (
         ["positivity", "--input", "{tmp}/mixed.json", "--n-bases", "-1"], 2, ""
@@ -596,6 +605,8 @@ def write_bad_input_files(directory):
     write_matrix(directory / "non-hermitian.json", [[0.5, 0.2], [0.0, 0.5]])
     write_matrix(directory / "trace-0.9.json", np.diag([0.5, 0.4]))
     write_matrix(directory / "n-65.json", np.eye(65) / 65)
+    for n in (0, -1):
+        (directory / f"n-{n}.json").write_text(f'{{"n": {n}, "re": []}}')
     write_matrix(directory / "mixed.json", np.eye(2) / 2)
 
 

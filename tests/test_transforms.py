@@ -17,6 +17,7 @@ from onebit.qubit import SECTOR_TOL, QubitState, p6_from_means, random_state
 from onebit.transforms import (
     _COORDINATE_SECTORS,
     _SIGNED_PERMUTATIONS,
+    MAX_SCAN_ENTRY,
     ORTHO_TOL,
     PERMUTATION_TOL,
     InducedMap,
@@ -422,6 +423,13 @@ class TestAlphaNorms:
             assert norm_gap(quarter, state, alpha) <= 1e-12
 
 
+BAD_STATE = r"state entries must be finite and at most 1e\+150 in magnitude"
+BAD_MAP = r"map entries must be finite and at most 1e\+150 in magnitude"
+#: Row 0 takes 1e300 x 1e300 - 1e300 x 1e300: both products overflow.
+HUGE_ROW_MAP = np.diag([0.0] + [1.0] * 5)[None]
+HUGE_ROW_MAP[0, 0, :2] = 1e300, -1e300
+
+
 class TestInvarianceScan:
     def test_quadratic_degree_is_invariant(self):
         reports = invariance_scan([2.0], 200, 50, seed=42)
@@ -503,21 +511,47 @@ class TestInvarianceScan:
                 lambda: scan_deviations(
                     np.full((2, 6), 0.5), np.diag([math.inf] + [1.0] * 5)[None], [2.0]
                 ),
-                "map entries are not finite",
+                BAD_MAP,
             ),
             (
                 lambda: scan_deviations(
                     np.array([[0.5] * 6, [math.nan] * 6]), np.eye(6)[None], [2.0]
                 ),
-                "state entries are not finite",
+                BAD_STATE,
+            ),
+            # finite entries whose products overflow in the GEMM
+            (lambda: scan_deviations(np.full((1, 6), 1e300), HUGE_ROW_MAP, [2.0]), BAD_STATE),
+            # the clip would hide an unbounded image: deviation 9.0 at alpha = 2
+            (
+                lambda: scan_deviations(np.full((2, 6), 0.5), 1e308 * np.eye(6)[None], [2.0]),
+                BAD_MAP,
+            ),
+            (
+                lambda: scan_deviations(
+                    np.full((2, 6), np.nextafter(MAX_SCAN_ENTRY, math.inf)),
+                    np.eye(6)[None],
+                    [2.0],
+                ),
+                BAD_STATE,
             ),
         ],
         ids=["empty-grid", "negative-states", "negative-maps", "no-states", "no-maps",
-             "inf-map", "nan-state"],
+             "inf-map", "nan-state", "overflowing-state-and-map", "1e308-identity",
+             "state-just-above-cap"],
     )
     def test_rejects(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+    def test_entries_at_the_cap_scan_without_warning(self):
+        # every image entry is 6 cap**2, the largest the cap allows; pytest
+        # turns any RuntimeWarning into an error
+        assert math.isfinite(6.0 * MAX_SCAN_ENTRY**2)
+        for sign in (1.0, -1.0):
+            states = np.full((2, 6), sign * MAX_SCAN_ENTRY)
+            maps = np.full((1, 6, 6), MAX_SCAN_ENTRY)
+            for dev, _, _ in scan_deviations(states, maps, SCAN_ALPHAS):
+                assert math.isfinite(dev)
 
 
 class TestPermutationFamily:
