@@ -12,7 +12,7 @@ from itertools import chain, cycle, pairwise, permutations, product
 
 import numpy as np
 
-from .measures import EntropyMeasure, _check_positive_finite, _entropy_sum, entropy_sum
+from .measures import EntropyMeasure, _check_positive_finite, _entropy_sum, _power, entropy_sum
 from .qubit import SECTOR_TOL, QubitState, _haar_q, _orthonormality_gap, _row_norms
 from .qubit import p6_from_means, random_mean_vectors
 
@@ -173,8 +173,10 @@ def is_sector_stochastic(induced: InducedMap) -> StochasticityReport:
 
 
 def alpha_norm(vec, alpha: float) -> float:
-    """(sum_i |v_i|**alpha)**(1/alpha)."""
-    return float(np.add.reduce(np.abs(np.asarray(vec, dtype=float)) ** alpha) ** (1.0 / alpha))
+    """(sum_i |v_i|**alpha)**(1/alpha), each term from the package's power
+    table (:func:`measures._power`)."""
+    terms = _power(np.abs(np.asarray(vec, dtype=float)), alpha)
+    return float(np.add.reduce(terms) ** (1.0 / alpha))
 
 
 def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -295,13 +297,19 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     with indices over the whole scan, and each alpha's result is the best
     of all those cells by the tie rule of a row-major argmax over (map,
     state): the largest value, then the earliest map, then the earliest
-    state.  Raises ValueError, before any slab starts, when a state or map
+    state.  Raises ValueError, before any slab starts, when the shapes
+    are not (S, 6) and (M, 6, 6) with S and M at least 1 or a state or map
     entry is NaN or above ``MAX_SCAN_ENTRY`` in magnitude, and when a
     deviation is not finite, naming the alpha of the first such cell in
     block-major order.
     """
     states = np.asarray(states, dtype=float)
     maps = np.asarray(maps, dtype=float)
+    if states.shape[1:] != (6,) or maps.shape[1:] != (6, 6):
+        raise ValueError(
+            "scan needs states of shape (S, 6) and maps of shape (M, 6, 6), "
+            f"got {states.shape} and {maps.shape}"
+        )
     if states.shape[0] == 0 or maps.shape[0] == 0:
         raise ValueError("scan needs at least one state and one map")
     for name, array in (("state", states), ("map", maps)):
@@ -537,7 +545,8 @@ def _norm_objective(means: np.ndarray, alpha: float):
 
     def terms(images: np.ndarray) -> np.ndarray:
         p = (1.0 + images) / 2.0
-        return np.abs(np.concatenate([p, 1.0 - p], axis=-1)) ** alpha
+        sides = np.concatenate([p, 1.0 - p], axis=-1)
+        return _power(np.abs(sides, out=sides), alpha)
 
     base_norms = np.add.reduce(terms(columns).reshape(6, -1), axis=0) ** (1.0 / alpha)
 

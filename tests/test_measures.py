@@ -1,6 +1,7 @@
 """Unit and property tests for the degree-alpha entropy family."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit.measures import (
+    _FAST_POWERS,
     DIST_TOL,
     MAX_ALPHA,
     QUADRATIC,
     SHANNON,
     EntropyMeasure,
     _entropy_sum,
+    _power,
     entropy,
     entropy_sum,
     pair_entropy,
@@ -21,7 +24,7 @@ from onebit.measures import (
     validate_distribution,
 )
 from onebit.qubit import QubitState, random_state, total_uncertainty_state
-from onebit.transforms import total_uncertainty_p6
+from onebit.transforms import _norm_objective, _probe_means, alpha_norm, total_uncertainty_p6
 
 from math_reference import HALF_OR_TWICE, math_entropy_sum
 
@@ -219,9 +222,8 @@ class TestPairEntropyDiagnostics:
 #: axis: one 6-vector, the scan's (6, states) baselines and its
 #: (maps, 6, states) images.
 KERNEL_LAYOUTS = {"1-D": ((6,), -1), "axis-0": ((6, 5), 0), "axis-1": ((4, 6, 5), 1)}
-#: The square-root and square fast paths, the Shannon branch and two
-#: general powers.
-KERNEL_ALPHAS = pytest.mark.parametrize("alpha", [0.5, 2.0, 1.0, 1.5, 3.0])
+#: Every degree of the power table, the Shannon branch and a general power.
+KERNEL_ALPHAS = pytest.mark.parametrize("alpha", [0.5, 2.0, 1.0, 1.5, 2.5, 3.0, 5.0])
 
 
 def kernel_input(layout, alpha):
@@ -260,9 +262,10 @@ class TestOneKernel:
         assert _entropy_sum(p, measure, 3, axis, work=work, out=out) is out
         assert out.tobytes() == np.asarray(expected).tobytes()
 
-    def test_fractional_power_of_negative_entry_raises(self):
+    @pytest.mark.parametrize("alpha", [1.5, 2.5, 0.25])
+    def test_fractional_power_of_negative_entry_raises(self, alpha):
         with pytest.raises(ValueError, match="no real power"):
-            entropy_sum([1.1, -0.1], EntropyMeasure(2.5), 1)
+            entropy_sum([1.1, -0.1], EntropyMeasure(alpha), 1)
 
     def test_out_of_range_state_raises_at_fractional_alpha(self):
         state = QubitState((1.1, -0.1, 0.5, 0.5, 0.5, 0.5))
@@ -285,3 +288,91 @@ class TestOneKernel:
             for value in (by_pair, by_total, by_state, by_p6):
                 assert value == pytest.approx(by_entropy, abs=1e-12)
             assert by_state == pytest.approx(by_total, abs=1e-12)
+
+
+TABLE_ALPHAS = pytest.mark.parametrize("alpha", sorted(_FAST_POWERS))
+
+
+def power_grid():
+    """A seeded grid over [0, 1]: 0, 1, the subnormal and normal extremes,
+    uniform draws and log-uniform draws down to the smallest subnormal."""
+    rng = np.random.default_rng(20261020)
+    edges = [0.0, 1.0, 5e-324, 1e-310, 2.0**-1022, math.nextafter(1.0, 0.0), 0.5]
+    return np.concatenate([edges, rng.uniform(size=3000), 2.0 ** rng.uniform(-1074, 0, 1000)])
+
+
+def float_steps(got, expected):
+    """How many adjacent doubles lie between nonnegative ``got`` and
+    ``expected``: 1 is one ulp."""
+    return np.abs(got.view(np.int64) - np.asarray(expected).view(np.int64))
+
+
+class TestPowerTable:
+    """``_power``: square roots and multiplies at the degrees of the scan's
+    default grid but 1, ``np.power`` elsewhere."""
+
+    def test_cube_within_one_ulp_of_the_exact_cube(self):
+        p = power_grid()
+        exact = [float(Fraction(x) ** 3) for x in p.tolist()]  # correctly rounded
+        assert float_steps(_power(p, 3.0), exact).max() <= 1
+
+    @pytest.mark.parametrize("alpha, ulps", [(1.5, 1), (2.5, 2)])
+    def test_sqrt_products_near_math_pow(self, alpha, ulps):
+        p = power_grid()
+        assert float_steps(_power(p, alpha), [math.pow(x, alpha) for x in p]).max() <= ulps
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 0.25, 1.0, 1.25, 4.0, 7.5])
+    def test_np_power_bits_at_every_other_degree(self, alpha):
+        # np.sqrt and np.square are the correctly rounded powers
+        p = power_grid()
+        assert _power(p, alpha).tobytes() == np.power(p, alpha).tobytes()
+
+    @TABLE_ALPHAS
+    def test_inf_and_nan_propagate_as_np_power(self, alpha):
+        p = np.array([math.inf, math.nan, 0.5])
+        np.testing.assert_array_equal(_power(p, alpha), np.power(p, alpha))
+
+    def test_cube_keeps_the_sign(self):
+        # as pow keeps it: (-x)**3 = -(x**3), bit for bit
+        p = np.array([0.5, math.inf, 1.0, 0.3])
+        assert _power(-p, 3.0).tobytes() == (-_power(p, 3.0)).tobytes()
+        measure = EntropyMeasure(3.0)
+        expected = math_entropy_sum([-0.5, 1.5], 3.0, measure.k, 1)
+        assert entropy_sum([-0.5, 1.5], measure, 1) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, negative", [(0.5, True), (1.5, False), (2.0, False), (2.5, True), (3.0, True)]
+    )
+    def test_signed_zero(self, alpha, negative):
+        # sqrt(-0) = -0 and (-0)(-0) = +0; np.power gives +0 at 0.5 and 2.5,
+        # which no sum of terms can tell apart
+        assert np.signbit(_power(np.array([-0.0]), alpha)[0]) == negative
+
+    @TABLE_ALPHAS
+    def test_out_is_written_and_returned(self, alpha):
+        p = power_grid()
+        out = np.full_like(p, np.nan)
+        assert _power(p, alpha, out=out) is out
+        assert out.tobytes() == _power(p, alpha).tobytes()
+
+    @TABLE_ALPHAS
+    def test_every_power_of_the_package_is_the_tables(self, alpha):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(size=(4, 6))
+        measure = EntropyMeasure(alpha)
+        sums = np.add.reduce(_power(p, alpha), axis=-1)
+        expected = measure.k * (3 - sums) / (alpha - 1.0)
+        assert entropy_sum(p, measure, 3).tobytes() == expected.tobytes()
+
+        vec = rng.uniform(-1.0, 1.0, size=6)
+        norm = float(np.add.reduce(_power(np.abs(vec), alpha)) ** (1.0 / alpha))
+        assert alpha_norm(vec, alpha).hex() == norm.hex()
+
+        # the identity parameters image every probe exactly, so the search's
+        # term rows are the table's powers of the probes' p6 entries
+        means = _probe_means(rng)
+        identity = np.concatenate([np.zeros(3), np.eye(3).ravel()])
+        _, rows = _norm_objective(means, alpha)(identity[None])
+        half = (1.0 + means.T) / 2.0
+        terms = _power(np.abs(np.concatenate([half, 1.0 - half], axis=-1)), alpha)
+        assert rows[0].tobytes() == terms.tobytes()

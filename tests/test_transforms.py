@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import re
 import subprocess
 import sys
 import threading
@@ -543,6 +545,31 @@ class TestInvarianceScan:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
+    @pytest.mark.parametrize(
+        "states_shape, maps_shape",
+        [
+            ((3, 5), (1, 6, 6)),  # a matmul core-dimension error without the guard
+            ((3, 0), (1, 6, 6)),  # a zero-size reduction
+            ((1, 6), (1, 0, 6)),
+            ((1, 6), (1, 6, 5)),  # a matmul error
+            ((6,), (1, 6, 6)),  # an IndexError
+            ((1, 1, 6), (1, 6, 6)),
+            ((1, 6), (6, 6)),
+            ((1, 6), (1, 1, 6, 6)),
+        ],
+        ids=["states-5-wide", "states-0-wide", "maps-0-rows", "maps-5-wide", "flat-states",
+             "3d-states", "2d-maps", "4d-maps"],
+    )
+    def test_rejects_shapes(self, monkeypatch, states_shape, maps_shape):
+        calls = spy_slabs(monkeypatch)
+        message = re.escape(
+            "scan needs states of shape (S, 6) and maps of shape (M, 6, 6), "
+            f"got {states_shape} and {maps_shape}"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scan_deviations(np.full(states_shape, 0.5), np.full(maps_shape, 0.1), [2.0])
+        assert calls == []
+
     def test_entries_at_the_cap_scan_without_warning(self):
         # every image entry is 6 cap**2, the largest the cap allows; pytest
         # turns any RuntimeWarning into an error
@@ -782,12 +809,22 @@ class TestScanSupremum:
         assert spread == pytest.approx(scan_supremum(alpha), abs=1e-12)
 
 
+#: The power table's products at 1.5, 2.5 and 3, written out: the scan's
+#: terms there are these products, not the ufunc power p**alpha.
+WRITTEN_POWERS = {
+    1.5: lambda p: np.sqrt(p) * p,
+    2.5: lambda p: np.sqrt(p) * p * p,
+    3.0: lambda p: p * p * p,
+}
+
+
 def fresh_scan_deviations(states, maps, alphas, bounds=None):
     """scan_deviations with every block's images, every alpha's entropy
     terms and every deviation freshly allocated, the entropy written out
-    as p**alpha or p log2 p: the block loop the buffers must reproduce.
-    ``bounds`` (state offsets, 0 first and S last) takes each block's
-    product over those runs of states instead of all at once."""
+    as the products of ``WRITTEN_POWERS``, p**alpha at other degrees, or
+    p log2 p: the block loop the buffers must reproduce.  ``bounds``
+    (state offsets, 0 first and S last) takes each block's product over
+    those runs of states instead of all at once."""
     columns = np.ascontiguousarray(states.T)
     clipped = np.clip(columns, 0.0, 1.0)
     bounds = bounds or [0, states.shape[0]]
@@ -796,7 +833,8 @@ def fresh_scan_deviations(states, maps, alphas, bounds=None):
         if measure.alpha == 1.0:
             safe = np.where(p > 0.0, p, 1.0)
             return -measure.k * np.add.reduce(p * np.log2(safe), axis=axis)
-        powers = np.add.reduce(p**measure.alpha, axis=axis)
+        power = WRITTEN_POWERS.get(measure.alpha, lambda p: p**measure.alpha)
+        powers = np.add.reduce(power(p), axis=axis)
         return measure.k * (3 - powers) / (measure.alpha - 1.0)
 
     measures = [EntropyMeasure(alpha) for alpha in alphas]
@@ -1022,6 +1060,48 @@ def test_import_leaves_concurrent_futures_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+#: numpy's AVX-512 loops: disabling them changes the SIMD loop of every
+#: ufunc that has one, but not the bits of a square root or a multiply.
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def dispatched_avx512():
+    """The AVX-512 features numpy both was built to dispatch and finds on
+    this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [f for f in AVX512 if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+
+
+def test_table_degrees_scan_to_the_same_bits_without_avx512():
+    # alpha = 1 is left out: its log2 is a SIMD loop.  At seed 3 a cube
+    # from np.power reads 0x1.ep-49 in the alpha = 3 row with the AVX-512
+    # loops and 0x1p-48 without
+    features = dispatched_avx512()
+    if not features:
+        pytest.skip("numpy dispatches no AVX-512 loop here")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from onebit.transforms import invariance_scan; "
+        "print([(r.max_deviation.hex(), r.argmax_state_id, r.argmax_map_id) "
+        "for r in invariance_scan((0.5, 1.5, 2.0, 2.5, 3.0), 200, 40, 3)])"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    rows = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env.update(OPENBLAS_NUM_THREADS="1", **disabled)
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(src)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        rows.append(done.stdout)
+    assert rows[0] == rows[1]
 
 
 def loop_project_params(theta):

@@ -20,7 +20,7 @@ that a result repeats.  The exit status is 0 when every mutant is killed
 and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 94 mutants takes about 155 s
+testpaths is ``tests``); a full run of the 99 mutants takes about 165 s
 on two cores, 13 s of it for ``cli-search-budget-cap-raised``, whose
 over-cap row then runs a search of 1 000 001 evaluations.
 """
@@ -104,8 +104,15 @@ MUTANTS = (
         "if not all(np.isfinite(v) for v, _, _ in candidates):",
         "if False:",
     ),
-    # a state or map entry that is NaN or above the cap is rejected before
-    # any product, so that no image entry overflows in the GEMM
+    # a state or map of the wrong shape, or an entry that is NaN or above
+    # the cap, is rejected before any product, so that no image entry
+    # overflows in the GEMM and no numpy error names the failure
+    Mutant(
+        "scan-shapes-unchecked",
+        "transforms.py",
+        "if states.shape[1:] != (6,) or maps.shape[1:] != (6, 6):",
+        "if False:",
+    ),
     Mutant(
         "scan-inputs-unchecked",
         "transforms.py",
@@ -247,11 +254,32 @@ MUTANTS = (
     # the kernel's buffers: a reused work buffer keeps the last alpha's
     # terms, so the Shannon branch must clear it first
     Mutant("shannon-no-zero-fill", "measures.py", "work.fill(0.0)", "pass"),
+    # the power table: each entry's product is p**alpha to within 2 ulp
+    Mutant("sqrt-fast-path-squares", "measures.py", "0.5: np.sqrt,", "0.5: np.square,"),
     Mutant(
-        "sqrt-fast-path-squares",
+        "power-cube-missing-factor",
         "measures.py",
-        "_FAST_POWERS = {0.5: np.sqrt, 2.0: np.square}",
-        "_FAST_POWERS = {0.5: np.square, 2.0: np.square}",
+        "out = np.multiply(p, p, out=out)\n    out *= p\n",
+        "out = np.multiply(p, p, out=out)\n",
+    ),
+    Mutant(
+        "power-1.5-without-sqrt",
+        "measures.py",
+        "out = np.sqrt(p, out=out)",
+        "out = np.positive(p, out=out)",
+    ),
+    # the table's np.power fallback serves alpha_norm and the search
+    Mutant(
+        "power-fallback-wrong-degree",
+        "measures.py",
+        "np.power(p, alpha, out=out)",
+        "np.power(p, 2.0 * alpha - 2.0, out=out)",
+    ),
+    Mutant(
+        "power-2.5-missing-factor",
+        "measures.py",
+        "out = _sqrt_times(p, out=out)\n    out *= p\n",
+        "out = _sqrt_times(p, out=out)\n",
     ),
     # the one Haar phase fix multiplies column j by R_jj / |R_jj|; its
     # conjugate gives the same bits on LAPACK's real diagonal only
