@@ -1,14 +1,17 @@
 """Command-line front end.
 
-The parser alone checks flags: each flag's argparse type enforces its
-range and cap.  Each ``_cmd_*`` handler returns ``(exit_code, results)``
-and :func:`main` writes the run report, the one JSON envelope
-``{command, parameters, seed, results, version}``, to stdout or ``--out``:
-``parameters`` holds every parsed flag but ``--seed`` and ``--out``, and
-``seed`` is 0 for commands without ``--seed``.  Its results payload
-is byte-identical across reruns with the same parameters and seed.
-``malus`` prints CSV on stdout and returns results only with ``--out``, so
-it writes a report only then.  Human-readable summaries go to stderr.
+Each flag's argparse type enforces its range and cap.  The library
+checks what no one flag's range states, such as an empty list, a zero
+among ``--m-list`` or an alpha outside a command's domain, and its
+ValueError exits 2 with one error line, as a parse error does.  Each
+``_cmd_*`` handler returns ``(exit_code, results)`` and :func:`main`
+writes the run report, the one JSON envelope ``{command, parameters,
+seed, results, version}``, to stdout or ``--out``: ``parameters`` holds
+every parsed flag but ``--seed`` and ``--out``, and ``seed`` is 0 for
+commands without ``--seed``.  Its results payload is byte-identical
+across reruns with the same parameters and seed.  ``malus`` prints CSV
+on stdout and returns results only with ``--out``, so it writes a report
+only then.  Human-readable summaries go to stderr.
 Exit codes: 0 success (for ``positivity``: the operator is positive),
 1 operator not positive, 2 invalid input, 3 unwritable output path,
 4 ``positivity``'s criterion and oracle disagree (its report is written).
@@ -76,8 +79,8 @@ MAX_MALUS_POINTS = 1_000_000
 #: CLI cap on ``search-preservers --budget``: a run takes about 10 us per
 #: objective evaluation and returns about one candidate, 1.2 KiB of report,
 #: per 1000 evaluations, so at the cap a run at alpha = 2 and seed 1 takes
-#: 10.5 s and returns 1014 candidates in a 1.2 MiB report, peaking at
-#: 44 MiB RSS (alpha = 3: 9.5 s, 366 candidates, 39 MiB; 2-core Xeon).
+#: 9.4 s and returns 1014 candidates in a 1.2 MiB report, peaking at
+#: 43 MiB RSS (alpha = 3: 8.5 s, 366 candidates, 39 MiB; 2-core Xeon).
 MAX_BUDGET = 1_000_000
 
 EXIT_OK = 0
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counting", help="degree-of-freedom table and scaling matches")
     p.add_argument("--n-max", type=_bounded(int, 3, MAX_COUNTING_N), default=50)
     p.add_argument("--m-list", type=_listed(int, MAX_COUNTING_M), default="2,3,4,5,6,7,8,9")
-    p.add_argument("--r-max", type=_bounded(int, 0, MAX_COUNTING_R), default=4)
+    p.add_argument("--r-max", type=_bounded(int, 1, MAX_COUNTING_R), default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_counting)
 

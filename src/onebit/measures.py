@@ -177,9 +177,7 @@ def _entropy_sum(p: np.ndarray, measure: EntropyMeasure, count, axis: int, work=
         return out
     if alpha % 1.0 and (p < 0.0).any():
         raise ValueError(f"negative entry {p.min()!r} has no real power {alpha!r}")
-    power = _FAST_POWERS.get(alpha)  # _power inlined: one Python call fewer per entropy
-    terms = power(p, out=work) if power else np.power(p, alpha, out=work)
-    powers = np.add.reduce(terms, axis=axis, out=out)
+    powers = np.add.reduce(_power(p, alpha, out=work), axis=axis, out=out)
     if out is None:
         return measure.k * (count - powers) / (alpha - 1.0)
     np.subtract(count, out, out=out)

@@ -521,8 +521,8 @@ def _probe_means(rng: np.random.Generator) -> np.ndarray:
 
 
 def _norm_objective(means: np.ndarray, alpha: float):
-    """The search objective ``score(thetas, sectors=None, cached=None)``
-    over a (k, 12) stack of parameter vectors.
+    """The search objective ``score(thetas)``: the values, shape (k,), of
+    a (k, 12) stack of parameter vectors.
 
     Row t scores theta_t = (c, M) as the mean over the probes of
     | ||p6(c + M m)||_alpha - ||p6(m)||_alpha |, plus 10 * excess**2 for
@@ -532,14 +532,6 @@ def _norm_objective(means: np.ndarray, alpha: float):
     comes from one GEMM of the stacked M with the probe means.  Each norm,
     the probes' baseline included, sums its six terms |p6_i|**alpha in
     entry order.
-
-    ``score`` returns the values and the term rows, (k, 3, 2 * probes)
-    with sector u's p_u and 1 - p_u terms.  Given each trial's ``sectors``
-    and the ``cached`` rows of the point the trials move from, it
-    recomputes only that sector's rows and copies the rest: a trial that
-    moves c_u or row M_u changes image row u alone.  The image rows still
-    come from the whole batch's GEMM, because BLAS rounds a one-row or
-    row-subset product differently.
     """
     columns = np.ascontiguousarray(means.T)
 
@@ -550,28 +542,18 @@ def _norm_objective(means: np.ndarray, alpha: float):
 
     base_norms = np.add.reduce(terms(columns).reshape(6, -1), axis=0) ** (1.0 / alpha)
 
-    def score(thetas: np.ndarray, sectors=None, cached=None):
+    def score(thetas: np.ndarray) -> np.ndarray:
         c = thetas[:, :3]
         m = thetas[:, 3:].reshape(-1, 3, 3)
         images = (m.reshape(-1, 3) @ columns).reshape(-1, 3, columns.shape[1])
         images += c[:, :, None]
-        if sectors is None:
-            rows = terms(images)
-        else:
-            t = np.arange(len(thetas))
-            rows = np.repeat(cached[None], len(thetas), axis=0)
-            rows[t, sectors] = terms(images[t, sectors])
-        norms = np.add.reduce(rows.reshape(len(thetas), 6, -1), axis=1) ** (1.0 / alpha)
+        norms = np.add.reduce(terms(images).reshape(len(thetas), 6, -1), axis=1) ** (1.0 / alpha)
         deviation = np.add.reduce(np.abs(norms - base_norms), axis=-1) / len(base_norms)
         excess = np.abs(c) + _row_norms(m) - 1.0
         penalty = np.where(excess > 0.0, 10.0 * excess * excess, 0.0)
-        return deviation + np.add.reduce(penalty, axis=-1), rows
+        return deviation + np.add.reduce(penalty, axis=-1)
 
     return score
-
-
-#: The sector each parameter coordinate moves: c_u, then the rows M_u.
-_COORDINATE_SECTORS = np.array([0, 1, 2, 0, 0, 0, 1, 1, 1, 2, 2, 2])
 
 
 def _coordinate_descent(theta0, score, max_evals):
@@ -582,20 +564,18 @@ def _coordinate_descent(theta0, score, max_evals):
     accepts the first trial that beats the best value, moving on to
     coordinate i + 1 from there; a sweep with no acceptance halves the
     step.  The remaining trials of a sweep, truncated to the evaluations
-    left, are scored in one call from the accepted point's term rows.  The
-    first improving trial in sweep order wins, the call is charged index +
-    1 evaluations, the trials up to and including it, and the sweep
-    re-batches from the next coordinate.  So accounting, acceptance order,
-    budget truncation and every bit are those of scoring the trials one at
-    a time in full.
+    left, are scored in one call.  The first improving trial in sweep
+    order wins, the call is charged index + 1 evaluations, the trials up
+    to and including it, and the sweep re-batches from the next
+    coordinate.  So accounting, acceptance order, budget truncation and
+    every bit are those of scoring the trials one at a time.
 
     Returns (theta, value, evals, converged); converged means the step
     shrank to the floor or the objective reached the numeric floor, rather
     than the evaluation budget running out mid-descent.
     """
     theta = theta0.copy()
-    values, rows = score(theta[None])
-    best, rows = float(values[0]), rows[0]
+    best = float(score(theta[None])[0])
     evals = 1
     step = 0.1
     while step > _STEP_FLOOR and evals < max_evals and best > _CONVERGED_OBJECTIVE:
@@ -607,14 +587,14 @@ def _coordinate_descent(theta0, score, max_evals):
             t = np.arange(count)
             trials = np.repeat(theta[None], count, axis=0)
             trials[t, i + t // 2] += np.where(t % 2 == 0, step, -step)
-            values, moved = score(trials, _COORDINATE_SECTORS[i + t // 2], rows)
+            values = score(trials)
             hits = np.flatnonzero(values < best)
             if hits.size == 0:
                 evals += count
                 break
             j = int(hits[0])
             evals += j + 1
-            theta, best, rows = trials[j], float(values[j]), moved[j]
+            theta, best = trials[j], float(values[j])
             improved = True
             i += j // 2 + 1
         if not improved:
@@ -685,7 +665,7 @@ def search_norm_preservers(
         theta = _project_params(theta)
         # projected rows have |c_u| + ||M_u|| <= 1 up to rounding, so the
         # penalty adds at most about 1e-29 and the value is the residual
-        final_residual = float(score(theta[None])[0][0])
+        final_residual = float(score(theta[None])[0])
         if final_residual >= tol:
             continue
         induced = InducedMap(_map_from_params(theta[:3], theta[3:].reshape(3, 3)))

@@ -362,6 +362,8 @@ BAD_INPUTS = {
         2,
         "alpha must be positive and finite, at most 1e+300, got 1.0000000000000002e+300\n",
     ),
+    # the parser takes any float; the measure rejects 0
+    "entropy-zero-alpha": (["entropy", "--dist", "0.5,0.5", "--alpha", "0"], 2, BAD_ALPHA),
     "no-command": ([], 2, ""),
     "unknown-command": (["bogus"], 2, ""),
     "unknown-flag": (["malus", "--bogus", "1"], 2, ""),
@@ -440,6 +442,17 @@ BAD_INPUTS = {
         "argument --theta-max: must be finite, got -inf\n",
     ),
     "counting-negative-r-max": (["counting", "--r-max", "-1"], 2, ""),
+    # r = 1..0 is empty
+    "counting-zero-r-max": (
+        ["counting", "--r-max", "0"], 2, "argument --r-max: must be between 1 and 64, got 0\n"
+    ),
+    # the library rejects what the list type lets through
+    "counting-m-list-zero": (
+        ["counting", "--m-list", "0"], 2, "measurement count must be >= 1, got 0\n"
+    ),
+    "counting-m-list-empty": (
+        ["counting", "--m-list", ","], 2, "m and r ranges must be nonempty\n"
+    ),
     "counting-small-n-max": (["counting", "--n-max", "2"], 2, ""),
     "counting-n-max-over-cap": (["counting", "--n-max", "10001"], 2, ""),
     "counting-r-max-over-cap": (["counting", "--r-max", "65"], 2, ""),
@@ -468,6 +481,11 @@ BAD_INPUTS = {
     ),
     "scan-empty-alphas": (
         ["invariance-scan", "--alphas", "", "--out-csv", "{tmp}/scan.csv"],
+        2,
+        "alpha grid must be nonempty",
+    ),
+    "scan-alphas-comma": (
+        ["invariance-scan", "--alphas", ",", "--out-csv", "{tmp}/scan.csv"],
         2,
         "alpha grid must be nonempty",
     ),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onebit import transforms
 from onebit.measures import (
     _FAST_POWERS,
     DIST_TOL,
@@ -356,7 +357,7 @@ class TestPowerTable:
         assert out.tobytes() == _power(p, alpha).tobytes()
 
     @TABLE_ALPHAS
-    def test_every_power_of_the_package_is_the_tables(self, alpha):
+    def test_every_power_of_the_package_is_the_tables(self, monkeypatch, alpha):
         rng = np.random.default_rng(5)
         p = rng.uniform(size=(4, 6))
         measure = EntropyMeasure(alpha)
@@ -368,11 +369,19 @@ class TestPowerTable:
         norm = float(np.add.reduce(_power(np.abs(vec), alpha)) ** (1.0 / alpha))
         assert alpha_norm(vec, alpha).hex() == norm.hex()
 
-        # the identity parameters image every probe exactly, so the search's
-        # term rows are the table's powers of the probes' p6 entries
+        # the search raises the probes' baseline and every trial through the
+        # table; the identity parameters image every probe exactly, so both
+        # raise the probes' |p6| entries
+        calls = []
+
+        def spy(p, degree, out=None):
+            calls.append((p.tobytes(), degree))
+            return _power(p, degree, out=out)
+
+        monkeypatch.setattr(transforms, "_power", spy)
         means = _probe_means(rng)
         identity = np.concatenate([np.zeros(3), np.eye(3).ravel()])
-        _, rows = _norm_objective(means, alpha)(identity[None])
+        assert _norm_objective(means, alpha)(identity[None])[0] == 0.0
         half = (1.0 + means.T) / 2.0
-        terms = _power(np.abs(np.concatenate([half, 1.0 - half], axis=-1)), alpha)
-        assert rows[0].tobytes() == terms.tobytes()
+        sides = np.abs(np.concatenate([half, 1.0 - half], axis=-1))
+        assert calls == [(sides.tobytes(), alpha)] * 2
