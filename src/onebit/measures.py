@@ -25,6 +25,13 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the entropy degree ``alpha`` lies in
+    (0, ``MAX_ALPHA``]."""
+    if not 0.0 < alpha <= MAX_ALPHA:  # a NaN fails too
+        raise ValueError(f"alpha must be positive and finite, at most {MAX_ALPHA:g}, got {alpha}")
+
+
 @dataclass(frozen=True)
 class EntropyMeasure:
     """The degree-alpha entropy that gives a fair binary pair exactly one bit.
@@ -44,24 +51,21 @@ class EntropyMeasure:
     2**-26 = 1.5e-8 bits, already more than the formula's true distance
     from the limit (about 1.1e-9 on (0.3, 0.7)).
 
-    Raises ValueError unless ``alpha`` is positive and at most ``MAX_ALPHA``.
+    ``shannon`` says whether the degree takes the Shannon limit.  Raises
+    ValueError unless ``alpha`` is positive and at most ``MAX_ALPHA``.
     """
 
     alpha: float
     k: float = field(init=False)
+    shannon: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         a = self.alpha
-        if not 0.0 < a <= MAX_ALPHA:  # a NaN fails too
-            raise ValueError(f"alpha must be positive and finite, at most {MAX_ALPHA:g}, got {a}")
-        k = 1.0 if _is_shannon(a) else (a - 1.0) / (1.0 - 2.0 ** (1.0 - a))
+        _check_alpha(a)
+        shannon = abs(a - 1.0) < 2.0**-26
+        k = 1.0 if shannon else (a - 1.0) / (1.0 - 2.0 ** (1.0 - a))
         object.__setattr__(self, "k", k)
-
-
-def _is_shannon(alpha: float) -> bool:
-    """True for the degrees that take the Shannon limit: alpha = 1 and its
-    neighbours, where the general formula loses its bits to cancellation."""
-    return abs(alpha - 1.0) < 2.0**-26
+        object.__setattr__(self, "shannon", shannon)
 
 
 #: Quadratic measure, k = 2.
@@ -111,78 +115,97 @@ def entropy_sum(p, measure: EntropyMeasure, count, axis: int = -1):
     return _entropy_sum(np.asarray(p, dtype=float), measure, count, axis)
 
 
-def _sqrt_times(p: np.ndarray, out=None) -> np.ndarray:
-    """p**1.5 as sqrt(p) p."""
-    out = np.sqrt(p, out=out)
-    out *= p
-    return out
-
-
-def _sqrt_times_twice(p: np.ndarray, out=None) -> np.ndarray:
-    """p**2.5 as (sqrt(p) p) p."""
-    out = _sqrt_times(p, out=out)
-    out *= p
-    return out
-
-
-def _cube(p: np.ndarray, out=None) -> np.ndarray:
-    """p**3 as (p p) p."""
-    out = np.multiply(p, p, out=out)
-    out *= p
-    return out
-
-
-#: The package's one power table, for the degrees of the scan's default
-#: grid but 1: square roots and multiplies, which every loop numpy may
-#: dispatch rounds correctly, so their bits depend on no CPU kernel.  A
-#: term lies within 1 ulp (1.5, 3) or 2 ulp (2.5) of the correctly rounded
-#: power, and at 0.5 and 2 it is that power.  Each entry is called as
-#: ``power(p, out=out)`` and writes into ``out`` with no temporary.
-_FAST_POWERS = {
-    0.5: np.sqrt,
-    1.5: _sqrt_times,
-    2.0: np.square,
-    2.5: _sqrt_times_twice,
-    3.0: _cube,
-}
+#: The package's one power ladder, for the degrees of the scan's default
+#: grid but 1, built from square roots and multiplies, which every loop
+#: numpy may dispatch rounds correctly, so their bits depend on no CPU
+#: kernel.  Its two roots are raised from p by one ufunc, the correctly
+#: rounded power; each step multiplies the power of the rung below it by
+#: p once more: p**1.5 = p**0.5 p, p**2.5 = p**1.5 p and p**3 = p**2 p.
+#: A step lies within 1 ulp (1.5, 3) or 2 ulp (2.5) of the correctly
+#: rounded power.
+_ROOTS = {0.5: np.sqrt, 2.0: np.square}
+_STEPS = {1.5: 0.5, 2.5: 1.5, 3.0: 2.0}
 
 
 def _power(p: np.ndarray, alpha: float, out=None) -> np.ndarray:
-    """p**alpha through ``_FAST_POWERS``, ``np.power`` at every other
-    degree, written into ``out`` (``None`` allocates).  ``out`` must not
-    alias ``p``: the products read ``p`` after ``out`` holds a partial
-    power."""
-    power = _FAST_POWERS.get(alpha)
-    return power(p, out=out) if power else np.power(p, alpha, out=out)
+    """p**alpha climbed up the ladder (``_ROOTS``, ``_STEPS``), and
+    ``np.power`` at every other degree, written into ``out`` (``None``
+    allocates) with no temporary.  ``out`` must not alias ``p``: a step
+    reads ``p`` after ``out`` holds the power below it."""
+    below = _STEPS.get(alpha)
+    if below is not None:
+        out = _power(p, below, out=out)
+        out *= p
+        return out
+    root = _ROOTS.get(alpha)
+    return root(p, out=out) if root else np.power(p, alpha, out=out)
+
+
+def _rung(alpha: float) -> tuple[float, int]:
+    """(root, height) of a rung of the ladder, (inf, 0) off it."""
+    height = 0
+    while alpha in _STEPS:
+        alpha = _STEPS[alpha]
+        height += 1
+    return (alpha, height) if alpha in _ROOTS else (math.inf, 0)
+
+
+def _ladder_order(alphas) -> list[tuple[int, bool]]:
+    """The order in which to raise one array to every degree of
+    ``alphas``, as (index into ``alphas``, climbs) pairs: the rungs of
+    the ladder first, each root followed by the steps above it, then
+    every other degree, each group in grid order.  ``climbs`` is True
+    when the degree visited just before is the rung below this one, so
+    that its terms times p are this degree's terms, bit for bit."""
+    order = sorted(range(len(alphas)), key=lambda j: _rung(alphas[j]))
+    return [
+        (j, k > 0 and _STEPS.get(alphas[j]) == alphas[order[k - 1]]) for k, j in enumerate(order)
+    ]
 
 
 def _entropy_sum(p: np.ndarray, measure: EntropyMeasure, count, axis: int, work=None, out=None):
-    """:func:`entropy_sum` of a float array, with the per-entry terms
-    written into ``work`` (shaped like ``p``) and the sums into ``out``
-    (``p``'s shape without ``axis``) when they are given; ``None``
-    allocates.  Both give the same bits.  ``work`` must not alias ``p``
-    (see :func:`_power`)."""
+    """:func:`entropy_sum` of a float array: :func:`_entropy_terms`
+    reduced by :func:`_entropy_total`, with the terms written into
+    ``work`` (shaped like ``p``) and the sums into ``out`` (``p``'s shape
+    without ``axis``) when they are given; ``None`` allocates.  Both give
+    the same bits.  ``work`` must not alias ``p`` (see :func:`_power`)."""
     alpha = measure.alpha
-    if _is_shannon(alpha):
+    if alpha % 1.0 and not measure.shannon and (p < 0.0).any():
+        raise ValueError(f"negative entry {p.min()!r} has no real power {alpha!r}")
+    return _entropy_total(_entropy_terms(p, measure, work), measure, count, axis, out)
+
+
+def _entropy_terms(p: np.ndarray, measure: EntropyMeasure, work=None) -> np.ndarray:
+    """The per-entry terms of ``measure``'s entropy, written into ``work``
+    (``None`` allocates): p log2 p, 0 where p <= 0, at the Shannon
+    degrees, else p**alpha from :func:`_power`.  Checks no sign."""
+    if measure.shannon:
         if work is None:
             work = np.zeros_like(p)
         else:
             work.fill(0.0)
         np.log2(p, out=work, where=p > 0.0)
         work *= p
-        sums = np.add.reduce(work, axis=axis, out=out)
+        return work
+    return _power(p, measure.alpha, out=work)
+
+
+def _entropy_total(terms: np.ndarray, measure: EntropyMeasure, count, axis: int, out=None):
+    """The summed entropy of ``count`` distributions from their terms
+    (:func:`_entropy_terms`) along ``axis``: -k sum at the Shannon
+    degrees, k (count - sum) / (alpha - 1) at the others, written into
+    ``out`` when it is given (``None`` allocates), with the same bits."""
+    sums = np.add.reduce(terms, axis=axis, out=out)
+    if measure.shannon:
         if out is None:
             return -measure.k * sums
         out *= -measure.k
         return out
-    if alpha % 1.0 and (p < 0.0).any():
-        raise ValueError(f"negative entry {p.min()!r} has no real power {alpha!r}")
-    powers = np.add.reduce(_power(p, alpha, out=work), axis=axis, out=out)
     if out is None:
-        return measure.k * (count - powers) / (alpha - 1.0)
+        return measure.k * (count - sums) / (measure.alpha - 1.0)
     np.subtract(count, out, out=out)
     out *= measure.k
-    out /= alpha - 1.0
+    out /= measure.alpha - 1.0
     return out
 
 

@@ -12,7 +12,8 @@ from itertools import chain, cycle, pairwise, permutations, product
 
 import numpy as np
 
-from .measures import EntropyMeasure, _check_positive_finite, _entropy_sum, _power, entropy_sum
+from .measures import EntropyMeasure, _check_alpha, _check_positive_finite, _entropy_terms
+from .measures import _entropy_total, _ladder_order, _power, entropy_sum
 from .qubit import SECTOR_TOL, QubitState, _haar_q, _orthonormality_gap, _row_norms
 from .qubit import p6_from_means, random_mean_vectors
 
@@ -174,7 +175,9 @@ def is_sector_stochastic(induced: InducedMap) -> StochasticityReport:
 
 def alpha_norm(vec, alpha: float) -> float:
     """(sum_i |v_i|**alpha)**(1/alpha), each term from the package's power
-    table (:func:`measures._power`)."""
+    ladder (:func:`measures._power`).  Raises ValueError unless ``alpha``
+    lies in (0, ``MAX_ALPHA``], as :class:`EntropyMeasure` does."""
+    _check_alpha(alpha)
     terms = _power(np.abs(np.asarray(vec, dtype=float)), alpha)
     return float(np.add.reduce(terms) ** (1.0 / alpha))
 
@@ -246,7 +249,16 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
     """The argmax cell (value, state index, map index) of every (block,
     alpha), in block-major order, for the states in ``columns``, the first
     of which is state ``offset``; both indices count over the whole scan.
-    Allocates nothing large: every array it writes is one of the buffers."""
+    Allocates nothing large: every array it writes is one of the buffers.
+
+    Each block visits its alphas in the order of
+    :func:`measures._ladder_order`, so a rung of the power ladder whose
+    rung below was visited just before costs one in-place multiply of the
+    terms already in the term buffer, with the bits of
+    :func:`measures._power`.  The images are clipped to [0, 1], so no
+    entry is checked for a sign, and each alpha's terms are reduced and
+    scaled by :func:`measures._entropy_total`."""
+    plan = _ladder_order([measure.alpha for measure in measures])
     cells = []
     for start in range(0, maps.shape[0], _SCAN_BLOCK):
         block = maps[start : start + _SCAN_BLOCK]
@@ -256,12 +268,19 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
         images = flat.reshape(n, 6, -1)
         work = work_buffer[: n * 6].reshape(n, 6, -1)
         dev = dev_buffer[:n]
-        for measure, base in zip(measures, bases):
-            _entropy_sum(images, measure, 3, 1, work=work, out=dev)
-            dev -= base
+        block_cells = [None] * len(measures)
+        for j, climbs in plan:
+            if climbs:
+                work *= images
+            else:
+                _entropy_terms(images, measures[j], work)
+            _entropy_total(work, measures[j], 3, 1, out=dev)
+            dev -= bases[j]
             np.abs(dev, out=dev)
-            m_idx, s_idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            cells.append((float(dev[m_idx, s_idx]), offset + int(s_idx), start + int(m_idx)))
+            flat_idx = int(np.argmax(dev))
+            m_idx, s_idx = divmod(flat_idx, dev.shape[1])
+            block_cells[j] = (float(dev.flat[flat_idx]), offset + s_idx, start + m_idx)
+        cells.extend(block_cells)
     return cells
 
 
@@ -278,12 +297,17 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     sector-major layout (maps, 6, states), and clipped once, and every
     alpha is then reduced from them over the six-entry axis (numpy adds
     the six terms in entry order along any axis, so this layout gives the
-    bits of the last-axis one).  The calling thread allocates every slab's
-    columns, baselines and image, term and deviation buffers before any
-    slab starts, each as wide as its slab, so together they take the
-    memory of a one-slab scan, and a helper allocates nothing large
-    (helpers that allocated their own slab measured slower and larger;
-    ROADMAP, "Measured and not pursued").  Every helper is joined, even
+    bits of the last-axis one).  The alphas are visited up the power
+    ladder of :func:`measures._power`, not in grid order: a degree whose
+    rung below was raised just before takes that rung's terms times the
+    images, so the grid 0.5, 1, 1.5, 2, 3 takes two square-root or
+    squaring passes, not four, and every term keeps its bits (the cells
+    still come out in grid order).  The calling thread allocates every
+    slab's columns, baselines and image, term and deviation buffers
+    before any slab starts, each as wide as its slab, so together they
+    take the memory of a one-slab scan, and a helper allocates nothing
+    large (helpers that allocated their own slab measured slower and
+    larger; ROADMAP, "Measured and not pursued").  Every helper is joined, even
     when the first slab raises; then the exception of the earliest slab
     that raised is re-raised here, with its type and message.
 

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from onebit import transforms
 from onebit.measures import (
-    _FAST_POWERS,
+    _ROOTS,
+    _STEPS,
     DIST_TOL,
     MAX_ALPHA,
     QUADRATIC,
     SHANNON,
     EntropyMeasure,
     _entropy_sum,
+    _ladder_order,
     _power,
     entropy,
     entropy_sum,
@@ -291,7 +293,7 @@ class TestOneKernel:
             assert by_state == pytest.approx(by_total, abs=1e-12)
 
 
-TABLE_ALPHAS = pytest.mark.parametrize("alpha", sorted(_FAST_POWERS))
+TABLE_ALPHAS = pytest.mark.parametrize("alpha", sorted(_ROOTS | _STEPS))
 
 
 def power_grid():
@@ -309,8 +311,36 @@ def float_steps(got, expected):
 
 
 class TestPowerTable:
-    """``_power``: square roots and multiplies at the degrees of the scan's
-    default grid but 1, ``np.power`` elsewhere."""
+    """``_power``: the power ladder, square roots and multiplies at the
+    degrees of the scan's default grid but 1, ``np.power`` elsewhere."""
+
+    @pytest.mark.parametrize("alpha, below", sorted(_STEPS.items()))
+    def test_each_step_is_the_rung_below_times_p(self, alpha, below):
+        p = power_grid()
+        expected = (_power(p, below) * p).tobytes()
+        assert _power(p, alpha).tobytes() == expected
+        out = np.full_like(p, np.nan)
+        assert _power(p, alpha, out=out) is out
+        assert out.tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "alphas, climbs",
+        [((0.5, 1.0, 1.5, 2.0, 3.0), 2), ((2.5, 1.5, 0.5, 3.0, 2.0), 3), ((1.5, 1.5, 0.5), 1),
+         ((2.0, 2.0, 3.0), 1), ((1.7, 3.0, 0.25, 2.0), 1), ((3.0, 2.5), 0)],
+    )
+    def test_climbing_in_ladder_order_gives_every_power(self, alphas, climbs):
+        # one buffer, as the scan holds: a climb multiplies what it holds by p
+        p = power_grid()
+        work = np.empty_like(p)
+        plan = _ladder_order(alphas)
+        assert sorted(j for j, _ in plan) == list(range(len(alphas)))
+        assert sum(climb for _, climb in plan) == climbs
+        for j, climb in plan:
+            if climb:
+                work *= p
+            else:
+                _power(p, alphas[j], out=work)
+            assert work.tobytes() == _power(p, alphas[j]).tobytes(), alphas[j]
 
     def test_cube_within_one_ulp_of_the_exact_cube(self):
         p = power_grid()

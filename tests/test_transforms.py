@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from onebit import transforms
-from onebit.measures import QUADRATIC, EntropyMeasure, entropy_sum
+from onebit.measures import MAX_ALPHA, QUADRATIC, EntropyMeasure, entropy_sum
 from onebit.qubit import SECTOR_TOL, QubitState, p6_from_means, random_state
 from onebit.transforms import (
     _SIGNED_PERMUTATIONS,
@@ -83,6 +83,17 @@ STOCHASTICITY_VIOLATIONS = {
 
 
 SCAN_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
+#: Grids whose visit order up the power ladder differs from grid order:
+#: reversed, every step climbed, repeated rungs (the second 1.5 must not
+#: climb from the first) and degrees off the ladder between its rungs.
+LADDER_GRIDS = (
+    SCAN_ALPHAS,
+    (3.0, 2.0, 1.5, 1.0, 0.5),
+    (2.5, 1.5, 0.5, 3.0, 2.0),
+    (2.0, 2.0, 3.0),
+    (1.5, 1.5, 0.5),
+    (1.7, 3.0, 0.25, 2.0),
+)
 
 
 def loop_rotation(rng):
@@ -422,6 +433,19 @@ class TestAlphaNorms:
         for _ in range(100):
             state = random_state(rng, "mixed")
             assert norm_gap(quarter, state, alpha) <= 1e-12
+
+    # as EntropyMeasure: 1 / alpha divides by zero at 0 and takes the
+    # root of a sum of infinities below it, and NaN would pass through
+    @pytest.mark.parametrize(
+        "alpha", [0.0, -0.0, -1.0, math.nan, math.inf, math.nextafter(MAX_ALPHA, math.inf)]
+    )
+    def test_rejects_alpha_outside_the_entropy_domain(self, alpha):
+        message = r"^alpha must be positive and finite, at most 1e\+300, got "
+        with pytest.raises(ValueError, match=message):
+            alpha_norm([0.5, 0.0, 1.0], alpha)
+
+    def test_accepts_the_largest_degree(self):
+        assert alpha_norm([0.5, 0.0, -1.0], MAX_ALPHA) == 1.0
 
 
 BAD_STATE = r"state entries must be finite and at most 1e\+150 in magnitude"
@@ -808,7 +832,7 @@ class TestScanSupremum:
         assert spread == pytest.approx(scan_supremum(alpha), abs=1e-12)
 
 
-#: The power table's products at 1.5, 2.5 and 3, written out: the scan's
+#: The power ladder's steps at 1.5, 2.5 and 3, written out: the scan's
 #: terms there are these products, not the ufunc power p**alpha.
 WRITTEN_POWERS = {
     1.5: lambda p: np.sqrt(p) * p,
@@ -906,7 +930,8 @@ class TestScanSlabs:
 
     @pytest.mark.parametrize("n_states", [1, 4, 5, 8, 9, 23])
     @pytest.mark.parametrize("n_maps", [1, 63, 64, 65, 130])
-    def test_every_slab_count_gives_the_fresh_bits(self, monkeypatch, n_states, n_maps):
+    @pytest.mark.parametrize("alphas", LADDER_GRIDS, ids=str)
+    def test_every_slab_count_gives_the_fresh_bits(self, monkeypatch, n_states, n_maps, alphas):
         # the pure +x state and an exact quarter turn put exact zeros and
         # ones into the images; the last block is partial unless M = 64.
         # Slabs of two states or more give the one-product bits.  A
@@ -923,9 +948,9 @@ class TestScanSlabs:
             slabs = itertools.pairwise([n_states * k // cores for k in range(cores + 1)])
             singles = {edge for a, b in slabs if b - a == 1 for edge in (a, b)}
             bounds = sorted({0, n_states} | singles)
-            expected = hexed(fresh_scan_deviations(states, maps, SCAN_ALPHAS, bounds))
+            expected = hexed(fresh_scan_deviations(states, maps, alphas, bounds))
             force_slabs(monkeypatch, cores)
-            assert hexed(scan_deviations(states, maps, SCAN_ALPHAS)) == expected, cores
+            assert hexed(scan_deviations(states, maps, alphas)) == expected, cores
 
     def test_more_helpers_than_cores_under_fast_thread_switching(self, monkeypatch):
         rng = np.random.default_rng(11)

@@ -20,7 +20,7 @@ that a result repeats.  The exit status is 0 when every mutant is killed
 and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 98 mutants takes about 155 s
+testpaths is ``tests``); a full run of the 99 mutants takes about 155 s
 on two cores, 13 s of it for ``cli-search-budget-cap-raised``, whose
 over-cap row then runs a search of 1 000 001 evaluations.
 """
@@ -60,35 +60,35 @@ MUTANTS = (
     Mutant(
         "one-bit-k-shannon-two",
         "measures.py",
-        "k = 1.0 if _is_shannon(a)",
-        "k = 2.0 if _is_shannon(a)",
+        "k = 1.0 if shannon",
+        "k = 2.0 if shannon",
     ),
     # the Shannon band: every degree within 2**-26 of 1 takes the limit,
     # since the formula cancels there; the band's edges take the formula
     Mutant(
         "shannon-band-exact-one",
         "measures.py",
-        "return abs(alpha - 1.0) < 2.0**-26",
-        "return alpha == 1.0",
+        "shannon = abs(a - 1.0) < 2.0**-26",
+        "shannon = a == 1.0",
     ),
     Mutant(
         "shannon-band-edges-included",
         "measures.py",
-        "return abs(alpha - 1.0) < 2.0**-26",
-        "return abs(alpha - 1.0) <= 2.0**-26",
+        "shannon = abs(a - 1.0) < 2.0**-26",
+        "shannon = abs(a - 1.0) <= 2.0**-26",
     ),
     # the degree's cap: above it k times a three-pair total overflows
     Mutant(
         "entropy-alpha-cap-dropped",
         "measures.py",
-        "if not 0.0 < a <= MAX_ALPHA:",
-        "if not 0.0 < a < math.inf:",
+        "if not 0.0 < alpha <= MAX_ALPHA:",
+        "if not 0.0 < alpha < math.inf:",
     ),
     Mutant(
         "entropy-alpha-cap-exclusive",
         "measures.py",
-        "if not 0.0 < a <= MAX_ALPHA:",
-        "if not 0.0 < a < MAX_ALPHA:",
+        "if not 0.0 < alpha <= MAX_ALPHA:",
+        "if not 0.0 < alpha < MAX_ALPHA:",
     ),
     # the invariance scan: tie rule, NaN guard, kernel; the one tie key is
     # (largest value, earliest map, earliest state) over every slab's cells
@@ -226,8 +226,8 @@ MUTANTS = (
     Mutant(
         "entropy-wrong-power",
         "measures.py",
-        "_power(p, alpha, out=work)",
-        "_power(p, 2.0 * alpha - 2.0, out=work)",
+        "_power(p, measure.alpha, out=work)",
+        "_power(p, 2.0 * measure.alpha - 2.0, out=work)",
     ),
     Mutant(
         "shannon-log-of-zero",
@@ -238,21 +238,25 @@ MUTANTS = (
     # the kernel's buffers: a reused work buffer keeps the last alpha's
     # terms, so the Shannon branch must clear it first
     Mutant("shannon-no-zero-fill", "measures.py", "work.fill(0.0)", "pass"),
-    # the power table: each entry's product is p**alpha to within 2 ulp
+    # the power ladder: each rung is p**alpha to within 2 ulp, and a step
+    # is the rung below it times p
     Mutant("sqrt-fast-path-squares", "measures.py", "0.5: np.sqrt,", "0.5: np.square,"),
     Mutant(
-        "power-cube-missing-factor",
+        "ladder-step-skips-multiply",
         "measures.py",
-        "out = np.multiply(p, p, out=out)\n    out *= p\n",
-        "out = np.multiply(p, p, out=out)\n",
+        "out = _power(p, below, out=out)\n        out *= p\n",
+        "out = _power(p, below, out=out)\n",
     ),
+    Mutant("ladder-cube-from-1.5", "measures.py", "3.0: 2.0}", "3.0: 1.5}"),
+    # the scan climbs from its term buffer only when the degree it raised
+    # just before is the rung below
     Mutant(
-        "power-1.5-without-sqrt",
+        "ladder-climbs-from-any-earlier-rung",
         "measures.py",
-        "out = np.sqrt(p, out=out)",
-        "out = np.positive(p, out=out)",
+        "_STEPS.get(alphas[j]) == alphas[order[k - 1]]",
+        "_STEPS.get(alphas[j]) in alphas",
     ),
-    # the table's np.power fallback serves every other degree, for the
+    # the ladder's np.power fallback serves every other degree, for the
     # entropies, alpha_norm and the search
     Mutant(
         "power-fallback-wrong-degree",
@@ -260,12 +264,8 @@ MUTANTS = (
         "np.power(p, alpha, out=out)",
         "np.power(p, 2.0 * alpha - 2.0, out=out)",
     ),
-    Mutant(
-        "power-2.5-missing-factor",
-        "measures.py",
-        "out = _sqrt_times(p, out=out)\n    out *= p\n",
-        "out = _sqrt_times(p, out=out)\n",
-    ),
+    # alpha_norm takes the entropy's degrees only
+    Mutant("alpha-norm-domain-unchecked", "transforms.py", "    _check_alpha(alpha)\n", "\n"),
     # the one Haar phase fix multiplies column j by R_jj / |R_jj|; its
     # conjugate gives the same bits on LAPACK's real diagonal only
     Mutant(
