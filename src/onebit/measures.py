@@ -110,69 +110,67 @@ def entropy_sum(p, measure: EntropyMeasure, count, axis: int = -1):
     Entries are neither validated nor clipped, so diagnostic callers can
     score unphysical vectors; the one exception is a negative entry under
     a fractional degree, which has no real power and raises ValueError
-    instead of producing NaN.
+    instead of producing NaN.  The scan calls its two stages directly.
     """
-    return _entropy_sum(np.asarray(p, dtype=float), measure, count, axis)
+    p = np.asarray(p, dtype=float)
+    alpha = measure.alpha
+    if alpha % 1.0 and not measure.shannon and (p < 0.0).any():
+        raise ValueError(f"negative entry {p.min()!r} has no real power {alpha!r}")
+    return _entropy_total(_entropy_terms(p, measure), measure, count, axis)
 
 
 #: The package's one power ladder, for the degrees of the scan's default
 #: grid but 1, built from square roots and multiplies, which every loop
 #: numpy may dispatch rounds correctly, so their bits depend on no CPU
-#: kernel.  Its two roots are raised from p by one ufunc, the correctly
-#: rounded power; each step multiplies the power of the rung below it by
-#: p once more: p**1.5 = p**0.5 p, p**2.5 = p**1.5 p and p**3 = p**2 p.
-#: A step lies within 1 ulp (1.5, 3) or 2 ulp (2.5) of the correctly
-#: rounded power.
-_ROOTS = {0.5: np.sqrt, 2.0: np.square}
-_STEPS = {1.5: 0.5, 2.5: 1.5, 3.0: 2.0}
+#: kernel.  A degree's (root, height) gives p**alpha as root(p) times p,
+#: ``height`` times in turn: p**1.5 = p**0.5 p, p**2.5 = (p**0.5 p) p and
+#: p**3 = p**2 p, within 1 ulp (1.5, 3) or 2 ulp (2.5) of the correctly
+#: rounded power.  Listed by root and then by height.
+_LADDER = {
+    0.5: (np.sqrt, 0),
+    1.5: (np.sqrt, 1),
+    2.5: (np.sqrt, 2),
+    2.0: (np.square, 0),
+    3.0: (np.square, 1),
+}
 
 
 def _power(p: np.ndarray, alpha: float, out=None) -> np.ndarray:
-    """p**alpha climbed up the ladder (``_ROOTS``, ``_STEPS``), and
-    ``np.power`` at every other degree, written into ``out`` (``None``
-    allocates) with no temporary.  ``out`` must not alias ``p``: a step
-    reads ``p`` after ``out`` holds the power below it."""
-    below = _STEPS.get(alpha)
-    if below is not None:
-        out = _power(p, below, out=out)
+    """p**alpha from ``_LADDER`` at its degrees and from ``np.power`` at
+    every other, written into ``out`` (``None`` allocates) with no
+    temporary.  ``out`` must not alias ``p``: a multiply reads ``p``
+    after ``out`` holds the power below it."""
+    rung = _LADDER.get(alpha)
+    if rung is None:
+        return np.power(p, alpha, out=out)
+    root, height = rung
+    out = root(p, out=out)
+    for _ in range(height):
         out *= p
-        return out
-    root = _ROOTS.get(alpha)
-    return root(p, out=out) if root else np.power(p, alpha, out=out)
+    return out
 
 
-def _rung(alpha: float) -> tuple[float, int]:
-    """(root, height) of a rung of the ladder, (inf, 0) off it."""
-    height = 0
-    while alpha in _STEPS:
-        alpha = _STEPS[alpha]
-        height += 1
-    return (alpha, height) if alpha in _ROOTS else (math.inf, 0)
-
-
-def _ladder_order(alphas) -> list[tuple[int, bool]]:
-    """The order in which to raise one array to every degree of
-    ``alphas``, as (index into ``alphas``, climbs) pairs: the rungs of
-    the ladder first, each root followed by the steps above it, then
-    every other degree, each group in grid order.  ``climbs`` is True
-    when the degree visited just before is the rung below this one, so
-    that its terms times p are this degree's terms, bit for bit."""
-    order = sorted(range(len(alphas)), key=lambda j: _rung(alphas[j]))
-    return [
-        (j, k > 0 and _STEPS.get(alphas[j]) == alphas[order[k - 1]]) for k, j in enumerate(order)
-    ]
-
-
-def _entropy_sum(p: np.ndarray, measure: EntropyMeasure, count, axis: int, work=None, out=None):
-    """:func:`entropy_sum` of a float array: :func:`_entropy_terms`
-    reduced by :func:`_entropy_total`, with the terms written into
-    ``work`` (shaped like ``p``) and the sums into ``out`` (``p``'s shape
-    without ``axis``) when they are given; ``None`` allocates.  Both give
-    the same bits.  ``work`` must not alias ``p`` (see :func:`_power`)."""
-    alpha = measure.alpha
-    if alpha % 1.0 and not measure.shannon and (p < 0.0).any():
-        raise ValueError(f"negative entry {p.min()!r} has no real power {alpha!r}")
-    return _entropy_total(_entropy_terms(p, measure, work), measure, count, axis, out)
+def _ladder_walk(p: np.ndarray, measures, work: np.ndarray):
+    """Yield (j, ``work``) for every index j of ``measures``, with ``work``
+    holding :func:`_entropy_terms` of ``p`` under ``measures[j]``, bit for
+    bit.  The ladder's degrees come first, in ``_LADDER``'s order, each
+    climbed in place from the degree yielded before it when both share a
+    root; every other degree follows in grid order.  ``work`` must not
+    alias ``p`` nor be written to while the walk runs."""
+    alphas = [measure.alpha for measure in measures]
+    held, climbed = None, 0  # the root and height of the power in ``work``
+    for degree, (root, height) in _LADDER.items():
+        for j in (j for j, alpha in enumerate(alphas) if alpha == degree):
+            if root is not held:
+                held, climbed = root, 0
+                root(p, out=work)
+            for _ in range(height - climbed):
+                work *= p
+            climbed = height
+            yield j, work
+    for j, alpha in enumerate(alphas):
+        if alpha not in _LADDER:
+            yield j, _entropy_terms(p, measures[j], work)
 
 
 def _entropy_terms(p: np.ndarray, measure: EntropyMeasure, work=None) -> np.ndarray:

@@ -12,8 +12,8 @@ from itertools import chain, cycle, pairwise, permutations, product
 
 import numpy as np
 
-from .measures import EntropyMeasure, _check_alpha, _check_positive_finite, _entropy_terms
-from .measures import _entropy_total, _ladder_order, _power, entropy_sum
+from .measures import EntropyMeasure, _check_alpha, _check_positive_finite, _entropy_total
+from .measures import _ladder_walk, _power, entropy_sum
 from .qubit import SECTOR_TOL, QubitState, _haar_q, _orthonormality_gap, _row_norms
 from .qubit import p6_from_means, random_mean_vectors
 
@@ -176,10 +176,16 @@ def is_sector_stochastic(induced: InducedMap) -> StochasticityReport:
 def alpha_norm(vec, alpha: float) -> float:
     """(sum_i |v_i|**alpha)**(1/alpha), each term from the package's power
     ladder (:func:`measures._power`).  Raises ValueError unless ``alpha``
-    lies in (0, ``MAX_ALPHA``], as :class:`EntropyMeasure` does."""
+    lies in (0, ``MAX_ALPHA``], as :class:`EntropyMeasure` does, and when
+    the root of a finite sum exceeds the largest double (2**1e300 at
+    alpha = 1e-300 on (0.5, 1))."""
     _check_alpha(alpha)
-    terms = _power(np.abs(np.asarray(vec, dtype=float)), alpha)
-    return float(np.add.reduce(terms) ** (1.0 / alpha))
+    total = np.add.reduce(_power(np.abs(np.asarray(vec, dtype=float)), alpha))
+    with np.errstate(over="ignore"):
+        norm = float(total ** (1.0 / alpha))
+    if np.isinf(norm) and np.isfinite(total):
+        raise ValueError(f"alpha-norm at alpha={alpha} overflows a double, outside its domain")
+    return norm
 
 
 def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -251,14 +257,10 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
     of which is state ``offset``; both indices count over the whole scan.
     Allocates nothing large: every array it writes is one of the buffers.
 
-    Each block visits its alphas in the order of
-    :func:`measures._ladder_order`, so a rung of the power ladder whose
-    rung below was visited just before costs one in-place multiply of the
-    terms already in the term buffer, with the bits of
-    :func:`measures._power`.  The images are clipped to [0, 1], so no
-    entry is checked for a sign, and each alpha's terms are reduced and
-    scaled by :func:`measures._entropy_total`."""
-    plan = _ladder_order([measure.alpha for measure in measures])
+    Each block raises its images to every alpha through
+    :func:`measures._ladder_walk`, into the term buffer.  The images are
+    clipped to [0, 1], so no entry is checked for a sign, and each alpha's
+    terms are reduced and scaled by :func:`measures._entropy_total`."""
     cells = []
     for start in range(0, maps.shape[0], _SCAN_BLOCK):
         block = maps[start : start + _SCAN_BLOCK]
@@ -269,12 +271,8 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
         work = work_buffer[: n * 6].reshape(n, 6, -1)
         dev = dev_buffer[:n]
         block_cells = [None] * len(measures)
-        for j, climbs in plan:
-            if climbs:
-                work *= images
-            else:
-                _entropy_terms(images, measures[j], work)
-            _entropy_total(work, measures[j], 3, 1, out=dev)
+        for j, terms in _ladder_walk(images, measures, work):
+            _entropy_total(terms, measures[j], 3, 1, out=dev)
             dev -= bases[j]
             np.abs(dev, out=dev)
             flat_idx = int(np.argmax(dev))
@@ -297,12 +295,9 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     sector-major layout (maps, 6, states), and clipped once, and every
     alpha is then reduced from them over the six-entry axis (numpy adds
     the six terms in entry order along any axis, so this layout gives the
-    bits of the last-axis one).  The alphas are visited up the power
-    ladder of :func:`measures._power`, not in grid order: a degree whose
-    rung below was raised just before takes that rung's terms times the
-    images, so the grid 0.5, 1, 1.5, 2, 3 takes two square-root or
-    squaring passes, not four, and every term keeps its bits (the cells
-    still come out in grid order).  The calling thread allocates every
+    bits of the last-axis one).  The alphas are visited in the order of
+    :func:`measures._ladder_walk`, which keeps every term's bits; the
+    cells still come out in grid order.  The calling thread allocates every
     slab's columns, baselines and image, term and deviation buffers
     before any slab starts, each as wide as its slab, so together they
     take the memory of a one-slab scan, and a helper allocates nothing

@@ -1,14 +1,28 @@
 """Independent references for the tests: entropies built from ``math``
 alone, one float at a time, for the kernel tests in ``test_measures.py``
 and ``test_transforms.py``, a Cholesky positivity test with no
-eigensolver for ``test_highdim.py`` and ``test_cli.py``, and the
-boundary cases that the tests of every tolerance constant share."""
+eigensolver for ``test_highdim.py`` and ``test_cli.py``, the
+boundary cases that the tests of every tolerance constant share, and the
+alpha grids that the ladder walk's tests and the scan's share."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+SCAN_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
+#: Grids whose visit order up the power ladder differs from grid order:
+#: reversed, every step climbed, repeated rungs (the second 1.5 must not
+#: climb from the first) and degrees off the ladder between its rungs.
+LADDER_GRIDS = (
+    SCAN_ALPHAS,
+    (3.0, 2.0, 1.5, 1.0, 0.5),
+    (2.5, 1.5, 0.5, 3.0, 2.0),
+    (2.0, 2.0, 3.0),
+    (1.5, 1.5, 0.5),
+    (1.7, 3.0, 0.25, 2.0),
+)
 
 
 def math_entropy_sum(entries, alpha, k, count):

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebit import transforms
+from onebit import measures, transforms
 from onebit.measures import (
-    _ROOTS,
-    _STEPS,
+    _LADDER,
     DIST_TOL,
     MAX_ALPHA,
     QUADRATIC,
     SHANNON,
     EntropyMeasure,
-    _entropy_sum,
-    _ladder_order,
+    _entropy_terms,
+    _entropy_total,
+    _ladder_walk,
     _power,
     entropy,
     entropy_sum,
@@ -29,7 +29,7 @@ from onebit.measures import (
 from onebit.qubit import QubitState, random_state, total_uncertainty_state
 from onebit.transforms import _norm_objective, _probe_means, alpha_norm, total_uncertainty_p6
 
-from math_reference import HALF_OR_TWICE, math_entropy_sum
+from math_reference import HALF_OR_TWICE, LADDER_GRIDS, math_entropy_sum
 
 
 #: (distribution, alpha, bits), every one exact: fair coins, certain
@@ -256,13 +256,15 @@ class TestOneKernel:
     @KERNEL_ALPHAS
     @pytest.mark.parametrize("layout", sorted(KERNEL_LAYOUTS))
     def test_buffers_give_the_allocating_bits(self, alpha, layout):
-        # stale NaN in the buffers must not reach the result
+        # the scan's path, terms into its work buffer and sums into its
+        # deviation buffer: stale NaN in the buffers must not reach the result
         p, axis = kernel_input(layout, alpha)
         measure = EntropyMeasure(alpha)
         expected = entropy_sum(p, measure, 3, axis=axis)
         work = np.full(p.shape, np.nan)
         out = np.full(np.shape(expected), np.nan)
-        assert _entropy_sum(p, measure, 3, axis, work=work, out=out) is out
+        assert _entropy_terms(p, measure, work) is work
+        assert _entropy_total(work, measure, 3, axis, out=out) is out
         assert out.tobytes() == np.asarray(expected).tobytes()
 
     @pytest.mark.parametrize("alpha", [1.5, 2.5, 0.25])
@@ -293,7 +295,15 @@ class TestOneKernel:
             assert by_state == pytest.approx(by_total, abs=1e-12)
 
 
-TABLE_ALPHAS = pytest.mark.parametrize("alpha", sorted(_ROOTS | _STEPS))
+TABLE_ALPHAS = pytest.mark.parametrize("alpha", sorted(_LADDER))
+#: Each step of the ladder, (degree, the degree below it): its power is
+#: the power below it times p.
+LADDER_STEPS = [(1.5, 0.5), (2.5, 1.5), (3.0, 2.0)]
+#: Grids for the walk: the scan's, a skipped rung, two roots and no
+#: climb, and Shannon and off-ladder degrees around the rungs.
+WALK_GRIDS = (
+    *LADDER_GRIDS, (2.5, 0.5), (3.0, 2.5), (1.0, 1.7, 2.0, 1.0 + 2.0**-52, 0.5, 4.0, 3.0)
+)
 
 
 def power_grid():
@@ -314,7 +324,7 @@ class TestPowerTable:
     """``_power``: the power ladder, square roots and multiplies at the
     degrees of the scan's default grid but 1, ``np.power`` elsewhere."""
 
-    @pytest.mark.parametrize("alpha, below", sorted(_STEPS.items()))
+    @pytest.mark.parametrize("alpha, below", LADDER_STEPS)
     def test_each_step_is_the_rung_below_times_p(self, alpha, below):
         p = power_grid()
         expected = (_power(p, below) * p).tobytes()
@@ -323,24 +333,34 @@ class TestPowerTable:
         assert _power(p, alpha, out=out) is out
         assert out.tobytes() == expected
 
-    @pytest.mark.parametrize(
-        "alphas, climbs",
-        [((0.5, 1.0, 1.5, 2.0, 3.0), 2), ((2.5, 1.5, 0.5, 3.0, 2.0), 3), ((1.5, 1.5, 0.5), 1),
-         ((2.0, 2.0, 3.0), 1), ((1.7, 3.0, 0.25, 2.0), 1), ((3.0, 2.5), 0)],
-    )
-    def test_climbing_in_ladder_order_gives_every_power(self, alphas, climbs):
-        # one buffer, as the scan holds: a climb multiplies what it holds by p
+    @pytest.mark.parametrize("alphas", WALK_GRIDS, ids=str)
+    def test_the_walk_yields_every_index_once_with_its_terms(self, monkeypatch, alphas):
+        # one buffer, as the scan holds; a spy on the table's roots counts
+        # the passes: each root is raised at most once, and every other
+        # rung of its root is climbed from the one yielded before it
         p = power_grid()
+        grid = [EntropyMeasure(alpha) for alpha in alphas]
+        expected = [_entropy_terms(p, measure).tobytes() for measure in grid]
+        raised = []
+
+        def spy(root):
+            def counted(p, out=None):
+                raised.append(root)
+                return root(p, out=out)
+
+            return counted
+
+        spies = {root: spy(root) for root, _ in _LADDER.values()}
+        ladder = {alpha: (spies[root], height) for alpha, (root, height) in _LADDER.items()}
+        monkeypatch.setattr(measures, "_LADDER", ladder)
         work = np.empty_like(p)
-        plan = _ladder_order(alphas)
-        assert sorted(j for j, _ in plan) == list(range(len(alphas)))
-        assert sum(climb for _, climb in plan) == climbs
-        for j, climb in plan:
-            if climb:
-                work *= p
-            else:
-                _power(p, alphas[j], out=work)
-            assert work.tobytes() == _power(p, alphas[j]).tobytes(), alphas[j]
+        seen = []
+        for j, terms in _ladder_walk(p, grid, work):
+            assert terms is work
+            assert terms.tobytes() == expected[j], alphas[j]
+            seen.append(j)
+        assert sorted(seen) == list(range(len(alphas)))
+        assert len(raised) == len(set(raised))
 
     def test_cube_within_one_ulp_of_the_exact_cube(self):
         p = power_grid()

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from onebit import transforms
-from onebit.measures import MAX_ALPHA, QUADRATIC, EntropyMeasure, entropy_sum
+from onebit.measures import MAX_ALPHA, QUADRATIC, SHANNON, EntropyMeasure, entropy_sum
+from onebit.measures import pair_entropy
 from onebit.qubit import SECTOR_TOL, QubitState, p6_from_means, random_state
 from onebit.transforms import (
     _SIGNED_PERMUTATIONS,
@@ -43,6 +44,8 @@ from onebit.transforms import (
 
 from math_reference import (
     HALF_OR_TWICE,
+    LADDER_GRIDS,
+    SCAN_ALPHAS,
     diagonal_minus_axis,
     exact_scan_supremum,
     scalar_pair_total,
@@ -80,20 +83,6 @@ STOCHASTICITY_VIOLATIONS = {
     "sector_sum_gap": lambda e: (1.0 + e) * (0.5 * np.eye(6) + 0.5 / 6.0),
     "range_gap": lambda e: identity_with_block([[1.0 + e, e], [-e, 1.0 - e]]),
 }
-
-
-SCAN_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
-#: Grids whose visit order up the power ladder differs from grid order:
-#: reversed, every step climbed, repeated rungs (the second 1.5 must not
-#: climb from the first) and degrees off the ladder between its rungs.
-LADDER_GRIDS = (
-    SCAN_ALPHAS,
-    (3.0, 2.0, 1.5, 1.0, 0.5),
-    (2.5, 1.5, 0.5, 3.0, 2.0),
-    (2.0, 2.0, 3.0),
-    (1.5, 1.5, 0.5),
-    (1.7, 3.0, 0.25, 2.0),
-)
 
 
 def loop_rotation(rng):
@@ -446,6 +435,14 @@ class TestAlphaNorms:
 
     def test_accepts_the_largest_degree(self):
         assert alpha_norm([0.5, 0.0, -1.0], MAX_ALPHA) == 1.0
+
+    # |0.5|**alpha + 1 is about 2, and 2**(1 / alpha) overflows at 1e-300;
+    # at 5e-324 the root's exponent 1 / alpha is already inf
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+    def test_rejects_a_root_beyond_the_largest_double(self, alpha):
+        message = r"^alpha-norm at alpha=\S+ overflows a double, outside its domain$"
+        with pytest.raises(ValueError, match=message):
+            alpha_norm([0.5, 0.0, 1.0], alpha)
 
 
 BAD_STATE = r"state entries must be finite and at most 1e\+150 in magnitude"
@@ -830,6 +827,38 @@ class TestScanSupremum:
         diagonal_first = diagonal_minus_axis(alpha) > 0.0
         assert found == (("diagonal", "axis") if diagonal_first else ("axis", "diagonal"))
         assert spread == pytest.approx(scan_supremum(alpha), abs=1e-12)
+
+
+def binomial(alpha, n):
+    """The generalized binomial coefficient C(alpha, n) as an exact Fraction."""
+    c = Fraction(1)
+    for i in range(n):
+        c *= (Fraction(alpha) - i) / (i + 1)
+    return c
+
+
+class TestInvariantDegrees:
+    """Why only alpha = 2 and 3 are invariant (README, "Known red
+    criterion"): the pair sum (1 + m)**alpha + (1 - m)**alpha is
+    2 sum_j C(alpha, 2j) m**(2j), and the total is rotation-invariant
+    only if its m**4 coefficient vanishes, since sum_u m_u**4 is not a
+    function of |m|."""
+
+    # the default grid's degrees, then others
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 0.25, 1.7, 3.5, 4.0, 10.0])
+    def test_fourth_coefficient_vanishes_only_at_1_2_and_3(self, alpha):
+        assert (binomial(alpha, 4) == 0) == (alpha in (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_every_higher_coefficient_vanishes_at_2_and_3(self, alpha):
+        assert [binomial(alpha, 2 * j) for j in range(2, 6)] == [0] * 4
+
+    def test_shannon_fourth_coefficient_is_not_zero(self):
+        # h((1 + m) / 2) = 1 - sum_k m**(2k) / (2k (2k - 1) ln 2); the m**6
+        # term moves the quotient by 4.8e-6 at m = 0.01
+        m, ln2 = 0.01, math.log(2.0)
+        quartic = (pair_entropy((1.0 + m) / 2.0, SHANNON) - 1.0 + m**2 / (2.0 * ln2)) / m**4
+        assert quartic == pytest.approx(-1.0 / (12.0 * ln2), rel=1e-4)
 
 
 #: The power ladder's steps at 1.5, 2.5 and 3, written out: the scan's

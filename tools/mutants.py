@@ -20,8 +20,8 @@ that a result repeats.  The exit status is 0 when every mutant is killed
 and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 99 mutants takes about 155 s
-on two cores, 13 s of it for ``cli-search-budget-cap-raised``, whose
+testpaths is ``tests``); a full run of the 101 mutants takes about 350 s
+on two cores, 21 s of it for ``cli-search-budget-cap-raised``, whose
 over-cap row then runs a search of 1 000 001 evaluations.
 """
 
@@ -240,21 +240,27 @@ MUTANTS = (
     Mutant("shannon-no-zero-fill", "measures.py", "work.fill(0.0)", "pass"),
     # the power ladder: each rung is p**alpha to within 2 ulp, and a step
     # is the rung below it times p
-    Mutant("sqrt-fast-path-squares", "measures.py", "0.5: np.sqrt,", "0.5: np.square,"),
+    Mutant("sqrt-fast-path-squares", "measures.py", "0.5: (np.sqrt, 0),", "0.5: (np.square, 0),"),
     Mutant(
         "ladder-step-skips-multiply",
         "measures.py",
-        "out = _power(p, below, out=out)\n        out *= p\n",
-        "out = _power(p, below, out=out)\n",
+        "    for _ in range(height):\n        out *= p\n",
+        "    for _ in range(height - 1):\n        out *= p\n",
     ),
-    Mutant("ladder-cube-from-1.5", "measures.py", "3.0: 2.0}", "3.0: 1.5}"),
-    # the scan climbs from its term buffer only when the degree it raised
-    # just before is the rung below
+    Mutant("ladder-cube-from-1.5", "measures.py", "3.0: (np.square, 1),", "3.0: (np.sqrt, 2),"),
+    # the walk climbs in place only from a power of the same root, by the
+    # difference of the heights
+    Mutant(
+        "walk-climb-skips-multiply",
+        "measures.py",
+        "for _ in range(height - climbed):",
+        "for _ in range(height - climbed - 1):",
+    ),
     Mutant(
         "ladder-climbs-from-any-earlier-rung",
         "measures.py",
-        "_STEPS.get(alphas[j]) == alphas[order[k - 1]]",
-        "_STEPS.get(alphas[j]) in alphas",
+        "if root is not held:",
+        "if held is None:",
     ),
     # the ladder's np.power fallback serves every other degree, for the
     # entropies, alpha_norm and the search
@@ -264,8 +270,15 @@ MUTANTS = (
         "np.power(p, alpha, out=out)",
         "np.power(p, 2.0 * alpha - 2.0, out=out)",
     ),
-    # alpha_norm takes the entropy's degrees only
+    # alpha_norm takes the entropy's degrees only, and only where its root
+    # is a double
     Mutant("alpha-norm-domain-unchecked", "transforms.py", "    _check_alpha(alpha)\n", "\n"),
+    Mutant(
+        "alpha-norm-overflow-unchecked",
+        "transforms.py",
+        "if np.isinf(norm) and np.isfinite(total):",
+        "if False:",
+    ),
     # the one Haar phase fix multiplies column j by R_jj / |R_jj|; its
     # conjugate gives the same bits on LAPACK's real diagonal only
     Mutant(
