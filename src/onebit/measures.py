@@ -51,13 +51,18 @@ class EntropyMeasure:
     2**-26 = 1.5e-8 bits, already more than the formula's true distance
     from the limit (about 1.1e-9 on (0.3, 0.7)).
 
-    ``shannon`` says whether the degree takes the Shannon limit.  Raises
-    ValueError unless ``alpha`` is positive and at most ``MAX_ALPHA``.
+    ``shannon`` says whether the degree takes the Shannon limit.
+    ``sum_scale`` is c = k / |alpha - 1|, and k at the Shannon degrees:
+    two entropies over the same count of distributions differ by c times
+    their power sums' difference (sum_i p_i log2 p_i at the Shannon
+    degrees), |H(q) - H(p)| = c |S(q) - S(p)|.  Raises ValueError unless
+    ``alpha`` is positive and at most ``MAX_ALPHA``.
     """
 
     alpha: float
     k: float = field(init=False)
     shannon: bool = field(init=False, repr=False)
+    sum_scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         a = self.alpha
@@ -66,6 +71,7 @@ class EntropyMeasure:
         k = 1.0 if shannon else (a - 1.0) / (1.0 - 2.0 ** (1.0 - a))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "shannon", shannon)
+        object.__setattr__(self, "sum_scale", k if shannon else k / abs(a - 1.0))
 
 
 #: Quadratic measure, k = 2.
@@ -110,13 +116,17 @@ def entropy_sum(p, measure: EntropyMeasure, count, axis: int = -1):
     Entries are neither validated nor clipped, so diagnostic callers can
     score unphysical vectors; the one exception is a negative entry under
     a fractional degree, which has no real power and raises ValueError
-    instead of producing NaN.  The scan calls its two stages directly.
+    instead of producing NaN.  The scan reduces :func:`_entropy_terms`
+    to power sums itself and compares those (``sum_scale``).
     """
     p = np.asarray(p, dtype=float)
     alpha = measure.alpha
     if alpha % 1.0 and not measure.shannon and (p < 0.0).any():
         raise ValueError(f"negative entry {p.min()!r} has no real power {alpha!r}")
-    return _entropy_total(_entropy_terms(p, measure), measure, count, axis)
+    sums = np.add.reduce(_entropy_terms(p, measure), axis=axis)
+    if measure.shannon:
+        return -measure.k * sums
+    return measure.k * (count - sums) / (alpha - 1.0)
 
 
 #: The package's one power ladder, for the degrees of the scan's default
@@ -176,35 +186,17 @@ def _ladder_walk(p: np.ndarray, measures, work: np.ndarray):
 def _entropy_terms(p: np.ndarray, measure: EntropyMeasure, work=None) -> np.ndarray:
     """The per-entry terms of ``measure``'s entropy, written into ``work``
     (``None`` allocates): p log2 p, 0 where p <= 0, at the Shannon
-    degrees, else p**alpha from :func:`_power`.  Checks no sign."""
+    degrees, else p**alpha from :func:`_power`.  Checks no sign.  The
+    Shannon terms take the log of every entry and then zero those where
+    p <= 0 (log2 gives -inf or NaN there), which is faster than a masked
+    log and gives its bits."""
     if measure.shannon:
-        if work is None:
-            work = np.zeros_like(p)
-        else:
-            work.fill(0.0)
-        np.log2(p, out=work, where=p > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            work = np.log2(p, out=work)
+        np.copyto(work, 0.0, where=p <= 0.0)
         work *= p
         return work
     return _power(p, measure.alpha, out=work)
-
-
-def _entropy_total(terms: np.ndarray, measure: EntropyMeasure, count, axis: int, out=None):
-    """The summed entropy of ``count`` distributions from their terms
-    (:func:`_entropy_terms`) along ``axis``: -k sum at the Shannon
-    degrees, k (count - sum) / (alpha - 1) at the others, written into
-    ``out`` when it is given (``None`` allocates), with the same bits."""
-    sums = np.add.reduce(terms, axis=axis, out=out)
-    if measure.shannon:
-        if out is None:
-            return -measure.k * sums
-        out *= -measure.k
-        return out
-    if out is None:
-        return measure.k * (count - sums) / (measure.alpha - 1.0)
-    np.subtract(count, out, out=out)
-    out *= measure.k
-    out /= measure.alpha - 1.0
-    return out
 
 
 def pair_entropy(p: float, measure: EntropyMeasure) -> float:

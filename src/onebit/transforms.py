@@ -12,7 +12,7 @@ from itertools import chain, cycle, pairwise, permutations, product
 
 import numpy as np
 
-from .measures import EntropyMeasure, _check_alpha, _check_positive_finite, _entropy_total
+from .measures import EntropyMeasure, _check_alpha, _check_positive_finite, _entropy_terms
 from .measures import _ladder_walk, _power, entropy_sum
 from .qubit import SECTOR_TOL, QubitState, _haar_q, _orthonormality_gap, _row_norms
 from .qubit import p6_from_means, random_mean_vectors
@@ -175,15 +175,25 @@ def is_sector_stochastic(induced: InducedMap) -> StochasticityReport:
 
 def alpha_norm(vec, alpha: float) -> float:
     """(sum_i |v_i|**alpha)**(1/alpha), each term from the package's power
-    ladder (:func:`measures._power`).  Raises ValueError unless ``alpha``
-    lies in (0, ``MAX_ALPHA``], as :class:`EntropyMeasure` does, and when
-    the root of a finite sum exceeds the largest double (2**1e300 at
+    ladder (:func:`measures._power`).  Where that sum overflows, or
+    underflows to 0 while some |v_i| > 0, and every entry is finite, the
+    norm is taken as m (sum_i (|v_i| / m)**alpha)**(1/alpha) with
+    m = max_i |v_i| instead, so 2-norms such as that of (1e200, 0) or
+    (1e-200, 0) stay the doubles they are; every other input takes the
+    plain formula.  Raises ValueError unless ``alpha`` lies in
+    (0, ``MAX_ALPHA``], as :class:`EntropyMeasure` does, and when the
+    norm of finite entries exceeds the largest double (2**1e300 at
     alpha = 1e-300 on (0.5, 1))."""
     _check_alpha(alpha)
-    total = np.add.reduce(_power(np.abs(np.asarray(vec, dtype=float)), alpha))
+    v = np.abs(np.asarray(vec, dtype=float))
+    top = np.max(v, initial=0.0)  # NaN when an entry is NaN
     with np.errstate(over="ignore"):
-        norm = float(total ** (1.0 / alpha))
-    if np.isinf(norm) and np.isfinite(total):
+        total = np.add.reduce(_power(v, alpha))
+        if np.isfinite(top) and (np.isinf(total) or (total == 0.0 and top > 0.0)):
+            norm = float(top * np.add.reduce(_power(v / top, alpha)) ** (1.0 / alpha))
+        else:
+            norm = float(total ** (1.0 / alpha))
+    if np.isinf(norm) and np.isfinite(top):
         raise ValueError(f"alpha-norm at alpha={alpha} overflows a double, outside its domain")
     return norm
 
@@ -242,11 +252,11 @@ def _usable_cores() -> int:
 
 def _slab_buffers(states: np.ndarray, measures, rows: int):
     """One slab's inputs and scratch: its state columns (6, s), the
-    per-alpha baselines of its clipped columns, and the image, term and
-    deviation buffers for a block of ``rows`` maps."""
+    per-alpha baseline power sums of its clipped columns, and the image,
+    term and deviation buffers for a block of ``rows`` maps."""
     columns = np.ascontiguousarray(states.T)
     clipped = np.clip(columns, 0.0, 1.0)
-    bases = [entropy_sum(clipped, m, 3, axis=0) for m in measures]
+    bases = [np.add.reduce(_entropy_terms(clipped, m), axis=0) for m in measures]
     image = np.empty((rows * 6, columns.shape[1]))
     return columns, bases, image, np.empty_like(image), np.empty((rows, columns.shape[1]))
 
@@ -255,12 +265,16 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
     """The argmax cell (value, state index, map index) of every (block,
     alpha), in block-major order, for the states in ``columns``, the first
     of which is state ``offset``; both indices count over the whole scan.
-    Allocates nothing large: every array it writes is one of the buffers.
+    A cell's value is the raw power-sum deviation |S(A p) - S(p)|, not yet
+    scaled to an entropy, and the argmax is row-major over (map, state),
+    so a tie goes to the earliest map, then the earliest state.  Allocates
+    nothing large: every array it writes is one of the buffers.
 
     Each block raises its images to every alpha through
     :func:`measures._ladder_walk`, into the term buffer.  The images are
     clipped to [0, 1], so no entry is checked for a sign, and each alpha's
-    terms are reduced and scaled by :func:`measures._entropy_total`."""
+    terms are reduced over the six entries, less the baseline power sum,
+    into the deviation buffer."""
     cells = []
     for start in range(0, maps.shape[0], _SCAN_BLOCK):
         block = maps[start : start + _SCAN_BLOCK]
@@ -272,7 +286,7 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
         dev = dev_buffer[:n]
         block_cells = [None] * len(measures)
         for j, terms in _ladder_walk(images, measures, work):
-            _entropy_total(terms, measures[j], 3, 1, out=dev)
+            np.add.reduce(terms, axis=1, out=dev)
             dev -= bases[j]
             np.abs(dev, out=dev)
             flat_idx = int(np.argmax(dev))
@@ -284,6 +298,16 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
 
 def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[float, int, int]]:
     """Per alpha: (max |H_total(A p) - H_total(p)|, state index, map index).
+
+    Every cell compares power sums, not entropies: with S the sum of a
+    cell's six entropy terms (:func:`measures._entropy_terms`),
+    |H_total(A p) - H_total(p)| = c |S(A p) - S(p)| for c the measure's
+    ``sum_scale``.  So each cell carries the raw |delta S|, the tie rule
+    below applies to it, and each alpha's winner is multiplied by c once,
+    after the merge.  S(A p) - S(p) is exact wherever the two sums lie
+    within a factor of 2 of each other (Sterbenz).  On physical states
+    the values at alpha = 1 (c = 1) and alpha = 2 (c = 2, S in [1.5, 3])
+    have the bits of the difference of the two entropies.
 
     ``states`` has shape (S, 6) and ``maps`` (M, 6, 6).  The states are
     split into min(usable cores, S min(M, 64) // (64 x 128)) contiguous
@@ -308,19 +332,19 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
 
     A cell's arithmetic is the same whichever slab of two or more states
     holds it (a six-term dot product, a clip, six terms summed in entry
-    order, the baseline subtracted), so the slab count cannot change a bit
-    while every slab holds two states or more, as it does unless the slab
-    size is patched (a split gives each slab at least 128 states).  A
-    one-state slab's product is a matrix-vector one, which BLAS may round
-    differently.  Every slab reports the argmax cell of each (block, alpha)
-    with indices over the whole scan, and each alpha's result is the best
-    of all those cells by the tie rule of a row-major argmax over (map,
-    state): the largest value, then the earliest map, then the earliest
-    state.  Raises ValueError, before any slab starts, when the shapes
-    are not (S, 6) and (M, 6, 6) with S and M at least 1 or a state or map
-    entry is NaN or above ``MAX_SCAN_ENTRY`` in magnitude, and when a
-    deviation is not finite, naming the alpha of the first such cell in
-    block-major order.
+    order, the baseline power sum subtracted), so the slab count cannot
+    change a bit while every slab holds two states or more, as it does
+    unless the slab size is patched (a split gives each slab at least 128
+    states).  A one-state slab's product is a matrix-vector one, which
+    BLAS may round differently.  Every slab reports the argmax cell of
+    each (block, alpha) with indices over the whole scan, and each alpha's
+    result is the best of all those cells by the tie rule of a row-major
+    argmax over (map, state), applied to |delta S|: the largest value,
+    then the earliest map, then the earliest state.  Raises ValueError,
+    before any slab starts, when the shapes are not (S, 6) and (M, 6, 6)
+    with S and M at least 1 or a state or map entry is NaN or above
+    ``MAX_SCAN_ENTRY`` in magnitude, and when a deviation is not finite,
+    naming the alpha of the first such cell in block-major order.
     """
     states = np.asarray(states, dtype=float)
     maps = np.asarray(maps, dtype=float)
@@ -369,10 +393,11 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
         if not all(np.isfinite(v) for v, _, _ in candidates):
             raise ValueError(f"total-uncertainty deviation is not finite at alpha={measure.alpha}")
     # a row-major argmax's tie rule: largest value, then earliest map, then earliest state
-    return [
+    best = [
         min(chain.from_iterable(cells[j :: len(measures)]), key=lambda c: (-c[0], c[2], c[1]))
         for j in range(len(measures))
     ]
+    return [(m.sum_scale * v, s, a) for m, (v, s, a) in zip(measures, best)]
 
 
 def _rotation_about(axis: int, angle: float) -> np.ndarray:

@@ -17,7 +17,6 @@ from onebit.measures import (
     SHANNON,
     EntropyMeasure,
     _entropy_terms,
-    _entropy_total,
     _ladder_walk,
     _power,
     entropy,
@@ -256,16 +255,46 @@ class TestOneKernel:
     @KERNEL_ALPHAS
     @pytest.mark.parametrize("layout", sorted(KERNEL_LAYOUTS))
     def test_buffers_give_the_allocating_bits(self, alpha, layout):
-        # the scan's path, terms into its work buffer and sums into its
-        # deviation buffer: stale NaN in the buffers must not reach the result
+        # the scan's path, terms into its work buffer and power sums into
+        # its deviation buffer, against its baselines' allocating path:
+        # stale NaN in the buffers must not reach the sums
         p, axis = kernel_input(layout, alpha)
         measure = EntropyMeasure(alpha)
-        expected = entropy_sum(p, measure, 3, axis=axis)
+        expected = np.add.reduce(_entropy_terms(p, measure), axis=axis)
         work = np.full(p.shape, np.nan)
         out = np.full(np.shape(expected), np.nan)
         assert _entropy_terms(p, measure, work) is work
-        assert _entropy_total(work, measure, 3, axis, out=out) is out
+        assert np.add.reduce(work, axis=axis, out=out) is out
         assert out.tobytes() == np.asarray(expected).tobytes()
+
+    def test_shannon_terms_have_the_masked_log_bits(self):
+        # log2 of every entry, then 0 where p <= 0, against log2 only where
+        # p > 0 into zeros: signed zeros, subnormals, 1, negatives, inf and
+        # NaN of either sign, into a fresh and a stale buffer (both formulas
+        # take 0 times -inf, an invalid multiply, at -inf)
+        grid = power_grid()
+        specials = [-0.0, math.inf, -math.inf, math.nan, -math.nan, -1.0, 2.0]
+        p = np.concatenate([grid, -grid, specials])
+        masked = np.zeros_like(p)
+        work = np.full_like(p, np.nan)
+        with np.errstate(invalid="ignore"):
+            np.log2(p, out=masked, where=p > 0.0)
+            masked *= p
+            fresh = _entropy_terms(p, SHANNON)
+            assert _entropy_terms(p, SHANNON, work) is work
+        assert fresh.tobytes() == work.tobytes() == masked.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.0 + 2.0**-27, 1.5, 2.0, 3.0, 10.0])
+    def test_sum_scale_turns_a_power_sum_gap_into_the_entropy_gap(self, alpha):
+        measure = EntropyMeasure(alpha)
+        if measure.shannon:
+            assert measure.sum_scale == measure.k == 1.0
+        else:
+            assert measure.sum_scale == measure.k / abs(alpha - 1.0)
+        p, q = np.array([0.1, 0.9, 0.5, 0.5, 0.3, 0.7]), np.array([0.5, 0.5, 0.8, 0.2, 1.0, 0.0])
+        sums = [float(np.add.reduce(_entropy_terms(x, measure))) for x in (p, q)]
+        gap = abs(entropy_sum(q, measure, 3) - entropy_sum(p, measure, 3))
+        assert measure.sum_scale * abs(sums[1] - sums[0]) == pytest.approx(gap, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.5, 0.25])
     def test_fractional_power_of_negative_entry_raises(self, alpha):

@@ -48,6 +48,7 @@ from math_reference import (
     SCAN_ALPHAS,
     diagonal_minus_axis,
     exact_scan_supremum,
+    math_entropy_sum,
     scalar_pair_total,
     scan_supremum,
 )
@@ -444,6 +445,36 @@ class TestAlphaNorms:
         with pytest.raises(ValueError, match=message):
             alpha_norm([0.5, 0.0, 1.0], alpha)
 
+    # each plain sum of squares overflows or underflows to 0 (pytest turns
+    # the overflow's RuntimeWarning into an error); scaled by max |v_i|
+    # these norms are exact
+    @pytest.mark.parametrize(
+        "vec",
+        [[1e200, 0.0], [1e-200, 0.0], [3 * 2.0**600, -4 * 2.0**600], [3 * 2.0**-600, 4 * 2.0**-600]],
+        ids=["1e200", "1e-200", "5*2**600", "5*2**-600"],
+    )
+    def test_a_two_norm_beyond_the_plain_sum_is_exact(self, vec):
+        norm = alpha_norm(vec, 2.0)
+        assert Fraction(norm) ** 2 == sum(Fraction(x) ** 2 for x in vec)
+
+    @pytest.mark.parametrize(
+        "vec", [[2.0**400, -(2.0**401)], [1e300, 2e300], [1e-300, 7e-301], [2.0**-400, 3 * 2.0**-399]]
+    )
+    def test_a_cubic_norm_beyond_the_plain_sum_is_near_exact(self, vec):
+        # measured within 1.5 units of 2**-52 relative to the exact cube
+        exact = sum(abs(Fraction(x)) ** 3 for x in vec)
+        assert abs(Fraction(alpha_norm(vec, 3.0)) ** 3 - exact) <= 4 * Fraction(2) ** -52 * exact
+
+    def test_a_sum_of_finite_terms_overflowing_past_the_largest_double_raises(self):
+        message = r"^alpha-norm at alpha=1.0 overflows a double, outside its domain$"
+        with pytest.raises(ValueError, match=message):
+            alpha_norm([1e308, 1e308], 1.0)
+
+    def test_non_finite_entries_keep_the_plain_formula(self):
+        assert alpha_norm([math.inf, 1e200], 2.0) == math.inf
+        assert math.isnan(alpha_norm([math.nan, 1e200], 2.0))
+        assert alpha_norm([], 2.0) == 0.0
+
 
 BAD_STATE = r"state entries must be finite and at most 1e\+150 in magnitude"
 BAD_MAP = r"map entries must be finite and at most 1e\+150 in magnitude"
@@ -764,6 +795,68 @@ class TestScanScalarOracle:
                     assert cell[0][0] == pytest.approx(table[a, b], abs=1e-12)
 
 
+#: The scan's default grid, the ladder's other degree, and four degrees
+#: off the ladder, one of them below 0.5.
+POWER_SUM_ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 0.25, 1.7, 4.0, 10.0)
+
+
+def physical_scan_inputs(seed, n_states=200, n_maps=100):
+    """Mixed and pure states (the pure +x state first) and rotation maps,
+    an exact quarter turn among them."""
+    rng = np.random.default_rng(seed)
+    states = random_states_array(rng, n_states)
+    pure = rng.normal(size=(n_states // 4, 3))
+    states[1 : 1 + len(pure)] = p6_from_means(pure / np.linalg.norm(pure, axis=1, keepdims=True))
+    states[0] = p6_from_means([1.0, 0.0, 0.0])
+    rotations = random_rotations(rng, n_maps)
+    rotations[n_maps // 2] = QUARTER_TURN_ROTATION
+    return states, induced_from_rotations(rotations)
+
+
+class TestPowerSumDeviations:
+    """The scan compares power sums S and scales each alpha's winner once:
+    |H_total(A p) - H_total(p)| = c |S(A p) - S(p)|."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_shannon_and_quadratic_rows_keep_the_entropy_difference_bits(self, seed):
+        # c = 1 at alpha = 1, where negating a sum is exact; at alpha = 2,
+        # c = 2 and every physical sum lies in [1.5, 3], so 3 - S, the
+        # scalings and both differences are exact
+        states, maps = physical_scan_inputs(seed, 300, 130)
+        got = scan_deviations(states, maps, (1.0, 2.0))
+        assert hexed(got) == hexed(entropy_difference_scan(states, maps, (1.0, 2.0)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_row_is_near_the_math_reference_at_its_cell(self, monkeypatch, seed):
+        # the math reference takes the scan's own clipped image at the
+        # argmax cell, so the gap is arithmetic alone: ladder or np.power
+        # terms against math.pow, two six-term sums and the scaling; it
+        # was measured at most 2.3 c ulp(3) over 20 seeds and these degrees
+        monkeypatch.setattr(transforms, "_usable_cores", lambda: 1)
+        states, maps = physical_scan_inputs(seed)
+        columns = np.ascontiguousarray(states.T)
+        rows = scan_deviations(states, maps, POWER_SUM_ALPHAS)
+        for alpha, (dev, s_idx, m_idx) in zip(POWER_SUM_ALPHAS, rows):
+            start = m_idx - m_idx % 64
+            block = maps[start : start + 64]
+            images = (block.reshape(-1, 6) @ columns).reshape(block.shape[0], 6, -1)
+            image = np.clip(images[m_idx - start, :, s_idx], 0.0, 1.0)
+            measure = EntropyMeasure(alpha)
+            after = math_entropy_sum(image.tolist(), alpha, measure.k, 3)
+            before = math_entropy_sum(np.clip(states[s_idx], 0.0, 1.0).tolist(), alpha, measure.k, 3)
+            bound = 8 * measure.sum_scale * math.ulp(3.0)
+            assert abs(dev - abs(after - before)) <= bound, alpha
+
+    def test_unphysical_states_are_clipped_before_every_power_sum(self):
+        # entries outside [0, 1] in the states, and so in their images: the
+        # baseline power sums, like the images', are taken after the clip
+        rng = np.random.default_rng(8)
+        states = rng.uniform(-0.5, 1.5, size=(40, 6))
+        maps = induced_from_rotations(random_rotations(rng, 70))
+        got = scan_deviations(states, maps, POWER_SUM_ALPHAS)
+        assert hexed(got) == hexed(fresh_scan_deviations(states, maps, POWER_SUM_ALPHAS))
+
+
 SUPREMUM_ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
 
 
@@ -870,39 +963,72 @@ WRITTEN_POWERS = {
 }
 
 
-def fresh_scan_deviations(states, maps, alphas, bounds=None):
-    """scan_deviations with every block's images, every alpha's entropy
-    terms and every deviation freshly allocated, the entropy written out
-    as the products of ``WRITTEN_POWERS``, p**alpha at other degrees, or
-    p log2 p: the block loop the buffers must reproduce.  ``bounds``
-    (state offsets, 0 first and S last) takes each block's product over
-    those runs of states instead of all at once."""
+def written_power_sum(p, alpha, axis):
+    """The sum along ``axis`` of the entropy terms, written out: the
+    products of ``WRITTEN_POWERS``, p**alpha at other degrees, or p log2 p
+    (0 where p <= 0) at alpha = 1."""
+    if alpha == 1.0:
+        safe = np.where(p > 0.0, p, 1.0)
+        return np.add.reduce(p * np.log2(safe), axis=axis)
+    return np.add.reduce(WRITTEN_POWERS.get(alpha, lambda p: p**alpha)(p), axis=axis)
+
+
+def row_major_scan(states, maps, alphas, deviations, bounds=None):
+    """Per alpha, the (value, state index, map index) that a row-major
+    argmax over (map, state) picks from ``deviations(images, clipped,
+    alpha)``, freshly allocated for every 64-map block of clipped images:
+    the largest value, then the earliest map, then the earliest state.
+    ``bounds`` (state offsets, 0 first and S last) takes each block's
+    product over those runs of states instead of all at once."""
     columns = np.ascontiguousarray(states.T)
     clipped = np.clip(columns, 0.0, 1.0)
     bounds = bounds or [0, states.shape[0]]
-
-    def total(p, measure, axis):
-        if measure.alpha == 1.0:
-            safe = np.where(p > 0.0, p, 1.0)
-            return -measure.k * np.add.reduce(p * np.log2(safe), axis=axis)
-        power = WRITTEN_POWERS.get(measure.alpha, lambda p: p**measure.alpha)
-        powers = np.add.reduce(power(p), axis=axis)
-        return measure.k * (3 - powers) / (measure.alpha - 1.0)
-
-    measures = [EntropyMeasure(alpha) for alpha in alphas]
-    best = [(-1.0, 0, 0)] * len(measures)
+    best = [(-1.0, 0, 0)] * len(alphas)
     for start in range(0, maps.shape[0], 64):
         block = maps[start : start + 64]
         flat = block.reshape(-1, 6)
         runs = [flat @ columns[:, a:b].copy() for a, b in itertools.pairwise(bounds)]
         images = np.concatenate(runs, axis=1).reshape(block.shape[0], 6, -1)
         images = np.clip(images, 0.0, 1.0)
-        for j, measure in enumerate(measures):
-            dev = np.abs(total(images, measure, 1) - total(clipped, measure, 0))
+        for j, alpha in enumerate(alphas):
+            dev = deviations(images, clipped, alpha)
             m_idx, s_idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
             if dev[m_idx, s_idx] > best[j][0]:
                 best[j] = (float(dev[m_idx, s_idx]), int(s_idx), start + int(m_idx))
     return best
+
+
+def fresh_scan_deviations(states, maps, alphas, bounds=None):
+    """scan_deviations as the row-major scan of the raw power-sum
+    deviations |S(A p) - S(p)| (``written_power_sum``), each alpha's
+    winner then scaled to an entropy by k / |alpha - 1|, and by k at
+    alpha = 1: the block loop the buffers must reproduce."""
+
+    def power_sums(images, clipped, alpha):
+        return np.abs(written_power_sum(images, alpha, 1) - written_power_sum(clipped, alpha, 0))
+
+    best = row_major_scan(states, maps, alphas, power_sums, bounds)
+    measures = [EntropyMeasure(alpha) for alpha in alphas]
+    scales = [m.k if m.alpha == 1.0 else m.k / abs(m.alpha - 1.0) for m in measures]
+    return [(c * v, s_idx, m_idx) for c, (v, s_idx, m_idx) in zip(scales, best)]
+
+
+def entropy_difference_scan(states, maps, alphas):
+    """The row-major scan of |H_total(A p) - H_total(p)|, each total
+    evaluated as -k S at alpha = 1 and k (3 - S) / (alpha - 1) elsewhere:
+    the scan's definition before it compared power sums."""
+
+    def total(p, alpha, axis):
+        measure = EntropyMeasure(alpha)
+        sums = written_power_sum(p, alpha, axis)
+        if alpha == 1.0:
+            return -measure.k * sums
+        return measure.k * (3 - sums) / (alpha - 1.0)
+
+    def entropies(images, clipped, alpha):
+        return np.abs(total(images, alpha, 1) - total(clipped, alpha, 0))
+
+    return row_major_scan(states, maps, alphas, entropies)
 
 
 def hexed(scan):
