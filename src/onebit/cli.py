@@ -66,12 +66,12 @@ MAX_BASES = 1024
 #: 50 000 states and 64 maps on the default six-alpha grid peaks at
 #: 386-387 MiB RSS in two slabs or in one); the maps are
 #: (n_maps, 6, 6) float64, 288 B per map, so 14 MiB at the cap (72 MiB
-#: RSS peak).
+#: RSS peak; 77 MiB on 1000 alphas with no states sampled).
 MAX_SCAN_COUNT = 50_000
 #: CLI cap on the scan's alpha grid, the number of ``--alphas``: the scan
 #: keeps one (n_states,) float64 baseline per alpha, 8 B per state, so
 #: 381 MiB over 50 000 states at the cap (452 MiB RSS peak with the four
-#: probe maps alone).
+#: probe maps alone) and one cell per alpha and slab (77 MiB at 50 000 maps).
 MAX_ALPHAS = 1000
 #: CLI cap on ``malus --n-points``: the rows, as Python floats, and the CSV
 #: text cost about 300 B per point, so 1 000 000 points peak at 342 MiB RSS.

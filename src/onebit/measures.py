@@ -106,9 +106,9 @@ def validate_distribution(probs) -> np.ndarray:
     return p / p.sum()
 
 
-def entropy_sum(p, measure: EntropyMeasure, count, axis: int = -1):
+def entropy_sum(p, measure: EntropyMeasure, count):
     """The one entropy kernel: the summed degree-alpha entropy of ``count``
-    distributions whose entries lie along ``axis`` of ``p``.
+    distributions whose entries lie along the last axis of ``p``.
 
     Returns k (count - sum_i p_i**alpha) / (alpha - 1) for alpha != 1 and
     the Shannon limit -k sum_i p_i log2 p_i at and next to alpha = 1 (see
@@ -123,7 +123,7 @@ def entropy_sum(p, measure: EntropyMeasure, count, axis: int = -1):
     alpha = measure.alpha
     if alpha % 1.0 and not measure.shannon and (p < 0.0).any():
         raise ValueError(f"negative entry {p.min()!r} has no real power {alpha!r}")
-    sums = np.add.reduce(_entropy_terms(p, measure), axis=axis)
+    sums = np.add.reduce(_entropy_terms(p, measure), axis=-1)
     if measure.shannon:
         return -measure.k * sums
     return measure.k * (count - sums) / (alpha - 1.0)
@@ -185,16 +185,16 @@ def _ladder_walk(p: np.ndarray, measures, work: np.ndarray):
 
 def _entropy_terms(p: np.ndarray, measure: EntropyMeasure, work=None) -> np.ndarray:
     """The per-entry terms of ``measure``'s entropy, written into ``work``
-    (``None`` allocates): p log2 p, 0 where p <= 0, at the Shannon
-    degrees, else p**alpha from :func:`_power`.  Checks no sign.  The
-    Shannon terms take the log of every entry and then zero those where
-    p <= 0 (log2 gives -inf or NaN there), which is faster than a masked
-    log and gives its bits."""
+    (``None`` allocates): p log2 p, 0 where p <= 0 (-inf included), at
+    the Shannon degrees, else p**alpha from :func:`_power`.  Checks no
+    sign.  The Shannon terms take p log2 p of every entry and then zero
+    those where p <= 0 (the product is NaN there), which is faster than a
+    masked log and gives its bits."""
     if measure.shannon:
         with np.errstate(divide="ignore", invalid="ignore"):
             work = np.log2(p, out=work)
+            work *= p
         np.copyto(work, 0.0, where=p <= 0.0)
-        work *= p
         return work
     return _power(p, measure.alpha, out=work)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from itertools import chain, cycle, pairwise, permutations, product
+from itertools import pairwise, permutations, product
 
 import numpy as np
 
@@ -180,12 +180,14 @@ def alpha_norm(vec, alpha: float) -> float:
     norm is taken as m (sum_i (|v_i| / m)**alpha)**(1/alpha) with
     m = max_i |v_i| instead, so 2-norms such as that of (1e200, 0) or
     (1e-200, 0) stay the doubles they are; every other input takes the
-    plain formula.  Raises ValueError unless ``alpha`` lies in
-    (0, ``MAX_ALPHA``], as :class:`EntropyMeasure` does, and when the
-    norm of finite entries exceeds the largest double (2**1e300 at
+    plain formula.  Raises ValueError unless ``vec`` is 1-D and ``alpha``
+    lies in (0, ``MAX_ALPHA``], as :class:`EntropyMeasure` does, and when
+    the norm of finite entries exceeds the largest double (2**1e300 at
     alpha = 1e-300 on (0.5, 1))."""
     _check_alpha(alpha)
     v = np.abs(np.asarray(vec, dtype=float))
+    if v.ndim != 1:
+        raise ValueError(f"alpha-norm needs a flat vector, got shape {v.shape}")
     top = np.max(v, initial=0.0)  # NaN when an entry is NaN
     with np.errstate(over="ignore"):
         total = np.add.reduce(_power(v, alpha))
@@ -262,20 +264,21 @@ def _slab_buffers(states: np.ndarray, measures, rows: int):
 
 
 def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer, dev_buffer):
-    """The argmax cell (value, state index, map index) of every (block,
-    alpha), in block-major order, for the states in ``columns``, the first
-    of which is state ``offset``; both indices count over the whole scan.
-    A cell's value is the raw power-sum deviation |S(A p) - S(p)|, not yet
-    scaled to an entropy, and the argmax is row-major over (map, state),
-    so a tie goes to the earliest map, then the earliest state.  Allocates
-    nothing large: every array it writes is one of the buffers.
+    """The argmax cell (value, state index, map index) of every alpha, in
+    grid order, for the states in ``columns``, the first of which is state
+    ``offset``; both indices count over the whole scan.  A cell's value is
+    the raw power-sum deviation |S(A p) - S(p)|, not yet scaled to an
+    entropy.  The argmax is row-major over (map, state): a block's argmax
+    replaces an alpha's winner only when strictly larger, as later blocks
+    hold later maps, and a NaN, once held, is kept.  Allocates nothing
+    large: every array it writes is one of the buffers.
 
     Each block raises its images to every alpha through
     :func:`measures._ladder_walk`, into the term buffer.  The images are
     clipped to [0, 1], so no entry is checked for a sign, and each alpha's
     terms are reduced over the six entries, less the baseline power sum,
     into the deviation buffer."""
-    cells = []
+    cells = [(-np.inf, 0, 0)] * len(measures)
     for start in range(0, maps.shape[0], _SCAN_BLOCK):
         block = maps[start : start + _SCAN_BLOCK]
         n = block.shape[0]
@@ -284,15 +287,15 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
         images = flat.reshape(n, 6, -1)
         work = work_buffer[: n * 6].reshape(n, 6, -1)
         dev = dev_buffer[:n]
-        block_cells = [None] * len(measures)
         for j, terms in _ladder_walk(images, measures, work):
             np.add.reduce(terms, axis=1, out=dev)
             dev -= bases[j]
             np.abs(dev, out=dev)
             flat_idx = int(np.argmax(dev))
-            m_idx, s_idx = divmod(flat_idx, dev.shape[1])
-            block_cells[j] = (float(dev.flat[flat_idx]), offset + s_idx, start + m_idx)
-        cells.extend(block_cells)
+            value = float(dev.flat[flat_idx])
+            if value > cells[j][0] or value != value:
+                m_idx, s_idx = divmod(flat_idx, dev.shape[1])
+                cells[j] = (value, offset + s_idx, start + m_idx)
     return cells
 
 
@@ -336,15 +339,15 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     change a bit while every slab holds two states or more, as it does
     unless the slab size is patched (a split gives each slab at least 128
     states).  A one-state slab's product is a matrix-vector one, which
-    BLAS may round differently.  Every slab reports the argmax cell of
-    each (block, alpha) with indices over the whole scan, and each alpha's
-    result is the best of all those cells by the tie rule of a row-major
-    argmax over (map, state), applied to |delta S|: the largest value,
-    then the earliest map, then the earliest state.  Raises ValueError,
-    before any slab starts, when the shapes are not (S, 6) and (M, 6, 6)
-    with S and M at least 1 or a state or map entry is NaN or above
+    BLAS may round differently.  Every slab reports one winner per alpha
+    with indices over the whole scan, and each alpha's result is the best
+    of the slabs' winners by the tie rule of a row-major argmax over
+    (map, state), applied to |delta S|: the largest value, then the
+    earliest map, then the earliest state.  Raises ValueError, before any
+    slab starts, when the shapes are not (S, 6) and (M, 6, 6) with S and
+    M at least 1 or a state or map entry is NaN or above
     ``MAX_SCAN_ENTRY`` in magnitude, and when a deviation is not finite,
-    naming the alpha of the first such cell in block-major order.
+    naming the first alpha in grid order that has such a cell.
     """
     states = np.asarray(states, dtype=float)
     maps = np.asarray(maps, dtype=float)
@@ -388,15 +391,12 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
         if exc is not None:
             raise exc
 
-    cells = list(zip(*results))  # per (block, alpha), block-major: every slab's cell
-    for candidates, measure in zip(cells, cycle(measures)):
+    cells = list(zip(*results))  # per alpha, in grid order: every slab's winner
+    for candidates, measure in zip(cells, measures):
         if not all(np.isfinite(v) for v, _, _ in candidates):
             raise ValueError(f"total-uncertainty deviation is not finite at alpha={measure.alpha}")
     # a row-major argmax's tie rule: largest value, then earliest map, then earliest state
-    best = [
-        min(chain.from_iterable(cells[j :: len(measures)]), key=lambda c: (-c[0], c[2], c[1]))
-        for j in range(len(measures))
-    ]
+    best = [min(candidates, key=lambda c: (-c[0], c[2], c[1])) for candidates in cells]
     return [(m.sum_scale * v, s, a) for m, (v, s, a) in zip(measures, best)]
 
 

@@ -193,14 +193,14 @@ class TestProperties:
     def test_binary_maximum_at_half(self):
         grid = np.linspace(0.0, 1.0, 101)
         for alpha in (0.5, 1.0, 2.0, 3.0):
-            values = entropy_sum(np.stack([grid, 1.0 - grid]), EntropyMeasure(alpha), 1, axis=0)
+            values = entropy_sum(np.stack([grid, 1.0 - grid], axis=-1), EntropyMeasure(alpha), 1)
             assert max(values) == pytest.approx(1.0, abs=1e-12)
             assert np.argmax(values) == 50
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_pair_entropy_concave_for_alpha_ge_one(self, alpha):
         def pair(p):
-            return entropy_sum(np.stack([p, 1.0 - p]), EntropyMeasure(alpha), 1, axis=0)
+            return entropy_sum(np.stack([p, 1.0 - p], axis=-1), EntropyMeasure(alpha), 1)
 
         grid = np.linspace(0.0, 1.0, 51)
         i, j = np.triu_indices(grid.size)
@@ -221,17 +221,19 @@ class TestPairEntropyDiagnostics:
 
 
 #: The kernel's layouts, each a (shape, axis) with six entries along the
-#: axis: one 6-vector, the scan's (6, states) baselines and its
-#: (maps, 6, states) images.
-KERNEL_LAYOUTS = {"1-D": ((6,), -1), "axis-0": ((6, 5), 0), "axis-1": ((4, 6, 5), 1)}
+#: axis: one 6-vector and stacks of them, which ``entropy_sum`` reduces
+#: over the last axis.
+KERNEL_LAYOUTS = {"1-D": ((6,), -1), "2-D": ((5, 6), -1), "3-D": ((4, 5, 6), -1)}
+#: The term kernel's layouts in the scan: one 6-vector, the (6, states)
+#: baselines and the (maps, 6, states) images.
+SCAN_LAYOUTS = {"1-D": ((6,), -1), "axis-0": ((6, 5), 0), "axis-1": ((4, 6, 5), 1)}
 #: Every degree of the power table, the Shannon branch and a general power.
 KERNEL_ALPHAS = pytest.mark.parametrize("alpha", [0.5, 2.0, 1.0, 1.5, 2.5, 3.0, 5.0])
 
 
-def kernel_input(layout, alpha):
+def kernel_input(shape, axis, alpha):
     """Entries in [0, 1] with an exact 0 and an exact 1 in every
     distribution, and a negative entry at an integer degree."""
-    shape, axis = KERNEL_LAYOUTS[layout]
     p = np.random.default_rng(17).uniform(size=shape)
     lanes = np.moveaxis(p, axis, -1)
     lanes[..., 1] = 0.0
@@ -245,20 +247,20 @@ class TestOneKernel:
     @KERNEL_ALPHAS
     @pytest.mark.parametrize("layout", sorted(KERNEL_LAYOUTS))
     def test_matches_the_math_reference(self, alpha, layout):
-        p, axis = kernel_input(layout, alpha)
+        p, _ = kernel_input(*KERNEL_LAYOUTS[layout], alpha)
         measure = EntropyMeasure(alpha)
-        got = entropy_sum(p, measure, 3, axis=axis)
-        lanes = np.moveaxis(p, axis, -1).reshape(-1, 6)
+        got = entropy_sum(p, measure, 3)
+        lanes = p.reshape(-1, 6)
         expected = [math_entropy_sum(lane.tolist(), alpha, measure.k, 3) for lane in lanes]
         np.testing.assert_allclose(np.ravel(got), expected, rtol=0.0, atol=1e-12)
 
     @KERNEL_ALPHAS
-    @pytest.mark.parametrize("layout", sorted(KERNEL_LAYOUTS))
+    @pytest.mark.parametrize("layout", sorted(SCAN_LAYOUTS))
     def test_buffers_give_the_allocating_bits(self, alpha, layout):
         # the scan's path, terms into its work buffer and power sums into
         # its deviation buffer, against its baselines' allocating path:
         # stale NaN in the buffers must not reach the sums
-        p, axis = kernel_input(layout, alpha)
+        p, axis = kernel_input(*SCAN_LAYOUTS[layout], alpha)
         measure = EntropyMeasure(alpha)
         expected = np.add.reduce(_entropy_terms(p, measure), axis=axis)
         work = np.full(p.shape, np.nan)
@@ -268,21 +270,28 @@ class TestOneKernel:
         assert out.tobytes() == np.asarray(expected).tobytes()
 
     def test_shannon_terms_have_the_masked_log_bits(self):
-        # log2 of every entry, then 0 where p <= 0, against log2 only where
-        # p > 0 into zeros: signed zeros, subnormals, 1, negatives, inf and
-        # NaN of either sign, into a fresh and a stale buffer (both formulas
-        # take 0 times -inf, an invalid multiply, at -inf)
+        # p log2 p of every entry, then 0 where p <= 0, against p log2 p
+        # only where not p <= 0 into zeros: signed zeros, subnormals, 1,
+        # negatives, inf and NaN of either sign, into a fresh and a stale
+        # buffer; pytest turns a leaked RuntimeWarning into an error
         grid = power_grid()
         specials = [-0.0, math.inf, -math.inf, math.nan, -math.nan, -1.0, 2.0]
         p = np.concatenate([grid, -grid, specials])
+        keep = ~(p <= 0.0)  # NaN is kept: it has no order
         masked = np.zeros_like(p)
+        np.log2(p, out=masked, where=keep)
+        np.multiply(masked, p, out=masked, where=keep)
         work = np.full_like(p, np.nan)
-        with np.errstate(invalid="ignore"):
-            np.log2(p, out=masked, where=p > 0.0)
-            masked *= p
-            fresh = _entropy_terms(p, SHANNON)
-            assert _entropy_terms(p, SHANNON, work) is work
+        fresh = _entropy_terms(p, SHANNON)
+        assert _entropy_terms(p, SHANNON, work) is work
         assert fresh.tobytes() == work.tobytes() == masked.tobytes()
+
+    def test_a_minus_inf_entry_scores_zero_without_warning(self):
+        # p log2 p is NaN at -inf, as at every p <= 0, and is zeroed with no
+        # invalid-multiply warning; pytest turns a leaked one into an error
+        terms = _entropy_terms(np.array([-math.inf, 0.0, 1.0]), SHANNON)
+        assert terms.tobytes() == np.zeros(3).tobytes()
+        assert entropy_sum([-math.inf, 1.0], SHANNON, 1) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.0 + 2.0**-27, 1.5, 2.0, 3.0, 10.0])
     def test_sum_scale_turns_a_power_sum_gap_into_the_entropy_gap(self, alpha):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -437,6 +438,12 @@ class TestAlphaNorms:
     def test_accepts_the_largest_degree(self):
         assert alpha_norm([0.5, 0.0, -1.0], MAX_ALPHA) == 1.0
 
+    @pytest.mark.parametrize("vec", [[[0.5, 0.5], [1.0, 0.0]], 0.5, [[1.0]]], ids=str)
+    def test_rejects_a_vector_that_is_not_flat(self, vec):
+        message = re.escape(f"alpha-norm needs a flat vector, got shape {np.shape(vec)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            alpha_norm(vec, 2.0)
+
     # |0.5|**alpha + 1 is about 2, and 2**(1 / alpha) overflows at 1e-300;
     # at 5e-324 the root's exponent 1 / alpha is already inf
     @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
@@ -535,6 +542,53 @@ class TestInvarianceScan:
         message = "^total-uncertainty deviation is not finite at alpha=2.0$"
         with pytest.raises(ValueError, match=message):
             scan_deviations(states, np.eye(6)[None], [2.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "poisoned, named",
+        [({1: 0.5}, 0.5), ({1: 0.5, 2: 2.0}, 2.0)],
+        ids=["one-degree", "grid-order"],
+    )
+    def test_a_nan_in_a_later_block_raises(self, monkeypatch, poisoned, named):
+        # block 0 holds a finite winner at every degree, and block 2 follows
+        # the poisoned block 1; with two degrees poisoned, the message names
+        # the first in grid order, not the first block's
+        walk = transforms._ladder_walk
+        blocks = []
+
+        def poisoning_walk(p, measures, work):
+            blocks.append(p.shape[0])
+            for j, terms in walk(p, measures, work):
+                if poisoned.get(len(blocks) - 1) == measures[j].alpha:
+                    terms[-1, 0, -1] = math.nan
+                yield j, terms
+
+        monkeypatch.setattr(transforms, "_ladder_walk", poisoning_walk)
+        rng = np.random.default_rng(7)
+        maps = induced_from_rotations(random_rotations(rng, 130))
+        message = f"^total-uncertainty deviation is not finite at alpha={named}$"
+        with pytest.raises(ValueError, match=message):
+            scan_deviations(random_states_array(rng, 4), maps, [2.0, 0.5])
+        assert blocks == [64, 64, 2]
+
+    def test_peak_memory_does_not_grow_with_blocks_times_degrees(self):
+        # each slab keeps one winner per degree, so ten blocks of maps
+        # take no more than one beyond the maps' size (np.abs of the maps
+        # is the input check's one temporary); a cell kept per block and
+        # degree would add about 450 KiB here
+        states = random_states_array(np.random.default_rng(9), 4)
+        alphas = np.linspace(0.25, 4.0, 400).tolist()
+        scan_deviations(states, np.eye(6)[None], alphas)  # one-time allocations
+
+        def traced_peak(n_maps):
+            maps = np.repeat(np.eye(6)[None], n_maps, axis=0)
+            tracemalloc.start()
+            try:
+                scan_deviations(states, maps, alphas)
+                return tracemalloc.get_traced_memory()[1] - maps.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(640) <= traced_peak(64) + 32 * 1024
 
     def test_worst_shannon_case_is_the_probe_pair(self):
         # with no sampling at all, the 45-degree probe on a pure state
@@ -1044,7 +1098,7 @@ def force_slabs(monkeypatch, cores):
 
 def poison_last_state(monkeypatch, count):
     """Make the next scans of ``count`` states report a NaN deviation for
-    the first block and alpha of the slab that holds the last state.  The
+    the first alpha of the slab that holds the last state.  The
     inputs are checked to be finite, so this stands for a NaN the kernel
     itself would make (an image product that overflows both ways)."""
     scan_slab = transforms._scan_slab

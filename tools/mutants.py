@@ -20,8 +20,8 @@ that a result repeats.  The exit status is 0 when every mutant is killed
 and 1 otherwise.
 
 Standard library only, and not collected by the tier-1 suite (whose
-testpaths is ``tests``); a full run of the 105 mutants took 255 s on
-two cores (Python 3.11, numpy 2.4), 19 s of it for
+testpaths is ``tests``); a full run of the 108 mutants took 297 s on
+two cores (Python 3.11, numpy 2.4), 18 s of it for
 ``cli-search-budget-cap-raised``, whose over-cap row then runs a search
 of 1 000 001 evaluations.
 """
@@ -92,7 +92,7 @@ MUTANTS = (
         "if not 0.0 < alpha < MAX_ALPHA:",
     ),
     # the invariance scan: tie rule, NaN guard, kernel; the one tie key is
-    # (largest value, earliest map, earliest state) over every slab's cells
+    # (largest value, earliest map, earliest state) over every slab's winners
     Mutant(
         "scan-tie-ge",
         "transforms.py",
@@ -146,6 +146,21 @@ MUTANTS = (
         "transforms.py",
         "for v, _, _ in candidates)",
         "for v, _, _ in candidates[:1])",
+    ),
+    # within a slab, a block's argmax replaces a degree's winner only when
+    # strictly larger, since a later block holds later maps, and a NaN in
+    # any block is kept
+    Mutant(
+        "scan-block-tie-later",
+        "transforms.py",
+        "if value > cells[j][0] or value != value:",
+        "if value >= cells[j][0] or value != value:",
+    ),
+    Mutant(
+        "scan-block-nan-dropped",
+        "transforms.py",
+        "if value > cells[j][0] or value != value:",
+        "if value > cells[j][0]:",
     ),
     # the slab threads: the core count caps the slabs, every helper starts,
     # and a helper's exception reaches the caller
@@ -244,8 +259,8 @@ MUTANTS = (
         "_power(p, measure.alpha, out=work)",
         "_power(p, 2.0 * measure.alpha - 2.0, out=work)",
     ),
-    # the Shannon terms take log2 of every entry, so each entry with p <= 0
-    # (log2 gives -inf or NaN) must be zeroed before the multiply by p
+    # the Shannon terms take p log2 p of every entry, so each entry with
+    # p <= 0 (the product is NaN there) must be zeroed after the multiply
     Mutant(
         "shannon-log-of-zero",
         "measures.py",
@@ -290,9 +305,10 @@ MUTANTS = (
         "np.power(p, alpha, out=out)",
         "np.power(p, 2.0 * alpha - 2.0, out=out)",
     ),
-    # alpha_norm takes the entropy's degrees only, and only where its root
-    # is a double
+    # alpha_norm takes flat vectors and the entropy's degrees only, and
+    # only where its root is a double
     Mutant("alpha-norm-domain-unchecked", "transforms.py", "    _check_alpha(alpha)\n", "\n"),
+    Mutant("alpha-norm-shape-unchecked", "transforms.py", "if v.ndim != 1:", "if False:"),
     Mutant(
         "alpha-norm-overflow-unchecked",
         "transforms.py",
