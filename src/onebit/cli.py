@@ -61,17 +61,17 @@ MAX_COUNTING_M = 16
 MAX_BASES = 1024
 #: CLI cap on ``invariance-scan --n-states`` and ``--n-maps``: the scan
 #: holds one 64-map block's images and the entropy kernel's terms in two
-#: (64 x 6, slab width) float64 buffers per state slab, 3 KiB per state
-#: each whatever the slab count, so 293 MiB for both at the cap (a scan of
-#: 50 000 states and 64 maps on the default six-alpha grid peaks at
-#: 386-387 MiB RSS in two slabs or in one); the maps are
-#: (n_maps, 6, 6) float64, 288 B per map, so 14 MiB at the cap (72 MiB
-#: RSS peak; 77 MiB on 1000 alphas with no states sampled).
+#: float64 buffers of 64 x 6 rows by n_states, split among its map slabs,
+#: 3 KiB per state each whatever the slab count, so 293 MiB for both at
+#: the cap (a scan of 50 000 states and 64 maps on the default six-alpha
+#: grid peaks at 377-378 MiB RSS in two slabs, 386-387 MiB in one); the
+#: maps are (n_maps, 6, 6) float64, 288 B per map, so 14 MiB at the cap
+#: (73-74 MiB RSS peak, on the default grid or on 1000 alphas).
 MAX_SCAN_COUNT = 50_000
 #: CLI cap on the scan's alpha grid, the number of ``--alphas``: the scan
 #: keeps one (n_states,) float64 baseline per alpha, 8 B per state, so
-#: 381 MiB over 50 000 states at the cap (452 MiB RSS peak with the four
-#: probe maps alone) and one cell per alpha and slab (77 MiB at 50 000 maps).
+#: 381 MiB over 50 000 states at the cap (449 MiB RSS peak with the four
+#: probe maps alone) and one cell per alpha and slab (74 MiB at 50 000 maps).
 MAX_ALPHAS = 1000
 #: CLI cap on ``malus --n-points``: the rows, as Python floats, and the CSV
 #: text cost about 300 B per point, so 1 000 000 points peak at 342 MiB RSS.

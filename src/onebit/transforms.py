@@ -8,7 +8,8 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from itertools import pairwise, permutations, product
+from itertools import permutations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -231,13 +232,13 @@ def total_uncertainty_p6(p6: np.ndarray, alpha: float) -> np.ndarray:
     return entropy_sum(p, EntropyMeasure(alpha), 3)
 
 
-#: Maps applied per scan block; caps the images held at once at
-#: 64 x 6 x S floats for S states.
+#: Maps in a scan block, shared among the slabs; caps the images held at
+#: once at about 64 x 6 x S floats for S states.
 _SCAN_BLOCK = 64
-#: Fewest block cells (maps in a block x states) per scan slab: a scan of
-#: S states in blocks of B maps runs in min(usable cores, B S // _SLAB_CELLS)
-#: slabs, at least one.  With smaller slabs the numpy calls are too short
-#: for a helper thread to gain (timed on 2 cores at B = 1 to 64).
+#: Fewest cells (maps x states) in a scan slab's block: a scan of S
+#: states and M maps runs in min(usable cores, M, min(M, 64) S // _SLAB_CELLS)
+#: slabs, at least one.  With smaller blocks the numpy calls are too short
+#: for a helper thread to gain (timed on 2 cores at 1 to 64 maps).
 _SLAB_CELLS = _SCAN_BLOCK * 128
 #: Largest state or map entry magnitude the scan accepts: an image entry
 #: sums six products, so it stays finite while 6 x cap**2 < DBL_MAX.
@@ -252,35 +253,26 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _slab_buffers(states: np.ndarray, measures, rows: int):
-    """One slab's inputs and scratch: its state columns (6, s), the
-    per-alpha baseline power sums of its clipped columns, and the image,
-    term and deviation buffers for a block of ``rows`` maps."""
-    columns = np.ascontiguousarray(states.T)
-    clipped = np.clip(columns, 0.0, 1.0)
-    bases = [np.add.reduce(_entropy_terms(clipped, m), axis=0) for m in measures]
-    image = np.empty((rows * 6, columns.shape[1]))
-    return columns, bases, image, np.empty_like(image), np.empty((rows, columns.shape[1]))
-
-
-def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer, dev_buffer):
+def _scan_slab(maps, measures, first, last, columns, bases, image_buffer, work_buffer, dev_buffer):
     """The argmax cell (value, state index, map index) of every alpha, in
-    grid order, for the states in ``columns``, the first of which is state
-    ``offset``; both indices count over the whole scan.  A cell's value is
-    the raw power-sum deviation |S(A p) - S(p)|, not yet scaled to an
-    entropy.  The argmax is row-major over (map, state): a block's argmax
-    replaces an alpha's winner only when strictly larger, as later blocks
-    hold later maps, and a NaN, once held, is kept.  Allocates nothing
-    large: every array it writes is one of the buffers.
+    grid order, over maps ``first`` to ``last`` (``last`` excluded) and
+    every state in ``columns``, in blocks of as many maps as the deviation
+    buffer has rows.  A cell's value is the raw power-sum deviation
+    |S(A p) - S(p)|, not yet scaled to an entropy.  The argmax is
+    row-major over (map, state): a block's argmax replaces an alpha's
+    winner only when strictly larger, as later blocks hold later maps, and
+    a NaN, once held, is kept.  Allocates nothing large: every array it
+    writes is one of the buffers.
 
     Each block raises its images to every alpha through
     :func:`measures._ladder_walk`, into the term buffer.  The images are
     clipped to [0, 1], so no entry is checked for a sign, and each alpha's
     terms are reduced over the six entries, less the baseline power sum,
     into the deviation buffer."""
+    rows = dev_buffer.shape[0]
     cells = [(-np.inf, 0, 0)] * len(measures)
-    for start in range(0, maps.shape[0], _SCAN_BLOCK):
-        block = maps[start : start + _SCAN_BLOCK]
+    for start in range(first, last, rows):
+        block = maps[start : min(start + rows, last)]
         n = block.shape[0]
         flat = np.matmul(block.reshape(-1, 6), columns, out=image_buffer[: n * 6])
         np.clip(flat, 0.0, 1.0, out=flat)
@@ -295,7 +287,7 @@ def _scan_slab(maps, measures, offset, columns, bases, image_buffer, work_buffer
             value = float(dev.flat[flat_idx])
             if value > cells[j][0] or value != value:
                 m_idx, s_idx = divmod(flat_idx, dev.shape[1])
-                cells[j] = (value, offset + s_idx, start + m_idx)
+                cells[j] = (value, s_idx, start + m_idx)
     return cells
 
 
@@ -313,39 +305,35 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     have the bits of the difference of the two entropies.
 
     ``states`` has shape (S, 6) and ``maps`` (M, 6, 6).  The states are
-    split into min(usable cores, S min(M, 64) // (64 x 128)) contiguous
-    slabs, at least one, so a full block needs 128 states per slab.  The
-    calling thread scans the first slab, and one helper thread, started
-    before it, scans each of the others (numpy's GEMM and ufuncs release
-    the interpreter lock).  Within a slab, maps are applied in blocks of
-    64: each block's images are built once, as ``block @ columns`` in the
-    sector-major layout (maps, 6, states), and clipped once, and every
-    alpha is then reduced from them over the six-entry axis (numpy adds
-    the six terms in entry order along any axis, so this layout gives the
-    bits of the last-axis one).  The alphas are visited in the order of
-    :func:`measures._ladder_walk`, which keeps every term's bits; the
-    cells still come out in grid order.  The calling thread allocates every
-    slab's columns, baselines and image, term and deviation buffers
-    before any slab starts, each as wide as its slab, so together they
-    take the memory of a one-slab scan, and a helper allocates nothing
-    large (helpers that allocated their own slab measured slower and
-    larger; ROADMAP, "Measured and not pursued").  Every helper is joined, even
-    when the first slab raises; then the exception of the earliest slab
-    that raised is re-raised here, with its type and message.
+    set up once: laid out as columns (6, S), clipped and reduced to one
+    baseline power sum per alpha.  The maps are split into
+    n = min(usable cores, M, min(M, 64) S // (64 x 128)) contiguous
+    slabs, at least one, and each slab applies its maps to every state in
+    blocks of ceil(min(M, 64) / n), so the slabs' blocks together hold
+    one 64-map block.  The calling thread scans the first slab and one
+    helper thread, started before it, each of the others (numpy's GEMM
+    and ufuncs release the interpreter lock), over buffers the calling
+    thread allocated (helpers that allocated their own measured slower
+    and larger; ROADMAP, "Measured and not pursued").  A block's images
+    are built once, as ``block @ columns`` in the sector-major layout
+    (maps, 6, states), and clipped once; every alpha is reduced from them
+    over the six-entry axis, in entry order as on any axis, and visited
+    in the bit-keeping order of :func:`measures._ladder_walk`, the cells
+    still coming out in grid order.  Every helper is joined, even when
+    the first slab raises; then the exception of the earliest slab that
+    raised is re-raised here.
 
-    A cell's arithmetic is the same whichever slab of two or more states
-    holds it (a six-term dot product, a clip, six terms summed in entry
-    order, the baseline power sum subtracted), so the slab count cannot
-    change a bit while every slab holds two states or more, as it does
-    unless the slab size is patched (a split gives each slab at least 128
-    states).  A one-state slab's product is a matrix-vector one, which
-    BLAS may round differently.  Every slab reports one winner per alpha
-    with indices over the whole scan, and each alpha's result is the best
-    of the slabs' winners by the tie rule of a row-major argmax over
-    (map, state), applied to |delta S|: the largest value, then the
-    earliest map, then the earliest state.  Raises ValueError, before any
-    slab starts, when the shapes are not (S, 6) and (M, 6, 6) with S and
-    M at least 1 or a state or map entry is NaN or above
+    Slabs, like blocks, run in map order and hold every state, so one tie
+    rule serves both, that of a row-major argmax over (map, state): each
+    alpha takes the first largest of the slabs' winners, as a slab takes
+    the first largest of its blocks' argmax cells, and a tie between
+    states stays inside numpy's argmax.  A cell's arithmetic (a six-term
+    dot product, a clip, six terms summed in entry order, less the
+    baseline) is the same in any block, so the slab count changes no bit
+    where the BLAS kernel rounds a product's rows the same at any block
+    height (README, ``onebit.transforms``).  Raises ValueError, before
+    any slab starts, when the shapes are not (S, 6) and (M, 6, 6) with S
+    and M at least 1 or a state or map entry is NaN or above
     ``MAX_SCAN_ENTRY`` in magnitude, and when a deviation is not finite,
     naming the first alpha in grid order that has such a cell.
     """
@@ -359,22 +347,29 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
     if states.shape[0] == 0 or maps.shape[0] == 0:
         raise ValueError("scan needs at least one state and one map")
     for name, array in (("state", states), ("map", maps)):
-        if not np.abs(array).max() <= MAX_SCAN_ENTRY:  # a NaN fails too
+        # no copy of the input; a NaN fails the comparison too
+        if not max(array.max(), -array.min()) <= MAX_SCAN_ENTRY:
             raise ValueError(
                 f"{name} entries must be finite and at most {MAX_SCAN_ENTRY:g} in magnitude"
             )
     measures = [EntropyMeasure(alpha) for alpha in alphas]
-    rows = min(_SCAN_BLOCK, maps.shape[0])
-    count = states.shape[0]
-    n_slabs = max(1, min(_usable_cores(), rows * count // _SLAB_CELLS))
-    offsets = [count * k // n_slabs for k in range(n_slabs + 1)]
-    slabs = [(a, *_slab_buffers(states[a:b], measures, rows)) for a, b in pairwise(offsets)]
+    count, width = maps.shape[0], states.shape[0]
+    block = min(_SCAN_BLOCK, count)
+    n_slabs = max(1, min(_usable_cores(), count, block * width // _SLAB_CELLS))
+    rows = -(-block // n_slabs)
+    edges = [count * k // n_slabs for k in range(n_slabs + 1)]
+    columns = np.ascontiguousarray(states.T)
+    clipped = np.clip(columns, 0.0, 1.0)
+    bases = [np.add.reduce(_entropy_terms(clipped, m), axis=0) for m in measures]
+    del clipped  # before the slab buffers, so the peak holds one or the other
+    image = (rows * 6, width)
+    buffers = [(np.empty(image), np.empty(image), np.empty((rows, width))) for _ in range(n_slabs)]
     results = [None] * n_slabs
     errors = [None] * n_slabs
 
     def run(k):
         try:
-            results[k] = _scan_slab(maps, measures, *slabs[k])
+            results[k] = _scan_slab(maps, measures, *edges[k : k + 2], columns, bases, *buffers[k])
         except Exception as exc:  # re-raised below, after every join
             errors[k] = exc
 
@@ -391,12 +386,12 @@ def scan_deviations(states: np.ndarray, maps: np.ndarray, alphas) -> list[tuple[
         if exc is not None:
             raise exc
 
-    cells = list(zip(*results))  # per alpha, in grid order: every slab's winner
+    cells = list(zip(*results))  # per alpha, in grid order: every slab's winner, in map order
     for candidates, measure in zip(cells, measures):
         if not all(np.isfinite(v) for v, _, _ in candidates):
             raise ValueError(f"total-uncertainty deviation is not finite at alpha={measure.alpha}")
-    # a row-major argmax's tie rule: largest value, then earliest map, then earliest state
-    best = [min(candidates, key=lambda c: (-c[0], c[2], c[1])) for candidates in cells]
+    # the block rule again: max keeps the first largest, the earliest slab's
+    best = [max(candidates, key=itemgetter(0)) for candidates in cells]
     return [(m.sum_scale * v, s, a) for m, (v, s, a) in zip(measures, best)]
 
 

@@ -538,7 +538,7 @@ class TestInvarianceScan:
 
     def test_non_finite_deviation_raises(self, monkeypatch):
         states = random_states_array(np.random.default_rng(7), 4)
-        poison_last_state(monkeypatch, len(states))
+        poison_last_map(monkeypatch)
         message = "^total-uncertainty deviation is not finite at alpha=2.0$"
         with pytest.raises(ValueError, match=message):
             scan_deviations(states, np.eye(6)[None], [2.0, 0.5])
@@ -572,9 +572,8 @@ class TestInvarianceScan:
 
     def test_peak_memory_does_not_grow_with_blocks_times_degrees(self):
         # each slab keeps one winner per degree, so ten blocks of maps
-        # take no more than one beyond the maps' size (np.abs of the maps
-        # is the input check's one temporary); a cell kept per block and
-        # degree would add about 450 KiB here
+        # take no more than one beyond the maps' size; a cell kept per
+        # block and degree would add about 450 KiB here
         states = random_states_array(np.random.default_rng(9), 4)
         alphas = np.linspace(0.25, 4.0, 400).tolist()
         scan_deviations(states, np.eye(6)[None], alphas)  # one-time allocations
@@ -589,6 +588,19 @@ class TestInvarianceScan:
                 tracemalloc.stop()
 
         assert traced_peak(640) <= traced_peak(64) + 32 * 1024
+
+    def test_the_input_check_copies_no_input(self):
+        # the maps take 1.8 MB; the buffers for 4 states, a few KiB
+        states = random_states_array(np.random.default_rng(9), 4)
+        maps = np.repeat(np.eye(6)[None], 6400, axis=0)
+        scan_deviations(states, maps[:1], [2.0])  # one-time allocations
+        tracemalloc.start()
+        try:
+            scan_deviations(states, maps, [2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < maps.nbytes
 
     def test_worst_shannon_case_is_the_probe_pair(self):
         # with no sampling at all, the 45-degree probe on a pure state
@@ -1027,22 +1039,17 @@ def written_power_sum(p, alpha, axis):
     return np.add.reduce(WRITTEN_POWERS.get(alpha, lambda p: p**alpha)(p), axis=axis)
 
 
-def row_major_scan(states, maps, alphas, deviations, bounds=None):
+def row_major_scan(states, maps, alphas, deviations):
     """Per alpha, the (value, state index, map index) that a row-major
     argmax over (map, state) picks from ``deviations(images, clipped,
     alpha)``, freshly allocated for every 64-map block of clipped images:
-    the largest value, then the earliest map, then the earliest state.
-    ``bounds`` (state offsets, 0 first and S last) takes each block's
-    product over those runs of states instead of all at once."""
+    the largest value, then the earliest map, then the earliest state."""
     columns = np.ascontiguousarray(states.T)
     clipped = np.clip(columns, 0.0, 1.0)
-    bounds = bounds or [0, states.shape[0]]
     best = [(-1.0, 0, 0)] * len(alphas)
     for start in range(0, maps.shape[0], 64):
         block = maps[start : start + 64]
-        flat = block.reshape(-1, 6)
-        runs = [flat @ columns[:, a:b].copy() for a, b in itertools.pairwise(bounds)]
-        images = np.concatenate(runs, axis=1).reshape(block.shape[0], 6, -1)
+        images = (block.reshape(-1, 6) @ columns).reshape(block.shape[0], 6, -1)
         images = np.clip(images, 0.0, 1.0)
         for j, alpha in enumerate(alphas):
             dev = deviations(images, clipped, alpha)
@@ -1052,7 +1059,7 @@ def row_major_scan(states, maps, alphas, deviations, bounds=None):
     return best
 
 
-def fresh_scan_deviations(states, maps, alphas, bounds=None):
+def fresh_scan_deviations(states, maps, alphas):
     """scan_deviations as the row-major scan of the raw power-sum
     deviations |S(A p) - S(p)| (``written_power_sum``), each alpha's
     winner then scaled to an entropy by k / |alpha - 1|, and by k at
@@ -1061,7 +1068,7 @@ def fresh_scan_deviations(states, maps, alphas, bounds=None):
     def power_sums(images, clipped, alpha):
         return np.abs(written_power_sum(images, alpha, 1) - written_power_sum(clipped, alpha, 0))
 
-    best = row_major_scan(states, maps, alphas, power_sums, bounds)
+    best = row_major_scan(states, maps, alphas, power_sums)
     measures = [EntropyMeasure(alpha) for alpha in alphas]
     scales = [m.k if m.alpha == 1.0 else m.k / abs(m.alpha - 1.0) for m in measures]
     return [(c * v, s_idx, m_idx) for c, (v, s_idx, m_idx) in zip(scales, best)]
@@ -1090,22 +1097,21 @@ def hexed(scan):
 
 
 def force_slabs(monkeypatch, cores):
-    """Make the next scans run in ``cores`` slabs (every test scans at
-    least ``cores`` states)."""
+    """Make the next scans of M maps run in min(``cores``, M) slabs."""
     monkeypatch.setattr(transforms, "_SLAB_CELLS", 1)
     monkeypatch.setattr(transforms, "_usable_cores", lambda: cores)
 
 
-def poison_last_state(monkeypatch, count):
-    """Make the next scans of ``count`` states report a NaN deviation for
-    the first alpha of the slab that holds the last state.  The
-    inputs are checked to be finite, so this stands for a NaN the kernel
-    itself would make (an image product that overflows both ways)."""
+def poison_last_map(monkeypatch):
+    """Make the next scans report a NaN deviation for the first alpha of
+    the slab that holds the last map.  The inputs are checked to be
+    finite, so this stands for a NaN the kernel itself would make (an
+    image product that overflows both ways)."""
     scan_slab = transforms._scan_slab
 
-    def poisoned(maps, measures, offset, columns, *buffers):
-        cells = scan_slab(maps, measures, offset, columns, *buffers)
-        if offset + columns.shape[1] == count:
+    def poisoned(maps, measures, first, last, *rest):
+        cells = scan_slab(maps, measures, first, last, *rest)
+        if last == maps.shape[0]:
             cells[0] = (math.nan, *cells[0][1:])
         return cells
 
@@ -1120,20 +1126,21 @@ def sector_depolarizer(sector):
 
 
 def spy_slabs(monkeypatch):
-    """Record (thread, slab width) for every slab the next scans run."""
+    """Record (thread, (first map, last map + 1)) for every slab the next
+    scans run."""
     calls = []
     scan_slab = transforms._scan_slab
 
-    def spy(maps, measures, offset, columns, *buffers):
-        calls.append((threading.current_thread(), columns.shape[1]))
-        return scan_slab(maps, measures, offset, columns, *buffers)
+    def spy(maps, measures, first, last, *rest):
+        calls.append((threading.current_thread(), (first, last)))
+        return scan_slab(maps, measures, first, last, *rest)
 
     monkeypatch.setattr(transforms, "_scan_slab", spy)
     return calls
 
 
 class TestScanSlabs:
-    """The state axis split into slabs.  The slab count is forced to 1-4
+    """The map axis split into slabs.  The slab count is forced to 1-4
     by patching the slab size and the core count, so a one-core machine
     still runs the helpers and the merge."""
 
@@ -1143,21 +1150,16 @@ class TestScanSlabs:
     def test_every_slab_count_gives_the_fresh_bits(self, monkeypatch, n_states, n_maps, alphas):
         # the pure +x state and an exact quarter turn put exact zeros and
         # ones into the images; the last block is partial unless M = 64.
-        # Slabs of two states or more give the one-product bits.  A
-        # one-state slab's product is a matrix-vector one, which BLAS may
-        # round differently, so its cells get that product's bits (a scan
-        # the library runs splits only into slabs of 128 states or more)
+        # Every block's product covers every state, so each slab count,
+        # one slab per map included, gives the one-product bits
         rng = np.random.default_rng(n_states * 1000 + n_maps)
         states = random_states_array(rng, n_states)
         states[0] = p6_from_means([1.0, 0.0, 0.0])
         rotations = random_rotations(rng, n_maps)
         rotations[n_maps // 2] = QUARTER_TURN_ROTATION
         maps = induced_from_rotations(rotations)
-        for cores in range(1, min(4, n_states) + 1):
-            slabs = itertools.pairwise([n_states * k // cores for k in range(cores + 1)])
-            singles = {edge for a, b in slabs if b - a == 1 for edge in (a, b)}
-            bounds = sorted({0, n_states} | singles)
-            expected = hexed(fresh_scan_deviations(states, maps, alphas, bounds))
+        expected = hexed(fresh_scan_deviations(states, maps, alphas))
+        for cores in range(1, 5):
             force_slabs(monkeypatch, cores)
             assert hexed(scan_deviations(states, maps, alphas)) == expected, cores
 
@@ -1181,16 +1183,29 @@ class TestScanSlabs:
         calls = spy_slabs(monkeypatch)
         force_slabs(monkeypatch, cores)
         rng = np.random.default_rng(cores)
-        maps = induced_from_rotations(random_rotations(rng, 3))
-        scan_deviations(random_states_array(rng, 10), maps, [2.0])
-        widths = [10 * (k + 1) // cores - 10 * k // cores for k in range(cores)]
+        maps = induced_from_rotations(random_rotations(rng, 10))
+        scan_deviations(random_states_array(rng, 3), maps, [2.0])
+        runs = list(itertools.pairwise([10 * k // cores for k in range(cores + 1)]))
         assert len({thread for thread, _ in calls}) == cores
-        assert (threading.current_thread(), widths[0]) in calls
-        assert sorted(width for _, width in calls) == sorted(widths)
+        assert (threading.current_thread(), runs[0]) in calls
+        assert sorted(run for _, run in calls) == runs
+
+    @pytest.mark.parametrize("n_maps", [1, 3])
+    def test_fewer_maps_than_cores_run_one_slab_per_map(self, monkeypatch, n_maps):
+        rng = np.random.default_rng(n_maps)
+        states = random_states_array(rng, 9)
+        maps = induced_from_rotations(random_rotations(rng, n_maps))
+        force_slabs(monkeypatch, 1)
+        serial = hexed(scan_deviations(states, maps, SCAN_ALPHAS))
+        calls = spy_slabs(monkeypatch)
+        force_slabs(monkeypatch, 4)
+        assert hexed(scan_deviations(states, maps, SCAN_ALPHAS)) == serial
+        assert sorted(run for _, run in calls) == [(k, k + 1) for k in range(n_maps)]
 
     @pytest.mark.parametrize(
         "n_states, n_maps, slabs",
-        [(255, 64, 1), (256, 64, 2), (256, 200, 2), (4095, 4, 1), (4096, 4, 2), (10**4, 64, 2)],
+        [(255, 64, 1), (256, 64, 2), (256, 200, 2), (4095, 4, 1), (4096, 4, 2), (10**4, 64, 2),
+         (2 * 10**4, 1, 1)],
     )
     def test_a_slab_holds_at_least_a_full_block_over_128_states(
         self, monkeypatch, n_states, n_maps, slabs
@@ -1199,13 +1214,14 @@ class TestScanSlabs:
         monkeypatch.setattr(transforms, "_usable_cores", lambda: 2)
         states = np.full((n_states, 6), 0.5)
         scan_deviations(states, np.repeat(np.eye(6)[None], n_maps, axis=0), [2.0])
-        assert len(calls) == slabs
+        edges = [n_maps * k // slabs for k in range(slabs + 1)]
+        assert sorted(run for _, run in calls) == list(itertools.pairwise(edges))
 
     @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_a_tie_across_slabs_goes_to_the_earliest_state(self, monkeypatch, cores):
-        # pure +x at states 3-7, so the tie straddles every slab boundary
-        # for 2, 3 and 4 slabs; all entries are dyadic, so every copy of a
-        # cell has the same bits
+        # pure +x at states 3-7 ties within each block, and maps 5 and 129
+        # lie in the first and the last of 2, 3 and 4 slabs; all entries
+        # are dyadic, so every copy of a cell has the same bits
         pure_x = [1.0, 0.0, 0.5, 0.5, 0.5, 0.5]
         states = np.array([[0.5] * 6] * 3 + [pure_x] * 5)
         maps = np.repeat(np.eye(6)[None], 130, axis=0)
@@ -1220,28 +1236,29 @@ class TestScanSlabs:
             assert dev == pytest.approx(1.0, abs=1e-12)
             assert (s_idx, m_idx) == (3, 5)
 
-    def test_an_equal_value_at_an_earlier_map_in_a_later_slab_wins(self, monkeypatch):
-        # slab 0 (pure +x) peaks at map 7, slab 1 (pure +y) at map 5 with the
-        # same value; at these degrees every term is dyadic, so the two
-        # peaks have the same bits and only the tie rule decides
+    def test_an_equal_value_in_two_slabs_goes_to_the_earlier_slabs_map(self, monkeypatch):
+        # slab 0 (maps 0-4) peaks at map 2 on pure +y (state 1), slab 1
+        # (maps 5-9) at map 7 on pure +x (state 0) with the same value; at
+        # these degrees every term is dyadic, so the two peaks have the same
+        # bits and only the tie rule decides, against the earlier state
         alphas = (1.0, 2.0, 3.0)
         states = np.array([[1.0, 0.0, 0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 1.0, 0.0, 0.5, 0.5]])
         maps = np.repeat(np.eye(6)[None], 10, axis=0)
+        maps[2] = sector_depolarizer(1)
         maps[7] = sector_depolarizer(0)
-        maps[5] = sector_depolarizer(1)
         force_slabs(monkeypatch, 1)
         serial = hexed(scan_deviations(states, maps, alphas))
         force_slabs(monkeypatch, 2)
         got = scan_deviations(states, maps, alphas)
         assert hexed(got) == serial
-        assert [(s_idx, m_idx) for _, s_idx, m_idx in got] == [(1, 5)] * 3
+        assert [(s_idx, m_idx) for _, s_idx, m_idx in got] == [(1, 2)] * 3
 
     @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_a_nan_in_the_last_slab_raises_the_serial_message(self, monkeypatch, cores):
         rng = np.random.default_rng(cores)
         states = random_states_array(rng, 8)
         maps = induced_from_rotations(random_rotations(rng, 70))
-        poison_last_state(monkeypatch, len(states))
+        poison_last_map(monkeypatch)
         force_slabs(monkeypatch, 1)
         with pytest.raises(ValueError, match="not finite") as serial:
             scan_deviations(states, maps, [2.0, 0.5])
